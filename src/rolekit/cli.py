@@ -220,9 +220,10 @@ def _add_depth_flags(p: _Parser, default_k: int | None):
     group.add_argument("--k", type=int, default=default_k,
                        help="iteration depth (default: %(default)s)")
     group.add_argument("--fixed-point", action="store_true",
-                       help="iterate the similarity to its fixed point")
+                       help="use the similarity at its fixed point")
     p.add_argument("--max-k", type=int, default=10000,
-                   help="step cap for fixed-point iterations")
+                   help="iteration cap for the fixed point: CG iterations for "
+                        "spectrum, recurrence steps for extract")
 
 
 def _add_measure_flags(p: _Parser):

@@ -31,7 +31,7 @@ from .graphcore import (
     ideal_adjacency,
 )
 from .lowrank import LowRankState, estimate_rank, lowrank_iterate
-from .similarity import DEFAULT_BETA2_FRACTION, beta_bound
+from .similarity import resolve_beta2
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_GAP_RATIO = 0.5
@@ -266,13 +266,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         if signature is not None:
             work = abs(A)
 
-    rho = beta_bound(work)
-    if beta2 is None:
-        beta2 = DEFAULT_BETA2_FRACTION / rho
-    elif beta2 * rho >= 1.0:
-        raise ValueError(
-            f"beta2 = {beta2:g} is at or above the admissible bound 1/rho = {1.0 / rho:g}")
-
+    beta2, _ = resolve_beta2(work, beta2)
     state = lowrank_iterate(work, beta2, k=k, trunc_tol=trunc_tol, max_k=max_k)
     rows, zero = _normalized_rows(state.U)
     active = ~zero

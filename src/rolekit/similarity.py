@@ -4,7 +4,7 @@ Two nodes are similar when they reach common targets through the same
 patterns of incoming/outgoing edges.  With ``N_1 = A A^T + A^T A`` counting
 common parents and children, and ``N_l = A N_{l-1} A^T + A^T N_{l-1} A``
 counting common targets of length-``l`` patterns, the similarity matrix is
-the damped sum ``S = sum_l beta^(2(l-1)) N_l``.  It is computed here through
+the damped sum ``S = sum_l beta^(2(l-1)) N_l``.  Its partial sums follow
 the recurrence
 
     S_1 = G[I],   S_{k+1} = G[I + beta^2 S_k],
@@ -13,13 +13,22 @@ where ``G[X] = A X A^T + A^T X A``.  The recurrence converges if and only if
 ``beta^2`` is strictly below ``1 / rho(A (x) A + A^T (x) A^T)``; the operator
 spectral radius is exposed as :func:`beta_bound`.
 
+Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
+The limit (:func:`fixed_point`) is found instead by solving the linear system
+``(I - beta^2 G) S = G[I]`` with conjugate gradients: ``G`` is self-adjoint
+in the Frobenius inner product with spectrum in ``[-rho, rho]``, so for
+admissible ``beta^2`` the system is symmetric positive definite with
+eigenvalues in ``[1 - beta^2 rho, 1 + beta^2 rho]``, and CG needs a few
+operator applications where the recurrence needs one per factor of
+``beta^2 rho`` in the error.
+
 All matrices ``S_k`` are symmetric positive semi-definite, non-negative for
 unsigned graphs, and share the column space of ``[A A^T]`` for every k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,11 +41,16 @@ DEFAULT_MAX_K = 10000
 
 
 class NonConvergenceError(RuntimeError):
-    """An iteration hit its step limit; ``state`` holds the last iterate."""
+    """An iteration hit its step limit; ``state`` holds the last iterate.
 
-    def __init__(self, message: str, state=None):
+    ``history`` holds the relative residual after each iteration, where the
+    iteration reports one (empty otherwise).
+    """
+
+    def __init__(self, message: str, state=None, history=()):
         super().__init__(message)
         self.state = state
+        self.history = tuple(history)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +116,28 @@ def beta_bound(A) -> float:
         f"(last estimate {estimate})", state=estimate)
 
 
+def resolve_beta2(A, beta2: float | None) -> tuple[float, float]:
+    """The damping to use on ``A``, and the operator radius ``rho`` it was
+    checked against.
+
+    ``None`` selects the default 0.81 / rho.  A negative ``beta2`` is
+    rejected before ``rho`` is computed, and one at or above the admissible
+    bound ``1 / rho`` after.
+    """
+    if beta2 is not None and beta2 < 0:
+        raise ValueError("beta2 must be non-negative")
+    rho = beta_bound(A)
+    if beta2 is None:
+        return DEFAULT_BETA2_FRACTION / rho, rho
+    if beta2 * rho >= 1.0:
+        raise ValueError(
+            f"beta2 = {beta2:g} is at or above the admissible bound 1/rho = {1.0 / rho:g}")
+    return beta2, rho
+
+
 def default_beta2(A) -> float:
     """The toolkit default damping: beta^2 = 0.81 / beta_bound(A)."""
-    return DEFAULT_BETA2_FRACTION / beta_bound(A)
+    return resolve_beta2(A, None)[0]
 
 
 def iterate(A, beta2: float, k: int) -> SimilarityState:
@@ -127,35 +160,73 @@ def iterate(A, beta2: float, k: int) -> SimilarityState:
 
 def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
                 max_k: int = DEFAULT_MAX_K) -> SimilarityState:
-    """Iterate to the fixed point S = G[I + beta^2 S].
+    """The fixed point S = G[I + beta^2 S], solved by conjugate gradients.
 
     ``beta2`` defaults to 0.81 / beta_bound(A) and is rejected at or above
-    the admissible bound before any iteration.  Convergence is declared when
-    ``||S_{k+1} - S_k||_F <= tol * ||S_k||_F``; the result then satisfies
-    ``||S - G[I + beta^2 S]||_F <= 2 tol ||S||_F``.  Raises
-    :class:`NonConvergenceError` carrying the last state if ``max_k`` is hit.
+    the admissible bound before any iteration.  CG on
+    ``(I - beta^2 G) S = G[I]`` stops once its residual is at most
+    ``tol * ||S||_F``; that residual is then recomputed from S directly, so
+    the result satisfies ``||S - G[I + beta^2 S]||_F <= tol ||S||_F``.
+    ``k`` is the number of CG iterations, each one application of G, and
+    ``max_k`` caps it: reaching the cap raises :class:`NonConvergenceError`
+    carrying the last state and the relative residual after each iteration.
     """
     A = as_adjacency(A)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rho = beta_bound(A)
-    if beta2 is None:
-        beta2 = DEFAULT_BETA2_FRACTION / rho
-    if beta2 < 0:
-        raise ValueError("beta2 must be non-negative")
-    if beta2 * rho >= 1.0:
-        raise ValueError(
-            f"beta2 = {beta2:g} is at or above the admissible bound 1/rho = {1.0 / rho:g}")
-    eye = np.eye(A.n)
-    S = _sym(gamma(A, eye))
-    for k in range(2, max_k + 1):
-        S_next = _sym(gamma(A, eye + beta2 * S))
-        if np.linalg.norm(S_next - S) <= tol * np.linalg.norm(S):
-            return SimilarityState(S=S_next, k=k, beta2=beta2, converged=True)
-        S = S_next
+    beta2, _ = resolve_beta2(A, beta2)
+    return _fixed_point(A, beta2, tol, max_k)
+
+
+def _residual(A: Adjacency, beta2: float, S: np.ndarray) -> np.ndarray:
+    """G[I + beta^2 S] - S, the fixed-point residual computed from S itself."""
+    X = beta2 * S
+    X.flat[::A.n + 1] += 1.0
+    R = _sym(gamma(A, X))
+    R -= S
+    return R
+
+
+def _fixed_point(A: Adjacency, beta2: float, tol: float, max_k: int) -> SimilarityState:
+    """CG on (I - beta^2 G) S = G[I] from S = 0, for an admissible beta2.
+
+    Every iterate is symmetric, and every application of G goes through
+    :func:`gamma`.
+    """
+    S = np.zeros((A.n, A.n))
+    R = _residual(A, beta2, S)   # G[I], the right-hand side, as S = 0
+    P = R.copy()
+    rr = np.vdot(R, R)
+    history = []
+    for k in range(1, max_k + 1):
+        Q = _sym(gamma(A, P))
+        Q *= -beta2
+        Q += P
+        alpha = rr / np.vdot(P, Q)
+        S += alpha * P
+        R -= alpha * Q
+        del Q   # hold at most S, R and P across an application of G
+        size = np.linalg.norm(S)
+        history.append(np.linalg.norm(R) / size)
+        if history[-1] <= tol:
+            # the updated residual drifts from the true one by rounding:
+            # accept only on the true residual, else restart from it
+            del P
+            R = _residual(A, beta2, S)
+            history[-1] = np.linalg.norm(R) / size
+            if history[-1] <= tol:
+                return SimilarityState(S=S, k=k, beta2=beta2, converged=True)
+            P = R.copy()
+            rr = np.vdot(R, R)
+            continue
+        rr_next = np.vdot(R, R)
+        P *= rr_next / rr
+        P += R
+        rr = rr_next
     raise NonConvergenceError(
-        f"similarity iteration did not converge within {max_k} steps",
-        state=SimilarityState(S=S, k=max_k, beta2=beta2, converged=False))
+        f"similarity solve did not converge within {max_k} iterations",
+        state=SimilarityState(S=S, k=max_k, beta2=beta2, converged=False),
+        history=history)
 
 
 def pattern_counts(A, ell_max: int) -> list[PatternCount]:
@@ -215,26 +286,23 @@ def scaled_iterate(A_W, d, beta2: float, k: int) -> SimilarityState:
 
 def scaled_fixed_point(A_W, d, beta2: float | None = None, tol: float = DEFAULT_TOL,
                        max_k: int = DEFAULT_MAX_K) -> SimilarityState:
-    """Fixed point of the weighted-graph recurrence; equals D S_inf D."""
-    M, d, base = _weighted_parts(A_W, d)
+    """Fixed point of the weighted-graph recurrence: D S_inf D.
+
+    ``S_inf`` is :func:`fixed_point` of the binary base graph A, so ``beta2``
+    is resolved against A, and ``tol`` and ``max_k`` apply to the solve on A.
+    """
+    _, d, base = _weighted_parts(A_W, d)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rho = beta_bound(base)
-    if beta2 is None:
-        beta2 = DEFAULT_BETA2_FRACTION / rho
-    if beta2 < 0:
-        raise ValueError("beta2 must be non-negative")
-    if beta2 * rho >= 1.0:
-        raise ValueError(
-            f"beta2 = {beta2:g} is at or above the admissible bound 1/rho = {1.0 / rho:g}")
-    dm2 = 1.0 / d**2
-    S = _scaled_step(M, np.diag(dm2))
-    for k in range(2, max_k + 1):
-        mid = np.diag(dm2) + beta2 * (dm2[:, None] * S * dm2[None, :])
-        S_next = _scaled_step(M, mid)
-        if np.linalg.norm(S_next - S) <= tol * np.linalg.norm(S):
-            return SimilarityState(S=S_next, k=k, beta2=beta2, converged=True)
-        S = S_next
-    raise NonConvergenceError(
-        f"weighted similarity iteration did not converge within {max_k} steps",
-        state=SimilarityState(S=S, k=max_k, beta2=beta2, converged=False))
+    beta2, _ = resolve_beta2(base, beta2)
+    try:
+        state = _fixed_point(base, beta2, tol, max_k)
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(
+            f"weighted {exc}", state=_conjugate(exc.state, d),
+            history=exc.history) from None
+    return _conjugate(state, d)
+
+
+def _conjugate(state: SimilarityState, d: np.ndarray) -> SimilarityState:
+    return replace(state, S=d[:, None] * state.S * d[None, :])

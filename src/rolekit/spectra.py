@@ -24,9 +24,15 @@ import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
 from .lowrank import estimate_rank
-from .similarity import DEFAULT_BETA2_FRACTION, beta_bound, fixed_point, iterate
+from .similarity import fixed_point, iterate, resolve_beta2
 
 CONVENTIONS = ("occupancy", "flip")
+
+#: residual tolerance of the fixed-point solve.  The solve bounds the error
+#: relative to ||S||_F, while the report prints 9 significant digits of
+#: singular values spanning orders of magnitude, so it needs a tighter
+#: tolerance than the similarity default of 1e-10.
+FIXED_POINT_TOL = 1e-13
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -98,8 +104,8 @@ def ideal_singular_values(B: RoleMatrix, sizes) -> np.ndarray:
 class SpectrumReport:
     """Descending singular values of A, S^(1/2) and S, plus the gap estimate.
 
-    ``sigma_S_half`` holds the singular values of a symmetric factor of S,
-    so ``sigma_S == sigma_S_half**2`` exactly.  ``gap_index`` is the role
+    ``sigma_S_half`` holds the square roots of ``sigma_S``, the singular
+    values of a symmetric square root of S.  ``gap_index`` is the role
     count estimated from the spectrum of S.  ``beta2_source`` records
     whether the damping was supplied or derived from the default rule.
     """
@@ -145,18 +151,21 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
                     max_k: int = 10000) -> SpectrumReport:
     """Compute the top singular values of A, S^(1/2) and S.
 
-    ``k=None`` iterates the similarity to its fixed point.  The square-root
-    spectrum is taken from a factor of S (never from a matrix square root),
-    so ``sigma_S = sigma_S_half**2`` holds exactly.
+    ``k=None`` solves for the similarity fixed point to a relative
+    residual of ``FIXED_POINT_TOL``, with ``max_k`` capping the solver's
+    iterations; otherwise the recurrence runs ``k`` steps.
+    ``sigma_S_half`` is taken as ``sqrt(sigma_S)``.
     """
     A = as_adjacency(A)
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
-    source = "user"
-    if beta2 is None:
-        beta2 = DEFAULT_BETA2_FRACTION / beta_bound(A)
-        source = "auto-0.81/rho"
-    state = fixed_point(A, beta2, max_k=max_k) if k is None else iterate(A, beta2, k)
+    source = "user" if beta2 is not None else "auto-0.81/rho"
+    if k is None:
+        state = fixed_point(A, beta2, tol=FIXED_POINT_TOL, max_k=max_k)
+    else:
+        if beta2 is None:
+            beta2, _ = resolve_beta2(A, None)
+        state = iterate(A, beta2, k)
     sigma_A = np.linalg.svd(A.entries, compute_uv=False)
     sigma_S = np.linalg.svd(state.S, compute_uv=False)
     sigma_S_half = np.sqrt(sigma_S)
@@ -166,7 +175,7 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
         sigma_S_half=sigma_S_half[:m],
         sigma_S=sigma_S[:m],
         gap_index=estimate_rank(sigma_S[:m], gap_ratio),
-        beta2=float(beta2),
+        beta2=float(state.beta2),
         k_or_fixed="fixed-point" if k is None else int(k),
         gap_ratio=float(gap_ratio),
         beta2_source=source,

@@ -12,18 +12,51 @@ from conftest import (
 from rolekit import (
     Adjacency,
     NonConvergenceError,
+    PerturbationModel,
     apply_rank_one_weights,
     beta_bound,
     checkerboard_signature,
     default_beta2,
+    extract_roles,
     fixed_point,
     gamma,
     generate_structure,
     iterate,
     pattern_counts,
+    perturb,
     scaled_fixed_point,
     scaled_iterate,
+    similarity,
+    spectrum_report,
 )
+from rolekit.similarity import resolve_beta2
+
+# a digraph whose fixed-point system CG cannot finish in 3 iterations at
+# beta^2 = 0.9 / rho (it needs 17 at tol 1e-15)
+SLOW_CG = np.array([
+    [0, 1, 1, 1, 0, 0],
+    [0, 0, 0, 0, 0, 1],
+    [0, 1, 0, 1, 0, 0],
+    [1, 0, 1, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0],
+    [0, 1, 1, 0, 0, 0],
+], dtype=float)
+
+
+def kron_fixed_point(A, beta2):
+    """Dense oracle: solve (I - beta^2 (A(x)A + A^T(x)A^T)) vec S = vec G[I]."""
+    M = A.entries
+    n = A.n
+    K = np.kron(M, M) + np.kron(M.T, M.T)
+    rhs = (M @ M.T + M.T @ M).ravel()
+    return np.linalg.solve(np.eye(n * n) - beta2 * K, rhs).reshape(n, n)
+
+
+def fixed_point_residual(A, state):
+    """||S - G[I + beta^2 S]||_F / ||S||_F."""
+    S = state.S
+    return (np.linalg.norm(S - gamma(A, np.eye(A.n) + state.beta2 * S))
+            / np.linalg.norm(S))
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +191,117 @@ def test_fixed_point_rejects_beta_at_or_above_bound():
 
 
 def test_fixed_point_nonconvergence_carries_state():
-    A = Adjacency.from_matrix([[0, 1], [1, 0]])
+    A = Adjacency.from_matrix(SLOW_CG)
     with pytest.raises(NonConvergenceError) as info:
-        fixed_point(A, 0.49, tol=1e-15, max_k=3)
+        fixed_point(A, 0.9 / beta_bound(A), tol=1e-15, max_k=3)
     assert info.value.state is not None
     assert info.value.state.k == 3
     assert not info.value.state.converged
+
+
+def test_fixed_point_nonconvergence_history_has_one_residual_per_iteration():
+    A = Adjacency.from_matrix(SLOW_CG)
+    for max_k in (1, 3, 5):
+        with pytest.raises(NonConvergenceError) as info:
+            fixed_point(A, 0.9 / beta_bound(A), tol=1e-15, max_k=max_k)
+        history = info.value.history
+        assert len(history) == max_k
+        assert all(h > 1e-15 for h in history)
+
+
+def test_fixed_point_two_cycle_near_the_bound_is_one_iteration():
+    # G[I] = 2 I is an eigenvector of G, so CG solves S = 2 I + 0.98 S at once
+    A = Adjacency.from_matrix([[0, 1], [1, 0]])
+    state = fixed_point(A, 0.49, tol=1e-15, max_k=3)
+    assert state.converged
+    assert state.k == 1
+    assert np.allclose(state.S, 100.0 * np.eye(2), rtol=1e-12, atol=0)
+
+
+def test_fixed_point_matches_kronecker_solve():
+    rng = np.random.default_rng(53)
+    graphs = [random_digraph(rng, n_max=8) for _ in range(20)]
+    graphs.append(Adjacency.from_matrix(SIGNED_EXAMPLE))
+    for A in graphs:
+        state = fixed_point(A)
+        want = kron_fixed_point(A, state.beta2)
+        assert np.linalg.norm(state.S - want) <= 1e-9 * np.linalg.norm(want)
+        assert np.array_equal(state.S, state.S.T)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_fixed_point_true_residual_within_tol(tol):
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        A = random_digraph(rng, n_max=12, n_min=3)
+        state = fixed_point(A, 0.95 / beta_bound(A), tol=tol)
+        assert fixed_point_residual(A, state) <= tol
+
+
+def test_fixed_point_agrees_with_deep_recurrence():
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        A = random_digraph(rng, n_max=10, n_min=3)
+        beta2 = default_beta2(A)
+        S = fixed_point(A, beta2).S
+        deep = iterate(A, beta2, 400).S
+        assert np.linalg.norm(S - deep) <= 1e-9 * np.linalg.norm(deep)
+
+
+def test_fixed_point_iteration_count_on_noisy_block_cycle():
+    perm = np.random.default_rng(67).permutation(200)
+    A, _, _ = generate_structure("block_cycle", (50, 50, 50, 50), perm=perm)
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=1))
+    state = fixed_point(noisy)
+    assert state.converged
+    assert state.k <= 40
+
+
+# ---------------------------------------------------------------------------
+# damping resolution
+# ---------------------------------------------------------------------------
+
+def count_beta_bound(monkeypatch):
+    calls = []
+    original = similarity.beta_bound
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(similarity, "beta_bound", counted)
+    return calls
+
+
+def test_resolve_beta2_default_and_user_values():
+    A = Adjacency.from_matrix([[0, 1], [1, 0]])
+    assert resolve_beta2(A, None) == pytest.approx((0.405, 2.0), rel=1e-9)
+    beta2, rho = resolve_beta2(A, 0.3)
+    assert beta2 == 0.3
+    assert rho == pytest.approx(2.0, rel=1e-9)
+    with pytest.raises(ValueError, match="admissible bound"):
+        resolve_beta2(A, 0.5)
+
+
+def test_resolve_beta2_rejects_negative_before_the_bound(monkeypatch):
+    calls = count_beta_bound(monkeypatch)
+    A = Adjacency.from_matrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="non-negative"):
+        resolve_beta2(A, -0.1)
+    with pytest.raises(ValueError, match="non-negative"):
+        extract_roles(A, beta2=-0.1)
+    assert calls == []
+
+
+def test_spectrum_report_computes_the_bound_once(monkeypatch):
+    calls = count_beta_bound(monkeypatch)
+    A, _, _ = generate_structure("block_cycle", (3, 2, 2, 3))
+    report = spectrum_report(A)
+    assert len(calls) == 1
+    assert report.beta2_source == "auto-0.81/rho"
+    assert report.beta2 == pytest.approx(0.81 / beta_bound(A), rel=1e-12)
+    spectrum_report(A, k=3)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +472,33 @@ def test_scaled_iterates_equal_conjugated_plain_iterates():
             SD = scaled_iterate(W, d, beta2, k).S
             S = iterate(A, beta2, k).S
             assert np.allclose(SD, d[:, None] * S * d[None, :], rtol=1e-10)
+
+
+def test_scaled_fixed_point_matches_deep_scaled_recurrence():
+    rng = np.random.default_rng(71)
+    for _ in range(6):
+        A = random_digraph(rng, n_max=10, n_min=3)
+        d = rng.uniform(0.3, 3.0, size=A.n)
+        W = apply_rank_one_weights(A, d)
+        beta2 = default_beta2(A)
+        SD = scaled_fixed_point(W, d, beta2).S
+        deep = scaled_iterate(W, d, beta2, 400).S
+        assert np.linalg.norm(SD - deep) <= 1e-9 * np.linalg.norm(deep)
+
+
+def test_scaled_fixed_point_nonconvergence_carries_weighted_state():
+    A = Adjacency.from_matrix(SLOW_CG)
+    d = np.linspace(0.5, 2.0, A.n)
+    W = apply_rank_one_weights(A, d)
+    beta2 = 0.9 / beta_bound(A)
+    with pytest.raises(NonConvergenceError) as info:
+        scaled_fixed_point(W, d, beta2, tol=1e-15, max_k=3)
+    with pytest.raises(NonConvergenceError) as plain:
+        fixed_point(A, beta2, tol=1e-15, max_k=3)
+    assert info.value.state.k == 3
+    assert len(info.value.history) == 3
+    assert np.allclose(info.value.state.S,
+                       d[:, None] * plain.value.state.S * d[None, :], rtol=1e-12)
 
 
 def test_scaled_rejects_non_rank_one_weighted_input():

@@ -9,6 +9,7 @@ from rolekit import (
     expected_adjacency,
     generate_structure,
     ideal_singular_values,
+    iterate,
     perturb,
     ratio_monotonicity_check,
     rng_for,
@@ -165,6 +166,18 @@ def test_spectrum_report_small_ideal_block_cycle():
     assert np.allclose(report.sigma_S, report.sigma_S_half**2, rtol=1e-8)
     assert report.k_or_fixed == "fixed-point"
     assert report.beta2_source == "user"
+
+
+def test_spectrum_report_fixed_point_resolves_each_singular_value():
+    # the solve bounds its residual relative to ||S||_F, yet the smallest
+    # reported singular values must be accurate well inside 9 digits too
+    perm = np.random.default_rng(67).permutation(200)
+    A, _, _ = generate_structure("block_cycle", (50, 50, 50, 50), perm=perm)
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=1))
+    report = spectrum_report(noisy, top_m=10)
+    deep = iterate(noisy, report.beta2, 400).S
+    want = np.linalg.svd(deep, compute_uv=False)[:10]
+    assert np.all(np.abs(report.sigma_S - want) <= 1e-11 * want)
 
 
 def test_spectrum_report_finite_depth_and_auto_beta():
