@@ -83,43 +83,37 @@ def _normalized_rows(U: np.ndarray):
     U = np.asarray(U, dtype=float)
     norms = np.linalg.norm(U, axis=1)
     zero = norms <= _ZERO_ROW_RTOL * (norms.max() if norms.size else 0.0)
-    rows = np.zeros_like(U)
-    for i in np.flatnonzero(~zero):
-        v = U[i] / norms[i]
-        lead = int(np.argmax(np.abs(v)))
-        if v[lead] < 0:
-            v = -v
-        rows[i] = v
+    rows = np.divide(U, norms[:, None], out=np.zeros_like(U), where=~zero[:, None])
+    if rows.size:
+        lead = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+        rows[lead < 0] *= -1.0
     return rows, zero
-
-
-def _line_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between the lines spanned by unit vectors u and v (min over +-)."""
-    return float(np.arccos(np.clip(abs(float(u @ v)), 0.0, 1.0)))
 
 
 def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL) -> Assignment:
     """Group the rows of a factor into clusters of nearly-parallel vectors.
 
     Rows are scanned in node order; each joins the earliest-created cluster
-    whose representative lies within ``angle_tol`` of its line, else founds a
-    new cluster.  Cluster labels are thus ordered by first node index.  Zero
-    rows (disconnected nodes) are left unassigned.
+    whose representative lies within ``angle_tol`` of its line (the angle
+    between lines is the smaller of the two angles between the vectors),
+    else founds a new cluster.  Cluster labels are thus ordered by first
+    node index.  Zero rows (disconnected nodes) are left unassigned.
     """
     U = U.U if isinstance(U, LowRankState) else np.asarray(U, dtype=float)
     rows, zero = _normalized_rows(U)
     sigma = -np.ones(rows.shape[0], dtype=int)
-    reps: list[np.ndarray] = []
-    for i in range(rows.shape[0]):
-        if zero[i]:
-            continue
-        for label, rep in enumerate(reps):
-            if _line_angle(rows[i], rep) <= angle_tol:
-                sigma[i] = label
-                break
+    reps = np.empty_like(rows)
+    q = 0
+    for i in np.flatnonzero(~zero):
+        row = rows[i]
+        angles = np.arccos(np.clip(np.abs(reps[:q] @ row), 0.0, 1.0))
+        hits = np.flatnonzero(angles <= angle_tol)
+        if hits.size:
+            sigma[i] = hits[0]
         else:
-            sigma[i] = len(reps)
-            reps.append(rows[i])
+            sigma[i] = q
+            reps[q] = row
+            q += 1
     return Assignment(sigma)
 
 

@@ -17,6 +17,7 @@ across threads read-only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -472,7 +473,7 @@ def read_edge_list(path, n: int | None = None) -> Adjacency:
 
     The node count is inferred as 1 + the largest id seen unless given.
     Raises :class:`EdgeListFormatError` (with a line number) on malformed
-    lines, and when the file holds no edges at all.
+    lines and non-finite weights, and when the file holds no edges at all.
     """
     edges = []
     max_id = -1
@@ -492,6 +493,8 @@ def read_edge_list(path, n: int | None = None) -> Adjacency:
                 raise EdgeListFormatError("could not parse node ids / weight", line_no)
             if src < 0 or dst < 0:
                 raise EdgeListFormatError("node ids must be non-negative", line_no)
+            if not math.isfinite(w):
+                raise EdgeListFormatError(f"weight {parts[2]!r} is not finite", line_no)
             edges.append((src, dst, w))
             max_id = max(max_id, src, dst)
     if not edges:

@@ -4,13 +4,16 @@ Because ``S_{k+1} = A A^T + A^T A + beta^2 (A U_k)(A U_k)^T
 + beta^2 (A^T U_k)(A^T U_k)^T`` whenever ``S_k = U_k U_k^T``, the iteration
 can be carried entirely on a thin factor: stack the blocks
 
-    [ A'   A^T'   beta A U_k   beta A^T U_k ]
+    [ U_1   beta A U_k   beta A^T U_k ]
 
-(where A' and A^T' are thin SVD factors of A A^T and A^T A) and re-compress
-by orthogonalization followed by an SVD, discarding singular values below
-``trunc_tol`` times the largest.  Each step costs O(n r^2).  On an ideal
-graph the kept rank never exceeds rank([A A^T]), and the singular values of
-U are exactly those of S_k^(1/2).
+(where U_1 U_1^T = A A^T + A^T A is the step-1 factor, compressed once from
+thin SVD factors of A A^T and A^T A) and re-compress by orthogonalization
+followed by an SVD, discarding singular values below ``trunc_tol`` times the
+largest.  A step costs O(n r^2) while the stack is tall (3r <= n, as on
+ideal graphs).  At full rank a step costs O(n^3): the stack is then wider
+than tall and is compressed through the QR of its transpose, so that only an
+n x n factor is decomposed.  On an ideal graph the kept rank never exceeds
+rank([A A^T]), and the singular values of U are exactly those of S_k^(1/2).
 """
 
 from __future__ import annotations
@@ -42,13 +45,26 @@ class LowRankState:
 
 
 def _compress(F: np.ndarray, trunc_tol: float):
-    """Orthogonalize-then-SVD compression of a stacked factor."""
-    Q, R = np.linalg.qr(F)
+    """Orthogonalize-then-SVD compression of a stacked factor.
+
+    Returns (U, s) with U U^T ~= F F^T, s the kept singular values of F
+    (those at least ``trunc_tol`` times the largest) and U / s orthonormal.
+    A tall F is reduced to the small triangle R of F = Q R.  A wide F is
+    reduced to the n x n triangle L = R^T of F^T = Q R, since F F^T = L L^T:
+    the left singular factor and singular values of F are those of L, and no
+    Q is needed.
+    """
+    wide = F.shape[1] > F.shape[0]
+    if wide:
+        R = np.linalg.qr(F.T, mode="r").T
+    else:
+        Q, R = np.linalg.qr(F)
     W, s, _ = np.linalg.svd(R)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((F.shape[0], 0)), s[:0]
     keep = s >= trunc_tol * s[0]
-    return Q @ (W[:, keep] * s[keep]), s[keep]
+    U = W[:, keep] * s[keep]
+    return (U if wide else Q @ U), s[keep]
 
 
 def lowrank_iterate(A, beta2: float, k: int | None = None,
@@ -58,9 +74,12 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
 
     With ``k=None`` the factor is iterated until its singular values settle
     to relative tolerance ``tol`` (requires admissible beta2; raises
-    :class:`NonConvergenceError` past ``max_k`` steps).  ``trunc_tol`` around
-    1e-10 reproduces the exact rank on ideal graphs; around 1e-3 it sheds the
-    noise ranks of perturbed graphs.
+    :class:`NonConvergenceError` past ``max_k`` steps).  ``trunc_tol`` is a
+    relative cutoff on the factor's singular values: every step keeps those
+    at least ``trunc_tol`` times the largest.  Around 1e-10 it reproduces the
+    exact rank on ideal graphs.  It is no rank cap: on 10%-flipped block
+    cycles (measured from n = 40 to 2000) even 1e-3 keeps every rank, r = n,
+    and each step then costs O(n^3).
     """
     A = as_adjacency(A)
     if beta2 < 0:
@@ -76,16 +95,16 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
     base_keep = s > trunc_tol * s[0]
     A1 = W[:, base_keep] * s[base_keep]      # A1 A1^T = A A^T
     A2 = Vt[base_keep].T * s[base_keep]      # A2 A2^T = A^T A
-    base = np.hstack([A1, A2])
     b = np.sqrt(beta2)
 
-    U, sig = _compress(base, trunc_tol)
+    U1, sig = _compress(np.hstack([A1, A2]), trunc_tol)   # U1 U1^T = AA^T + A^TA
+    U = U1
     if k == 1:
         return LowRankState(U=U, k=1, sigma=sig, trunc_tol=trunc_tol)
 
     limit = max_k if k is None else k
     for step in range(2, limit + 1):
-        F = np.hstack([base, b * (M @ U), b * (M.T @ U)])
+        F = np.hstack([U1, b * (M @ U), b * (M.T @ U)])
         U_next, sig_next = _compress(F, trunc_tol)
         if k is None:
             width = max(sig.size, sig_next.size)

@@ -291,3 +291,20 @@ def test_criterion_11_brute_force_role_matrix_optimality():
         if not ok:
             break
     assert _report(11, "threshold role matrix beats every binary alternative", ok)
+
+
+def test_criterion_12_noisy_recovery_at_n_500():
+    # a 10%-flipped 4-role block cycle large enough that the factor keeps
+    # full rank (r = n), so every step goes through the wide compression
+    rng = np.random.default_rng(500)
+    A, B, truth = generate_structure("block_cycle", (125, 125, 125, 125),
+                                     perm=rng.permutation(500))
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=500))
+    flips = int((noisy.entries != A.entries).sum())
+    result = extract_roles(noisy, trunc_tol=1e-3)
+    recovered = same_partition_and_B(result, B, truth)
+    close = abs(result.residual - flips) < 0.5
+    assert _report(12, f"noisy n = 500 recovery: partition {recovered}, "
+                       f"residual {result.residual:.0f} vs {flips} flips",
+                   recovered and close)
+

@@ -105,6 +105,19 @@ def test_extract_malformed_line_reports_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_extract_non_finite_weight_is_input_error(tmp_path, capsys, weight):
+    # a non-finite weight used to reach beta_bound and exit 2 after 10 000
+    # power steps; it is an input error at its line
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"0\t1\n1\t2\t{weight}\n2\t0\n")
+    code, out, err = run(capsys, "extract", str(bad))
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err
+    assert "finite" in err
+
+
 def test_extract_perturbed_block_cycle_defaults(tmp_path, capsys):
     graph = tmp_path / "noisy.tsv"
     run(capsys, "generate", "--kind", "block_cycle", "--sizes", "15,15,15,15",

@@ -24,6 +24,7 @@ from rolekit import (
     reconstruct_B,
     split_signed_roles,
 )
+from rolekit.extract import _ZERO_ROW_RTOL, _normalized_rows
 
 # the 5-role signed generalized role matrix of the 6-node checkerboard example
 SIGNED_SPLIT_B_HAT = np.array([
@@ -97,6 +98,106 @@ def test_cluster_representatives_never_parallel_for_minimal_B():
                 u, v = reps[i], reps[j]
                 cosang = abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
                 assert np.arccos(min(cosang, 1.0)) > 1e-6
+
+
+def _normalized_rows_by_row(U):
+    """The per-row definition: divide by the norm, then negate the row if
+    its first entry of largest magnitude is negative."""
+    norms = np.linalg.norm(U, axis=1)
+    zero = norms <= _ZERO_ROW_RTOL * (norms.max() if norms.size else 0.0)
+    rows = np.zeros_like(U)
+    for i in np.flatnonzero(~zero):
+        v = U[i] / norms[i]
+        lead = int(np.argmax(np.abs(v)))
+        if v[lead] < 0:
+            v = -v
+        rows[i] = v
+    return rows, zero
+
+
+def _cluster_rows_by_pair(U, angle_tol=1e-6):
+    """Greedy grouping with one angle test per (row, representative) pair."""
+    rows, zero = _normalized_rows_by_row(U)
+    sigma = -np.ones(rows.shape[0], dtype=int)
+    reps = []
+    for i in range(rows.shape[0]):
+        if zero[i]:
+            continue
+        for label, rep in enumerate(reps):
+            if np.arccos(np.clip(abs(float(rows[i] @ rep)), 0.0, 1.0)) <= angle_tol:
+                sigma[i] = label
+                break
+        else:
+            sigma[i] = len(reps)
+            reps.append(rows[i])
+    return sigma
+
+
+def _bundled_rows(rng, n=300, d=12, bundles=7):
+    """Rows in planted near-parallel bundles (angles ~1e-9, far inside the
+    default tolerance), loose copies (angles ~1e-4, far outside it),
+    sign-flipped and rescaled copies, exact zero rows, rows too small to
+    count, and rows with tied leading magnitudes."""
+    dirs = rng.standard_normal((bundles, d))
+    if d >= 2:
+        # two entries of equal top magnitude and opposite sign: the sign
+        # convention splits this bundle into two nearly antiparallel halves
+        top = np.abs(dirs[0]).max() + 1.0
+        dirs[0, :2] = [top, -top]
+    U = np.empty((n, d))
+    for i in range(n):
+        kind = rng.integers(6)
+        base = dirs[rng.integers(bundles)]
+        scale = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)
+        if kind == 0:
+            U[i] = scale * (base + 1e-9 * rng.standard_normal(d))
+        elif kind == 1:
+            U[i] = scale * (base + 1e-4 * rng.standard_normal(d))
+        elif kind == 2 and i > 0:
+            U[i] = -U[rng.integers(i)]
+        elif kind == 3:
+            U[i] = rng.standard_normal(d)
+        elif kind == 4:
+            U[i] = 0.0
+        else:
+            U[i] = scale * base
+    U[rng.integers(n, size=5)] = 1e-15              # below the zero-row cutoff
+    if d >= 2:
+        tied = rng.integers(n, size=5)
+        U[tied] = 0.0
+        U[tied, :2] = [-2.0, 2.0]                   # tie: the first entry leads
+    return U
+
+
+def test_normalized_rows_equal_the_per_row_definition_bit_for_bit():
+    rng = np.random.default_rng(29)
+    cases = [_bundled_rows(rng), _bundled_rows(rng, n=40, d=1),
+             np.array([[0.0, -0.0], [-3.0, 3.0], [0.0, -1e-300]]),
+             np.zeros((4, 3)), np.zeros((3, 0)), np.zeros((0, 3))]
+    for U in cases:
+        rows, zero = _normalized_rows(U)
+        want_rows, want_zero = _normalized_rows_by_row(U)
+        assert rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+        assert np.array_equal(zero, want_zero)
+
+
+def test_cluster_rows_equals_the_per_pair_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        U = _bundled_rows(rng)
+        for angle_tol in (1e-6, 1e-3, 0.3):
+            got = cluster_rows(U, angle_tol).sigma
+            assert np.array_equal(got, _cluster_rows_by_pair(U, angle_tol))
+
+
+def test_cluster_rows_equals_the_per_pair_loop_on_a_noisy_factor():
+    A, _, _ = generate_structure("block_cycle", (15, 15, 15, 15))
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=3))
+    U = lowrank_iterate(noisy, default_beta2(noisy), k=6, trunc_tol=1e-3).U
+    for angle_tol in (1e-6, 0.2, 0.5):
+        got = cluster_rows(U, angle_tol).sigma
+        assert np.array_equal(got, _cluster_rows_by_pair(U, angle_tol))
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,16 @@ def test_edge_list_malformed_line_reports_number(tmp_path):
     assert info.value.line_no == 2
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_edge_list_non_finite_weight_reports_number(tmp_path, weight):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"0\t1\n\n1\t0\t{weight}\n")
+    with pytest.raises(EdgeListFormatError) as info:
+        read_edge_list(path)
+    assert info.value.line_no == 3
+    assert "finite" in str(info.value)
+
+
 def test_edge_list_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("")

@@ -10,6 +10,7 @@ from rolekit import (
     iterate,
     lowrank_iterate,
 )
+from rolekit.lowrank import _compress
 
 # the published 10-value spectra of the ideal and perturbed block cycles,
 # used as realistic inputs to the gap-based rank estimate
@@ -142,3 +143,68 @@ def test_lowrank_validates_arguments():
         lowrank_iterate(A, 0.01, k=2, trunc_tol=0.0)
     with pytest.raises(ValueError):
         lowrank_iterate(Adjacency.from_matrix(np.zeros((2, 2))), 0.01, k=2)
+
+
+# ---------------------------------------------------------------------------
+# _compress: wide stacks go through the QR of the transpose, tall ones
+# through the QR of the stack itself; both must be the SVD of the stack
+# ---------------------------------------------------------------------------
+
+COMPRESS_SHAPES = [(30, 97), (40, 120), (25, 25), (60, 9), (1, 6), (6, 1)]
+
+
+def _stack_with_spectrum(rng, shape, s):
+    """Random m x w matrix with singular values s (len(s) = min(m, w))."""
+    m, w = shape
+    X, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    Y, _ = np.linalg.qr(rng.standard_normal((w, len(s))))
+    return (X * s) @ Y.T
+
+
+@pytest.mark.parametrize("shape", COMPRESS_SHAPES)
+def test_compress_is_the_svd_of_the_stack(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    F = rng.standard_normal(shape)
+    U, sigma = _compress(F, 1e-12)
+    want = np.linalg.svd(F, compute_uv=False)
+    assert U.shape == (shape[0], min(shape))          # nothing truncated
+    G = F @ F.T
+    assert np.linalg.norm(U @ U.T - G) <= 1e-12 * np.linalg.norm(G)
+    assert np.allclose(sigma, want, rtol=0, atol=1e-12 * want[0])
+    Q = U / sigma
+    assert np.allclose(Q.T @ Q, np.eye(U.shape[1]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", COMPRESS_SHAPES)
+def test_compress_keeps_exactly_the_values_above_the_cutoff(shape):
+    rng = np.random.default_rng(7 * shape[0] + shape[1])
+    r = min(shape)
+    # a spectrum spread over 8 decades, so no value lies near a cutoff
+    s = np.logspace(0, -8, r) if r > 1 else np.ones(1)
+    s = s * (1 + 0.3 * rng.random(r))
+    s = np.sort(s)[::-1]
+    F = _stack_with_spectrum(rng, shape, s)
+    want = np.linalg.svd(F, compute_uv=False)
+    for trunc_tol in (0.5, 1e-3, 1e-6, 1e-9):
+        U, sigma = _compress(F, trunc_tol)
+        kept = want[want >= trunc_tol * want[0]]
+        assert sigma.size == kept.size == U.shape[1]
+        assert np.allclose(sigma, kept, rtol=0, atol=1e-12 * want[0])
+        Q = U / sigma
+        assert np.allclose(Q.T @ Q, np.eye(sigma.size), rtol=0, atol=1e-10)
+
+
+def test_compress_keeps_a_value_exactly_at_the_cutoff():
+    # powers of two keep every product exact, so 2^-10 sits exactly on the
+    # cutoff 2^-11 * s0 and must be kept; 2^-12 must not
+    s = np.array([2.0, 2.0 ** -10, 2.0 ** -12])
+    for F in (np.diag(s), np.hstack([np.diag(s), np.zeros((3, 5))]),
+              np.vstack([np.diag(s), np.zeros((5, 3))])):
+        _, sigma = _compress(F, 2.0 ** -11)
+        assert np.array_equal(sigma, s[:2])
+
+
+def test_compress_of_a_zero_stack_is_empty():
+    for shape in [(4, 9), (9, 4)]:
+        U, sigma = _compress(np.zeros(shape), 1e-3)
+        assert U.shape == (shape[0], 0) and sigma.size == 0
