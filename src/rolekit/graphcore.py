@@ -10,6 +10,15 @@ sign patterns, applies rank-one edge weights, and generates the standard
 benchmark structures (communities, overlapping communities, bipartite
 communities, block cycles, and a signed checkerboard example).
 
+Every :class:`Adjacency` also knows its quotient by structural equivalence
+(:class:`Quotient`): nodes with identical rows and identical columns are
+collapsed into one class, and the graph is rebuilt exactly from a c x c
+matrix on the classes.  The similarity code runs its O(n^3) work on that
+matrix, so it costs what the number of classes c needs, not the node count
+n.  On an ideal graph c is the number of roles (plus one class of
+disconnected nodes, if any); on a graph with no equivalent nodes c = n and
+the quotient is the graph itself.
+
 Everything here is a pure function of its inputs; values are safe to share
 across threads read-only.
 """
@@ -18,7 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +45,10 @@ STRUCTURE_KINDS = (
     "block_cycle",
     "signed_example",
 )
+
+#: The largest node count the edge-list reader accepts.  The graph is held
+#: as a dense float64 n x n matrix, which at 2^14 nodes takes 2 GiB.
+MAX_NODES = 2**14
 
 
 class EdgeListFormatError(ValueError):
@@ -89,6 +104,12 @@ class Adjacency:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def quotient(self) -> "Quotient":
+        """The graph collapsed onto its classes of structurally equivalent
+        nodes; computed once per Adjacency."""
+        return Quotient.of(self.entries)
+
     def disconnected_nodes(self) -> list[int]:
         """Nodes whose row and column are both entirely zero."""
         zero = self.entries == 0
@@ -96,6 +117,96 @@ class Adjacency:
 
     def __abs__(self) -> "Adjacency":
         return Adjacency.from_matrix(np.abs(self.entries))
+
+
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """A graph collapsed onto its classes of structurally equivalent nodes.
+
+    Nodes are equivalent when their rows of A are equal and their columns of
+    A are equal, bit for bit.  ``labels[i]`` is the class of node ``i``;
+    classes are numbered in order of their first node ``first[c]`` and hold
+    ``sizes[c]`` nodes.  With P the n x c class indicator and
+    D = diag(sizes), ``Q = P D^(-1/2)`` has orthonormal columns and
+
+        A = Q entries Q^T   exactly,   entries = D^(1/2) A[first, first] D^(1/2).
+
+    So every matrix built from A by products with A and A^T (the similarity
+    iterates, the factor U of S = U U^T) is Q times its counterpart on
+    ``entries``, and spectra carry over.  When no two nodes are equivalent
+    (c = n) the quotient is the graph itself: ``entries`` is A and
+    :meth:`lift` returns its argument.
+    """
+
+    labels: np.ndarray
+    first: np.ndarray
+    sizes: np.ndarray
+    entries: np.ndarray
+
+    @property
+    def c(self) -> int:
+        return self.first.size
+
+    @classmethod
+    def of(cls, M: np.ndarray) -> "Quotient":
+        """The quotient of the square float64 matrix M."""
+        labels = _equivalence_classes(M)
+        n = labels.size
+        _, first = np.unique(labels, return_index=True)
+        if first.size == n:
+            return cls(labels, first, np.ones(n, dtype=np.int64), M)
+        sizes = np.bincount(labels)
+        half = np.sqrt(sizes)
+        entries = half[:, None] * M[np.ix_(first, first)] * half[None, :]
+        return cls(labels, first, sizes, entries)
+
+    def lift(self, X: np.ndarray) -> np.ndarray:
+        """Q X: row i is ``X[labels[i]] / sqrt(sizes[labels[i]])``, so rows of
+        one class are equal bit for bit."""
+        if self.c == self.labels.size:
+            return X
+        return (X / np.sqrt(self.sizes)[:, None])[self.labels]
+
+
+def _fingerprint_weights(n: int) -> np.ndarray:
+    """Fixed pseudo-random int64 multipliers for the row and column hashes."""
+    info = np.iinfo(np.int64)
+    return np.random.default_rng(n).integers(info.min, info.max, size=n,
+                                             dtype=np.int64, endpoint=True)
+
+
+def _equivalence_classes(M: np.ndarray) -> np.ndarray:
+    """Class label per node, equal labels iff equal rows and equal columns.
+
+    Rows and columns are hashed by a wrapping int64 product of their bit
+    patterns with fixed multipliers, which equal rows and columns always
+    share; nodes with equal hashes are then checked entry by entry, and the
+    rare class that fails the check is split by exact comparison.  Labels
+    are numbered in order of first node.  Costs O(n^2), against O(n^3) for
+    the similarity work it saves.
+    """
+    n = M.shape[0]
+    bits = M.view(np.int64)
+    w = _fingerprint_weights(n)
+    keys = np.stack([bits @ w, w @ bits], axis=1)
+    _, first, labels = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    if first.size == n:
+        return np.arange(n)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    labels = rank[labels.ravel()]
+    first = np.sort(first)
+    # the rows equal their class's first row, and those first rows agree on
+    # the columns of each class, iff rows and columns are equal in full
+    heads = bits[first]
+    exact = bool((heads == heads[:, first[labels]]).all())
+    for lo in range(0, n, 256):
+        exact = exact and bool((bits[lo:lo + 256] == heads[labels[lo:lo + 256]]).all())
+    if exact:
+        return labels
+    groups: dict[bytes, int] = {}
+    return np.array([groups.setdefault(M[i].tobytes() + M[:, i].tobytes(), len(groups))
+                     for i in range(n)])
 
 
 def as_adjacency(obj) -> Adjacency:
@@ -471,12 +582,46 @@ def write_edge_list(path, A: Adjacency) -> int:
 def read_edge_list(path, n: int | None = None) -> Adjacency:
     """Read the edge-list format back into an Adjacency.
 
-    The node count is inferred as 1 + the largest id seen unless given.
-    Raises :class:`EdgeListFormatError` (with a line number) on malformed
-    lines and non-finite weights, and when the file holds no edges at all.
+    The node count is inferred as 1 + the largest id seen unless given; it
+    may not exceed :data:`MAX_NODES`.  Raises :class:`EdgeListFormatError`
+    (with a line number) on malformed lines, negative ids, ids at or above
+    the node limit, non-finite weights and an edge repeated with a different
+    weight (naming both lines), and when the file holds no edges at all.
+    Repeating an edge with the same weight is allowed.
+
+    A file whose lines all have two columns of plain integers, or all three
+    with a weight, is parsed in one vectorized pass; any other file, and any
+    file that fails a check, goes through the per-line parser, which is the
+    one source of error messages and line numbers.  Both give the same
+    matrix for every file the vectorized pass accepts.
+    """
+    if n is not None and int(n) > MAX_NODES:
+        raise EdgeListFormatError(
+            f"declared node count {int(n)} exceeds the limit of {MAX_NODES} nodes")
+    src, dst, w = _parse_edges_vectorized(path) or _parse_edge_lines(path)[:3]
+    if src.size == 0:
+        raise EdgeListFormatError("no edges found")
+    max_id = int(max(src.max(), dst.max()))
+    n = (max_id + 1) if n is None else int(n)
+    if n <= max_id:
+        raise EdgeListFormatError(f"node id {max_id} exceeds declared count {n}")
+    M = np.zeros((n, n))
+    M[src, dst] = w
+    # every edge reads back its own weight, bit for bit, iff no edge is
+    # repeated with another weight; then the order of the writes is moot
+    if (M[src, dst].view(np.int64) != w.view(np.int64)).any():
+        _raise_conflicting_edge(path)
+    return Adjacency.from_matrix(M)
+
+
+def _parse_edge_lines(path):
+    """Parse line by line; returns (src, dst, weight, line number) arrays.
+
+    Raises :class:`EdgeListFormatError` at the first line that is malformed,
+    has a negative id or one at or above :data:`MAX_NODES`, or a non-finite
+    weight.  Blank lines are skipped.
     """
     edges = []
-    max_id = -1
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -493,19 +638,63 @@ def read_edge_list(path, n: int | None = None) -> Adjacency:
                 raise EdgeListFormatError("could not parse node ids / weight", line_no)
             if src < 0 or dst < 0:
                 raise EdgeListFormatError("node ids must be non-negative", line_no)
+            if max(src, dst) >= MAX_NODES:
+                raise EdgeListFormatError(
+                    f"node id {max(src, dst)} is beyond the limit of {MAX_NODES} nodes",
+                    line_no)
             if not math.isfinite(w):
                 raise EdgeListFormatError(f"weight {parts[2]!r} is not finite", line_no)
-            edges.append((src, dst, w))
-            max_id = max(max_id, src, dst)
-    if not edges:
-        raise EdgeListFormatError("no edges found")
-    n = (max_id + 1) if n is None else int(n)
-    if n <= max_id:
-        raise EdgeListFormatError(f"node id {max_id} exceeds declared count {n}")
-    M = np.zeros((n, n))
-    for src, dst, w in edges:
-        M[src, dst] = w
-    return Adjacency.from_matrix(M)
+            edges.append((src, dst, w, line_no))
+    E = np.array(edges, dtype=float).reshape(-1, 4)   # ids and line numbers are exact
+    src, dst, line = E[:, [0, 1, 3]].astype(np.int64).T
+    return src, dst, E[:, 2], line
+
+
+#: one line of the three-column format
+_WEIGHTED_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
+
+
+def _parse_edges_vectorized(path):
+    """Parse a file of uniform two- or three-column lines with ``np.loadtxt``.
+
+    Returns (src, dst, weight) arrays, or None when the file has lines of
+    both widths or of another width, a field ``loadtxt`` cannot parse
+    (including ones Python's ``int`` and ``float`` accept, such as ``1_0``),
+    whitespace-only lines, no lines, or an edge the per-line parser would
+    reject.  Fields it parses get the values ``int`` and ``float`` give.
+    """
+    for dtype in (np.int64, _WEIGHTED_EDGE):
+        try:
+            with open(path) as fh, warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # a file without lines warns
+                E = np.loadtxt(fh, delimiter="\t", dtype=dtype, ndmin=2, comments=None)
+        except ValueError:
+            continue
+        if E.size == 0:
+            return None
+        if dtype is _WEIGHTED_EDGE:
+            src, dst, w = E["src"].ravel(), E["dst"].ravel(), E["w"].ravel()
+        elif E.shape[1] == 2:
+            src, dst, w = E[:, 0], E[:, 1], np.ones(E.shape[0])
+        else:
+            continue   # three integer columns: parse the weights as floats
+        if (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= MAX_NODES
+                or not np.isfinite(w).all()):
+            return None
+        return src, dst, w
+    return None
+
+
+def _raise_conflicting_edge(path):
+    """Raise at the first line that repeats an edge with another weight."""
+    src, dst, w, line = _parse_edge_lines(path)
+    seen: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(zip(src.tolist(), dst.tolist())):
+        j = seen.setdefault(key, i)
+        if w[j].tobytes() != w[i].tobytes():
+            raise EdgeListFormatError(
+                f"edge {key[0]} -> {key[1]} has weight {w[i]:g} here "
+                f"but {w[j]:g} at line {line[j]}", int(line[i]))
 
 
 def write_ground_truth(path, B: RoleMatrix, assignment: Assignment,

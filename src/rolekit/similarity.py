@@ -43,8 +43,11 @@ DEFAULT_MAX_K = 10000
 class NonConvergenceError(RuntimeError):
     """An iteration hit its step limit; ``state`` holds the last iterate.
 
-    ``history`` holds the relative residual after each iteration, where the
-    iteration reports one (empty otherwise).
+    ``history`` holds, per iteration, the quantity the loop tests against
+    its tolerance: the relative residual for :func:`fixed_point` and
+    :func:`scaled_fixed_point` (one entry per CG iteration), the relative
+    change of the estimate for :func:`beta_bound` and of the singular values
+    for ``lowrank_iterate`` (one entry per step after the first).
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -93,27 +96,42 @@ def beta_bound(A) -> float:
 
     Deterministic power iteration on symmetric matrices starting from the
     identity, normalized in Frobenius norm each step, with relative-change
-    tolerance 1e-10 and at most 10000 steps.  The admissible damping region
-    is ``beta^2 < 1 / beta_bound(A)``.
+    tolerance 1e-10 and at most ``DEFAULT_MAX_K`` steps (read at call time).
+    The admissible damping region is ``beta^2 < 1 / beta_bound(A)``.
+
+    The iteration runs on the quotient of A by structural equivalence
+    (:attr:`Adjacency.quotient`, c classes): the operator's nonzero
+    eigenvectors lie in ``Q X Q^T``, where it acts as the same operator on
+    the c x c quotient matrix, and the start ``I_c / sqrt(n)`` is the
+    projection of ``I / sqrt(n)``.  Every estimate is thus the one the n x n
+    iteration would make, at O(c^3) a step instead of O(n^3); with no
+    equivalent nodes (c = n) it is that iteration.  Past the step limit,
+    :class:`NonConvergenceError` carries the last estimate and, from the
+    second step on, the relative change of the estimate at each step.
     """
     A = as_adjacency(A)
-    M = A.entries
+    quotient = A.quotient
+    M = quotient.entries
     if not M.any():
         raise ValueError("beta_bound requires a nonzero adjacency matrix")
-    X = np.eye(A.n) / np.sqrt(A.n)
+    X = np.eye(quotient.c) / np.sqrt(A.n)
     estimate = 0.0
+    history = []
     for _ in range(DEFAULT_MAX_K):
         Y = _sym(M @ X @ M.T + M.T @ X @ M)
         norm = float(np.linalg.norm(Y))
         if norm == 0.0:
             raise ValueError("similarity operator annihilated the power iterate")
-        if estimate > 0.0 and abs(norm - estimate) <= 1e-10 * estimate:
-            return norm
+        if estimate > 0.0:
+            change = abs(norm - estimate)
+            history.append(change / estimate)
+            if change <= 1e-10 * estimate:
+                return norm
         X = Y / norm
         estimate = norm
     raise NonConvergenceError(
         f"power iteration for the spectral radius did not settle "
-        f"(last estimate {estimate})", state=estimate)
+        f"(last estimate {estimate})", state=estimate, history=history)
 
 
 def resolve_beta2(A, beta2: float | None) -> tuple[float, float]:

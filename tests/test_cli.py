@@ -118,6 +118,24 @@ def test_extract_non_finite_weight_is_input_error(tmp_path, capsys, weight):
     assert "finite" in err
 
 
+def test_extract_conflicting_duplicate_edge_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "dup.tsv"
+    bad.write_text("0\t1\n1\t2\n2\t0\n0\t1\t-1\n")
+    code, out, err = run(capsys, "extract", str(bad))
+    assert code == 1
+    assert out == ""
+    assert "line 4" in err and "line 1" in err
+
+
+def test_extract_node_id_beyond_the_limit_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "huge.tsv"
+    bad.write_text("0\t99999999\n")
+    code, out, err = run(capsys, "extract", str(bad))
+    assert code == 1
+    assert out == ""
+    assert "line 1" in err and "16384" in err
+
+
 def test_extract_perturbed_block_cycle_defaults(tmp_path, capsys):
     graph = tmp_path / "noisy.tsv"
     run(capsys, "generate", "--kind", "block_cycle", "--sizes", "15,15,15,15",

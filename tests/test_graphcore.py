@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from rolekit import (
     write_edge_list,
     write_ground_truth,
 )
+from rolekit import graphcore
+from rolekit.graphcore import MAX_NODES, _parse_edges_vectorized
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +331,170 @@ def test_edge_list_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(EdgeListFormatError):
         read_edge_list(path)
+
+
+def test_edge_list_conflicting_duplicate_names_both_lines(tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text("0\t1\n1\t2\n\n0\t1\t-1\n")
+    with pytest.raises(EdgeListFormatError) as info:
+        read_edge_list(path)
+    assert info.value.line_no == 4
+    assert "line 1" in str(info.value)
+    assert "0 -> 1" in str(info.value)
+
+
+def test_edge_list_identical_duplicates_are_accepted(tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text("0\t1\t2.5\n1\t0\t1\n0\t1\t2.5\n")
+    A = read_edge_list(path)
+    assert A.entries[0, 1] == 2.5
+    assert A.entries[1, 0] == 1.0
+
+
+def test_edge_list_huge_node_id_is_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.tsv"
+    path.write_text("0\t1\n0\t99999999\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListFormatError) as info:
+            read_edge_list(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.line_no == 2
+    assert str(MAX_NODES) in str(info.value)
+    assert peak < 2**20
+
+
+def test_edge_list_node_limit_applies_to_a_declared_count(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("0\t1\n")
+    with pytest.raises(EdgeListFormatError):
+        read_edge_list(path, n=MAX_NODES + 1)
+
+
+@pytest.mark.parametrize("spacer", ["", "  \n"])
+def test_edge_list_node_limit_boundary(tmp_path, monkeypatch, spacer):
+    # spacer "" keeps the file on the vectorized parse, a whitespace-only
+    # line sends it to the per-line parser
+    monkeypatch.setattr(graphcore, "MAX_NODES", 8)
+    path = tmp_path / "g.tsv"
+    path.write_text(f"0\t1\n{spacer}7\t0\n")
+    assert read_edge_list(path).n == 8
+    path.write_text(f"0\t1\n{spacer}8\t0\n")
+    with pytest.raises(EdgeListFormatError) as info:
+        read_edge_list(path)
+    assert info.value.line_no == (3 if spacer else 2)
+
+
+def test_edge_list_comment_line_is_rejected_at_its_line(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("0\t1\n# x\n1\t0\n")
+    with pytest.raises(EdgeListFormatError) as info:
+        read_edge_list(path)
+    assert info.value.line_no == 2
+
+
+# ---------------------------------------------------------------------------
+# the vectorized reader against a per-line reference
+# ---------------------------------------------------------------------------
+
+def reference_read_edge_list(path) -> Adjacency:
+    """One Python parse per line and one write per edge, in file order."""
+    edges = []
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (2, 3):
+                raise EdgeListFormatError(
+                    "expected 'src<TAB>dst' or 'src<TAB>dst<TAB>weight'", line_no)
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise EdgeListFormatError("could not parse node ids / weight", line_no)
+            if src < 0 or dst < 0:
+                raise EdgeListFormatError("node ids must be non-negative", line_no)
+            if max(src, dst) >= MAX_NODES:
+                raise EdgeListFormatError(
+                    f"node id {max(src, dst)} is beyond the limit of {MAX_NODES} nodes",
+                    line_no)
+            if not math.isfinite(w):
+                raise EdgeListFormatError(f"weight {parts[2]!r} is not finite", line_no)
+            edges.append((src, dst, w, line_no))
+    if not edges:
+        raise EdgeListFormatError("no edges found")
+    n = 1 + max(max(src, dst) for src, dst, _, _ in edges)
+    M = np.zeros((n, n))
+    first = {}
+    for src, dst, w, line_no in edges:
+        w0, line0 = first.setdefault((src, dst), (w, line_no))
+        if math.copysign(1.0, w) != math.copysign(1.0, w0) or w != w0:
+            raise EdgeListFormatError(
+                f"edge {src} -> {dst} has weight {w:g} here but {w0:g} at line {line0}",
+                line_no)
+        M[src, dst] = w
+    return Adjacency.from_matrix(M)
+
+
+IDS = ["0", "1", "2", "3", "4", "5", "6"]
+ODD_IDS = ["+1", "01", "1_0", "-1", "x", " 2", "٣"]
+WEIGHTS = ["1", "-1", "0.5", "2e-3", "+1", "3", "1e5", ".25", "-0", "0"]
+ODD_WEIGHTS = ["1_0", "nan", "inf", " 3 ", "0x1", "1d5", ""]
+
+
+def random_edge_list(rng) -> str:
+    """Lines of random edges: uniform two- or three-column files and mixed
+    ones, with blank lines, CRLF, duplicates and odd fields mixed in."""
+    width = rng.choice(["two", "three", "mixed"])
+    odd = rng.random() < 0.5          # half the files stay on the plain format
+    newline = "\r\n" if rng.random() < 0.25 else "\n"
+    lines = []
+    for _ in range(int(rng.integers(1, 25))):
+        roll = rng.random()
+        if odd and roll < 0.04:
+            lines.append(rng.choice(["", "  ", "# x", "0", "0\t1\t2\t3", "0\t1\t"]))
+            continue
+        if lines and roll < 0.2:
+            lines.append(lines[int(rng.integers(len(lines)))])   # a repeat
+            continue
+        ids = [rng.choice(ODD_IDS) if odd and rng.random() < 0.03 else rng.choice(IDS)
+               for _ in range(2)]
+        weighted = width == "three" or (width == "mixed" and rng.random() < 0.5)
+        if weighted:
+            pool = ODD_WEIGHTS if odd and rng.random() < 0.05 else WEIGHTS
+            ids.append(rng.choice(pool))
+        lines.append("\t".join(ids))
+    text = newline.join(lines)
+    return text + newline if rng.random() < 0.8 else text
+
+
+def test_vectorized_reader_agrees_with_the_per_line_reference(tmp_path):
+    rng = np.random.default_rng(77)
+    path = tmp_path / "g.tsv"
+    outcomes = {"fast": 0, "per-line": 0, "error": 0}
+    for _ in range(600):
+        with open(path, "w", newline="") as fh:
+            fh.write(random_edge_list(rng))
+        try:
+            want = reference_read_edge_list(path)
+        except EdgeListFormatError as exc:
+            with pytest.raises(EdgeListFormatError) as info:
+                read_edge_list(path)
+            assert info.value.line_no == exc.line_no
+            assert str(info.value) == str(exc)
+            outcomes["error"] += 1
+            continue
+        got = read_edge_list(path)
+        assert got.kind == want.kind
+        assert got.entries.shape == want.entries.shape
+        assert np.array_equal(got.entries.view(np.int64), want.entries.view(np.int64))
+        outcomes["fast" if _parse_edges_vectorized(path) is not None else "per-line"] += 1
+    # every path is exercised
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_ground_truth_round_trip(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from conftest import RANK_DEFICIENT, random_digraph, sin_max_angle
 from rolekit import (
     Adjacency,
+    NonConvergenceError,
     default_beta2,
     estimate_rank,
     generate_structure,
@@ -133,6 +134,20 @@ def test_estimate_rank_on_perturbed_similarity_spectrum():
 def test_estimate_rank_rejects_empty_input():
     with pytest.raises(ValueError):
         estimate_rank([], 0.1)
+
+
+def test_lowrank_nonconvergence_history_has_one_change_per_step():
+    rng = np.random.default_rng(8)
+    A = Adjacency.from_matrix((rng.random((12, 12)) < 0.4).astype(float))
+    beta2 = default_beta2(A)
+    for max_k in (2, 3, 6):
+        with pytest.raises(NonConvergenceError) as info:
+            lowrank_iterate(A, beta2, k=None, tol=1e-15, max_k=max_k)
+        state, history = info.value.state, info.value.history
+        assert state.k == max_k
+        # every step after the first compares its singular values with the last
+        assert len(history) == state.k - 1
+        assert all(h > 1e-15 for h in history)
 
 
 def test_lowrank_validates_arguments():

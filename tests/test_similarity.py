@@ -125,6 +125,19 @@ def test_beta_bound_matches_kronecker_oracle_random():
         assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-6)
 
 
+def test_beta_bound_nonconvergence_history_has_one_change_per_step(monkeypatch):
+    A = Adjacency.from_matrix(SLOW_CG)
+    for max_k in (2, 4, 7):
+        monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
+        with pytest.raises(NonConvergenceError) as info:
+            beta_bound(A)
+        history = info.value.history
+        # every step after the first compares its estimate with the last one
+        assert len(history) == max_k - 1
+        assert all(h > 1e-10 for h in history)
+        assert info.value.state > 0
+
+
 def test_beta_bound_rejects_zero_graph():
     with pytest.raises(ValueError):
         beta_bound(Adjacency.from_matrix(np.zeros((3, 3))))
