@@ -24,7 +24,7 @@ from .graphcore import (
     write_edge_list,
     write_ground_truth,
 )
-from .similarity import NonConvergenceError, beta_bound
+from .similarity import DEFAULT_MAX_K, NonConvergenceError, beta_bound
 from .spectra import PerturbationModel, SpectrumReport, perturb, spectrum_report
 
 EXIT_OK = 0
@@ -221,9 +221,9 @@ def _add_depth_flags(p: _Parser, default_k: int | None):
                        help="iteration depth (default: %(default)s)")
     group.add_argument("--fixed-point", action="store_true",
                        help="use the similarity at its fixed point")
-    p.add_argument("--max-k", type=int, default=10000,
-                   help="iteration cap for the fixed point: CG iterations for "
-                        "spectrum, recurrence steps for extract")
+    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K,
+                   help="cap on the conjugate-gradient iterations that solve "
+                        "for the fixed point (default: %(default)s)")
 
 
 def _add_measure_flags(p: _Parser):

@@ -31,7 +31,7 @@ from .graphcore import (
     ideal_adjacency,
 )
 from .lowrank import LowRankState, estimate_rank, lowrank_iterate
-from .similarity import resolve_beta2
+from .similarity import DEFAULT_MAX_K, resolve_beta2
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_GAP_RATIO = 0.5
@@ -232,10 +232,11 @@ def _spherical_kmeans(rows: np.ndarray, active: np.ndarray, q: int,
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
                   trunc_tol: float = 1e-10, angle_tol: float = DEFAULT_ANGLE_TOL,
                   gap_ratio: float = DEFAULT_GAP_RATIO,
-                  method: str = "auto", max_k: int = 10000) -> ExtractionResult:
+                  method: str = "auto", max_k: int = DEFAULT_MAX_K) -> ExtractionResult:
     """Full pipeline: factor the similarity, cluster rows, rebuild B, score.
 
-    ``k=None`` iterates the factor to its fixed point.  ``method`` is
+    ``k=None`` factors the similarity at its fixed point, solved by
+    conjugate gradients with ``max_k`` capping the iterations.  ``method`` is
     ``"greedy"`` (angular grouping, exact on ideal graphs), ``"sweep"``
     (spherical k-means over role counts around the spectral-gap estimate,
     keeping the smallest count within 5% of the least cost), or ``"auto"``:

@@ -1,27 +1,27 @@
-"""Factored similarity computation S_k = U U^T with rank truncation.
+"""Factored similarity S_k = U U^T, computed once from the dense recurrence.
 
-Because ``S_{k+1} = A A^T + A^T A + beta^2 (A U_k)(A U_k)^T
-+ beta^2 (A^T U_k)(A^T U_k)^T`` whenever ``S_k = U_k U_k^T``, the iteration
-can be carried entirely on a thin factor: stack the blocks
+Since ``S_k = G[X]`` with ``X = I + beta^2 S_{k-1}`` (``X = I`` at k = 1) and
+``G[X] = A X A^T + A^T X A``, a Cholesky factor ``X = L L^T`` gives
 
-    [ U_1   beta A U_k   beta A^T U_k ]
+    S_k = F F^T,   F = [ A L   A^T L ],
 
-(where U_1 U_1^T = A A^T + A^T A is the step-1 factor, compressed once from
-thin SVD factors of A A^T and A^T A) and re-compress by orthogonalization
+so the thin factor U is the compression of the stack F: orthogonalization
 followed by an SVD, discarding singular values below ``trunc_tol`` times the
-largest.
+largest.  The truncation is applied once, to this final stack.  The factor
+is taken from ``[A L, A^T L]`` and not from an eigendecomposition of S_k,
+whose small eigenvalues are the squares of the factor's singular values and
+lose half their digits.
 
 Structurally equivalent nodes are collapsed first: with c classes,
 A = Q A_hat Q^T for the c x c quotient matrix A_hat and orthonormal Q
-(:class:`rolekit.graphcore.Quotient`), so the recurrence runs on A_hat and
-the factor is lifted back as U = Q U_hat, whose rows are equal within a
-class.  The costs below are therefore in c, not n.  On an ideal graph c is
-the number of roles; on a graph with no equivalent nodes (c = n, as on
-noisy graphs) nothing changes.  A step costs O(c r^2) while the stack is
-tall (3r <= c).  At full rank a step costs O(c^3): the stack is then wider
-than tall and is compressed through the QR of its transpose, so that only a
-c x c factor is decomposed.  On an ideal graph the kept rank never exceeds
-rank([A A^T]), and the singular values of U are exactly those of S_k^(1/2).
+(:class:`rolekit.graphcore.Quotient`), so the dense recurrence runs on A_hat
+and the factor is lifted back as U = Q U_hat, whose rows are equal within a
+class.  A call costs k - 1 dense steps at O(c^3) each (or one O(c^3)
+application of G per conjugate-gradient iteration at the fixed point), plus
+one O(c^3) compression.  On an ideal graph c is the number of roles; on a
+graph with no equivalent nodes (c = n, as on noisy graphs) the costs are
+O(n^3).  On an ideal graph the kept rank never exceeds rank([A A^T]), and
+the singular values of U are exactly those of S_k^(1/2).
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import as_adjacency
-from .similarity import DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError
+from .graphcore import Adjacency, as_adjacency
+from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
+                         _fixed_point, iterate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,41 +58,38 @@ def _compress(F: np.ndarray, trunc_tol: float):
 
     Returns (U, s) with U U^T ~= F F^T, s the kept singular values of F
     (those at least ``trunc_tol`` times the largest) and U / s orthonormal.
-    A tall F is reduced to the small triangle R of F = Q R.  A wide F is
-    reduced to the n x n triangle L = R^T of F^T = Q R, since F F^T = L L^T:
-    the left singular factor and singular values of F are those of L, and no
-    Q is needed.
+    F is reduced to L = R^T from the QR factorization F^T = Q R, since
+    F F^T = L L^T: the left singular factor and singular values of F are
+    those of L, and no Q is formed.  For a wide m x w stack, as every stack
+    built here is, L is an m x m triangle.
     """
-    wide = F.shape[1] > F.shape[0]
-    if wide:
-        R = np.linalg.qr(F.T, mode="r").T
-    else:
-        Q, R = np.linalg.qr(F)
-    W, s, _ = np.linalg.svd(R)
+    L = np.linalg.qr(F.T, mode="r").T
+    W, s, _ = np.linalg.svd(L, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((F.shape[0], 0)), s[:0]
     keep = s >= trunc_tol * s[0]
-    U = W[:, keep] * s[keep]
-    return (U if wide else Q @ U), s[keep]
+    return W[:, keep] * s[keep], s[keep]
 
 
 def lowrank_iterate(A, beta2: float, k: int | None = None,
                     trunc_tol: float = 1e-10, tol: float = DEFAULT_TOL,
                     max_k: int = DEFAULT_MAX_K) -> LowRankState:
-    """Run the factored similarity recurrence for k steps.
+    """The thin factor U of the similarity S_k = U U^T at depth k.
 
-    With ``k=None`` the factor is iterated until its singular values settle
-    to relative tolerance ``tol`` (requires admissible beta2; raises
-    :class:`NonConvergenceError` past ``max_k`` steps).  ``trunc_tol`` is a
-    relative cutoff on the factor's singular values: every step keeps those
-    at least ``trunc_tol`` times the largest.  Around 1e-10 it reproduces the
-    exact rank on ideal graphs.  It is no rank cap: on 10%-flipped block
-    cycles (measured from n = 40 to 2000) even 1e-3 keeps every rank, r = n,
-    and each step then costs O(n^3).  The work runs on the quotient by
-    structural equivalence (see the module docstring), so with c classes of
-    equivalent nodes read c for n in these costs.  Past ``max_k`` steps the
-    error carries the relative change of the singular values at each step
-    from step 2 on.
+    The dense recurrence runs k - 1 steps on the quotient by structural
+    equivalence (:func:`rolekit.similarity.iterate`), and the stack
+    ``[A L, A^T L]`` with ``L L^T = I + beta^2 S_{k-1}`` is compressed once
+    (see the module docstring).  With ``k=None`` the k - 1 steps are replaced
+    by the conjugate-gradient solve of :func:`rolekit.similarity.fixed_point`
+    (requires admissible beta2): it stops once the true residual is at most
+    ``tol`` relative to S, ``k`` is then its iteration count, and ``max_k``
+    caps it.  Past the cap :class:`NonConvergenceError` carries the factor of
+    the last iterate (k = max_k) and the relative residual per iteration.
+    ``trunc_tol`` is a relative cutoff on the factor's singular values,
+    applied once at the end: it keeps those at least ``trunc_tol`` times the
+    largest.  Around 1e-10 it reproduces the exact rank on ideal graphs.  It
+    is no rank cap: on 10%-flipped block cycles (measured from n = 40 to
+    2000) even 1e-3 keeps every rank, r = n.
     """
     A = as_adjacency(A)
     if beta2 < 0:
@@ -100,42 +98,33 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
     if k is not None and k < 1:
         raise ValueError("iteration depth k must be at least 1")
+    if k is None and tol <= 0:
+        raise ValueError("tol must be positive")
     quotient = A.quotient
     M = quotient.entries
-    W, s, Vt = np.linalg.svd(M)
-    if s[0] == 0.0:
+    if not M.any():
         raise ValueError("low-rank iteration requires a nonzero adjacency matrix")
-    base_keep = s > trunc_tol * s[0]
-    A1 = W[:, base_keep] * s[base_keep]      # A1 A1^T = A A^T
-    A2 = Vt[base_keep].T * s[base_keep]      # A2 A2^T = A^T A
-    b = np.sqrt(beta2)
+    small = Adjacency.from_matrix(M)
+    eye = np.eye(quotient.c)
 
-    U1, sig = _compress(np.hstack([A1, A2]), trunc_tol)   # U1 U1^T = AA^T + A^TA
-    U = U1
-    if k == 1:
-        return LowRankState(U=quotient.lift(U), k=1, sigma=sig, trunc_tol=trunc_tol)
+    def factor(L, steps):   # the factor of G[L L^T]
+        U, sigma = _compress(np.hstack([M @ L, M.T @ L]), trunc_tol)
+        return LowRankState(U=quotient.lift(U), k=steps, sigma=sigma,
+                            trunc_tol=trunc_tol)
 
-    limit = max_k if k is None else k
-    history = []
-    for step in range(2, limit + 1):
-        F = np.hstack([U1, b * (M @ U), b * (M.T @ U)])
-        U_next, sig_next = _compress(F, trunc_tol)
-        if k is None:
-            width = max(sig.size, sig_next.size)
-            a = np.zeros(width); a[:sig.size] = sig
-            c = np.zeros(width); c[:sig_next.size] = sig_next
-            change, size = np.linalg.norm(c - a), np.linalg.norm(a)
-            history.append(change / size)
-            if change <= tol * size:
-                return LowRankState(U=quotient.lift(U_next), k=step, sigma=sig_next,
-                                    trunc_tol=trunc_tol)
-        U, sig = U_next, sig_next
-    state = LowRankState(U=quotient.lift(U), k=limit, sigma=sig, trunc_tol=trunc_tol)
-    if k is None:
-        raise NonConvergenceError(
-            f"factored similarity iteration did not converge within {max_k} steps",
-            state=state, history=history)
-    return state
+    if k is not None:
+        X = eye + beta2 * iterate(small, beta2, k - 1).S if k > 1 else eye
+        return factor(np.linalg.cholesky(X), k)
+    try:
+        state = _fixed_point(small, beta2, tol, max_k)
+    except NonConvergenceError as exc:
+        # a CG iterate short of convergence can leave I + beta^2 S
+        # indefinite, so the state factors only its non-negative part
+        w, V = np.linalg.eigh(eye + beta2 * exc.state.S)
+        L = V * np.sqrt(np.clip(w, 0.0, None))
+        raise NonConvergenceError(f"factored {exc}", state=factor(L, max_k),
+                                  history=exc.history) from None
+    return factor(np.linalg.cholesky(eye + beta2 * state.S), state.k)
 
 
 def estimate_rank(sigma, gap_ratio: float, noise_floor: float = 1e-12) -> int:

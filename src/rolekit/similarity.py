@@ -44,10 +44,11 @@ class NonConvergenceError(RuntimeError):
     """An iteration hit its step limit; ``state`` holds the last iterate.
 
     ``history`` holds, per iteration, the quantity the loop tests against
-    its tolerance: the relative residual for :func:`fixed_point` and
-    :func:`scaled_fixed_point` (one entry per CG iteration), the relative
-    change of the estimate for :func:`beta_bound` and of the singular values
-    for ``lowrank_iterate`` (one entry per step after the first).
+    its tolerance: the relative residual for :func:`fixed_point`,
+    :func:`scaled_fixed_point` and ``lowrank_iterate`` at the fixed point
+    (one entry per CG iteration; ``lowrank_iterate``'s state is the factor
+    of the last CG iterate), and the relative change of the estimate for
+    :func:`beta_bound` (one entry per step after the first).
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -276,30 +277,18 @@ def _weighted_parts(A_W, d):
     rounded = np.round(base)
     if not np.isin(rounded, (0.0, 1.0)).all() or np.abs(base - rounded).max() > 1e-8:
         raise ValueError("weighted graph is not D A D for a binary A")
-    return A_W.entries, d, Adjacency.from_matrix(rounded)
-
-
-def _scaled_step(M: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    return _sym(M @ mid @ M.T + M.T @ mid @ M)
+    return d, Adjacency.from_matrix(rounded)
 
 
 def scaled_iterate(A_W, d, beta2: float, k: int) -> SimilarityState:
     """Run k steps of the weighted-graph similarity recurrence.
 
     For A_W = D A D the iterates satisfy S_k^D = D S_k D, where S_k is the
-    plain recurrence on the binary A.
+    plain recurrence on the binary A; this returns :func:`iterate` of A,
+    conjugated by D.
     """
-    M, d, _ = _weighted_parts(A_W, d)
-    if beta2 < 0:
-        raise ValueError("beta2 must be non-negative")
-    if k < 1:
-        raise ValueError("iteration depth k must be at least 1")
-    dm2 = 1.0 / d**2
-    S = _scaled_step(M, np.diag(dm2))
-    for _ in range(k - 1):
-        mid = np.diag(dm2) + beta2 * (dm2[:, None] * S * dm2[None, :])
-        S = _scaled_step(M, mid)
-    return SimilarityState(S=S, k=k, beta2=beta2, converged=False)
+    d, base = _weighted_parts(A_W, d)
+    return _conjugate(iterate(base, beta2, k), d)
 
 
 def scaled_fixed_point(A_W, d, beta2: float | None = None, tol: float = DEFAULT_TOL,
@@ -309,7 +298,7 @@ def scaled_fixed_point(A_W, d, beta2: float | None = None, tol: float = DEFAULT_
     ``S_inf`` is :func:`fixed_point` of the binary base graph A, so ``beta2``
     is resolved against A, and ``tol`` and ``max_k`` apply to the solve on A.
     """
-    _, d, base = _weighted_parts(A_W, d)
+    d, base = _weighted_parts(A_W, d)
     if tol <= 0:
         raise ValueError("tol must be positive")
     beta2, _ = resolve_beta2(base, beta2)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
 from .lowrank import estimate_rank
-from .similarity import fixed_point, iterate, resolve_beta2
+from .similarity import DEFAULT_MAX_K, fixed_point, iterate, resolve_beta2
 
 CONVENTIONS = ("occupancy", "flip")
 
@@ -148,7 +148,7 @@ class SpectrumReport:
 
 def spectrum_report(A, beta2: float | None = None, k: int | None = None,
                     top_m: int = 10, gap_ratio: float = 0.5,
-                    max_k: int = 10000) -> SpectrumReport:
+                    max_k: int = DEFAULT_MAX_K) -> SpectrumReport:
     """Compute the top singular values of A, S^(1/2) and S.
 
     ``k=None`` solves for the similarity fixed point to a relative

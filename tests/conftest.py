@@ -41,6 +41,17 @@ BIPARTITE_CLIQUE = np.array([
     [1, 1, 0, 0, 0],
 ], dtype=float)
 
+# a digraph whose fixed-point system CG cannot finish in 3 iterations at
+# beta^2 = 0.9 / rho (it needs 17 at tol 1e-15)
+SLOW_CG = np.array([
+    [0, 1, 1, 1, 0, 0],
+    [0, 0, 0, 0, 0, 1],
+    [0, 1, 0, 1, 0, 0],
+    [1, 0, 1, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0],
+    [0, 1, 1, 0, 0, 0],
+], dtype=float)
+
 
 def random_digraph(rng: np.random.Generator, n_max: int = 20,
                    n_min: int = 2) -> Adjacency:

@@ -4,8 +4,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import SIGNED_EXAMPLE
-from rolekit import read_edge_list, read_ground_truth
+from conftest import SIGNED_EXAMPLE, SLOW_CG
+from rolekit import (Adjacency, read_edge_list, read_ground_truth,
+                     write_edge_list)
 from rolekit.cli import main
 
 
@@ -147,14 +148,14 @@ def test_extract_perturbed_block_cycle_defaults(tmp_path, capsys):
 
 
 def test_extract_nonconvergence_exit_code(tmp_path, capsys):
-    graph = tmp_path / "comm.tsv"
-    run(capsys, "generate", "--kind", "community", "--sizes", "4,4",
-        "--out", str(graph))
-    # rho = 32 here, so 0.031 sits just under the bound 0.03125: admissible
-    # but far too slow to converge in 3 steps
-    code, _, err = run(capsys, "extract", str(graph), "--fixed-point",
-                       "--beta2", "0.031", "--max-k", "3")
+    graph = tmp_path / "slow.tsv"
+    write_edge_list(graph, Adjacency.from_matrix(SLOW_CG))
+    # at the default beta^2 = 0.81 / rho, CG needs 13 iterations to reach
+    # the default tolerance on this graph, so a cap of 3 cannot be met
+    code, out, err = run(capsys, "extract", str(graph), "--fixed-point",
+                         "--max-k", "3")
     assert code == 2
+    assert out == ""
     assert "converge" in err
 
 

@@ -5,8 +5,12 @@ from conftest import RANK_DEFICIENT, random_digraph, sin_max_angle
 from rolekit import (
     Adjacency,
     NonConvergenceError,
+    apply_rank_one_weights,
+    beta_bound,
     default_beta2,
     estimate_rank,
+    fixed_point,
+    gamma,
     generate_structure,
     iterate,
     lowrank_iterate,
@@ -119,6 +123,26 @@ def test_fixed_point_factor_matches_dense_fixed_point():
     assert np.allclose(state.U @ state.U.T, S, rtol=1e-6)
 
 
+def test_weighted_factor_keeps_the_exact_rank():
+    # c = n here (the weights make no two nodes equivalent) while the rank
+    # is 4; the small eigenvalues of S_k sit near eps * ||S_k|| and their
+    # square roots above the 1e-10 cutoff, so a factor taken from an
+    # eigendecomposition of S_k would keep them.  [A L, A^T L] does not.
+    base, _, _ = generate_structure("block_cycle", (6, 5, 7, 4))
+    d = np.random.default_rng(0).uniform(0.5, 2.0, base.n)
+    W = apply_rank_one_weights(base, d)
+    assert W.quotient.c == W.n
+    beta2 = default_beta2(W)
+    for k in (1, 3, 6, None):
+        state = lowrank_iterate(W, beta2, k=k, trunc_tol=1e-10, tol=1e-14)
+        if k is None:
+            S = fixed_point(W, beta2, tol=1e-14).S
+        else:
+            S = iterate(W, beta2, k).S
+        assert state.r == 4
+        assert np.linalg.norm(state.U @ state.U.T - S) <= 1e-12 * np.linalg.norm(S)
+
+
 def test_estimate_rank_on_ideal_spectrum():
     assert estimate_rank(IDEAL_SIGMA_A, 0.01) == 4
 
@@ -136,7 +160,7 @@ def test_estimate_rank_rejects_empty_input():
         estimate_rank([], 0.1)
 
 
-def test_lowrank_nonconvergence_history_has_one_change_per_step():
+def test_lowrank_nonconvergence_history_has_one_residual_per_iteration():
     rng = np.random.default_rng(8)
     A = Adjacency.from_matrix((rng.random((12, 12)) < 0.4).astype(float))
     beta2 = default_beta2(A)
@@ -145,9 +169,29 @@ def test_lowrank_nonconvergence_history_has_one_change_per_step():
             lowrank_iterate(A, beta2, k=None, tol=1e-15, max_k=max_k)
         state, history = info.value.state, info.value.history
         assert state.k == max_k
-        # every step after the first compares its singular values with the last
-        assert len(history) == state.k - 1
+        # the fixed point is a CG solve: one relative residual per iteration
+        assert len(history) == max_k
         assert all(h > 1e-15 for h in history)
+
+
+def test_lowrank_nonconvergence_state_factors_the_psd_part():
+    # two CG iterations leave I + beta^2 S indefinite on this graph, which
+    # has no Cholesky factor: the state factors G[X+] instead, with X+ the
+    # part of I + beta^2 S on its non-negative eigenvalues
+    M = (np.random.default_rng(4).random((8, 8)) < 0.4).astype(float)
+    A = Adjacency.from_matrix(M)
+    beta2 = 0.99 / beta_bound(A)
+    with pytest.raises(NonConvergenceError) as dense:
+        fixed_point(A, beta2, tol=1e-15, max_k=2)
+    w, V = np.linalg.eigh(np.eye(A.n) + beta2 * dense.value.state.S)
+    assert w[0] < -0.5
+    want = gamma(A, (V * np.clip(w, 0.0, None)) @ V.T)
+    with pytest.raises(NonConvergenceError) as info:
+        lowrank_iterate(A, beta2, k=None, tol=1e-15, max_k=2)
+    state = info.value.state
+    assert state.k == 2
+    assert info.value.history == dense.value.history
+    assert np.linalg.norm(state.U @ state.U.T - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_lowrank_validates_arguments():
@@ -156,6 +200,8 @@ def test_lowrank_validates_arguments():
         lowrank_iterate(A, 0.01, k=0)
     with pytest.raises(ValueError):
         lowrank_iterate(A, 0.01, k=2, trunc_tol=0.0)
+    with pytest.raises(ValueError):
+        lowrank_iterate(A, 0.01, k=None, tol=0.0)
     with pytest.raises(ValueError):
         lowrank_iterate(Adjacency.from_matrix(np.zeros((2, 2))), 0.01, k=2)
 

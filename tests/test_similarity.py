@@ -5,6 +5,7 @@ from conftest import (
     RANK_DEFICIENT,
     RANK_DEFICIENT_S1,
     SIGNED_EXAMPLE,
+    SLOW_CG,
     kron_rho,
     random_digraph,
     sin_max_angle,
@@ -30,18 +31,6 @@ from rolekit import (
     spectrum_report,
 )
 from rolekit.similarity import resolve_beta2
-
-# a digraph whose fixed-point system CG cannot finish in 3 iterations at
-# beta^2 = 0.9 / rho (it needs 17 at tol 1e-15)
-SLOW_CG = np.array([
-    [0, 1, 1, 1, 0, 0],
-    [0, 0, 0, 0, 0, 1],
-    [0, 1, 0, 1, 0, 0],
-    [1, 0, 1, 0, 0, 0],
-    [0, 1, 0, 0, 0, 0],
-    [0, 1, 1, 0, 0, 0],
-], dtype=float)
-
 
 def kron_fixed_point(A, beta2):
     """Dense oracle: solve (I - beta^2 (A(x)A + A^T(x)A^T)) vec S = vec G[I]."""
