@@ -28,7 +28,6 @@ from .graphcore import (
     _merge_equivalent_roles,
     as_adjacency,
     checkerboard_signature,
-    ideal_adjacency,
 )
 from .lowrank import LowRankState, estimate_rank, lowrank_iterate
 from .similarity import DEFAULT_MAX_K, resolve_beta2
@@ -90,14 +89,18 @@ def _normalized_rows(U: np.ndarray):
     return rows, zero
 
 
-def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL) -> Assignment:
+def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL, *,
+                 max_q: int | None = None) -> Assignment | None:
     """Group the rows of a factor into clusters of nearly-parallel vectors.
 
     Rows are scanned in node order; each joins the earliest-created cluster
     whose representative lies within ``angle_tol`` of its line (the angle
     between lines is the smaller of the two angles between the vectors),
     else founds a new cluster.  Cluster labels are thus ordered by first
-    node index.  Zero rows (disconnected nodes) are left unassigned.
+    node index.  Zero rows (disconnected nodes) are left unassigned.  With
+    ``max_q`` the scan stops, returning None, when a row would found
+    cluster ``max_q + 1``: ``extract_roles`` in ``auto`` mode never keeps
+    such a grouping.
     """
     U = U.U if isinstance(U, LowRankState) else np.asarray(U, dtype=float)
     rows, zero = _normalized_rows(U)
@@ -110,6 +113,8 @@ def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL) -> Assignment:
         hits = np.flatnonzero(angles <= angle_tol)
         if hits.size:
             sigma[i] = hits[0]
+        elif q == max_q:
+            return None
         else:
             sigma[i] = q
             reps[q] = row
@@ -135,10 +140,27 @@ def reconstruct_B(A, assignment: Assignment) -> RoleMatrix:
 
 
 def extraction_cost(A, assignment: Assignment, B: RoleMatrix) -> float:
-    """Squared Frobenius cost ||A - (PZ) B (PZ)^T||_F^2 of a role model."""
+    """Squared Frobenius cost ||A - W B W^T||_F^2 of a role model.
+
+    W = PZ is the n x q indicator (signed when the assignment has signs),
+    with zero rows for unassigned nodes.  The cost is read off block sums,
+
+        ||A||^2 - 2 <B, W^T A W> + <B o B, s s^T>,   s the role sizes,
+
+    without forming the n x n ideal matrix.  On an integer-valued graph
+    every term is an integer, so the cost is exact; otherwise the terms
+    cancel to within rounding of ||A||^2, and a negative result is
+    clipped to 0.
+    """
     A = as_adjacency(A)
-    ideal = ideal_adjacency(B, assignment)
-    return float(np.linalg.norm(A.entries - ideal.entries) ** 2)
+    if assignment.n != A.n:
+        raise ValueError("assignment length does not match the graph")
+    M = A.entries
+    W = assignment.membership()
+    sizes = assignment.sizes().astype(float)
+    cost = (np.vdot(M, M) - 2.0 * np.vdot(B.entries, W.T @ M @ W)
+            + sizes @ B.entries**2 @ sizes)
+    return max(float(cost), 0.0)
 
 
 def split_signed_roles(assignment: Assignment, B: RoleMatrix) -> SignedRoleSplit:
@@ -270,12 +292,15 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     chosen = None
     resolved = method
     if method in ("auto", "greedy"):
-        greedy = cluster_rows(state.U, angle_tol)
-        B = reconstruct_B(work, greedy)
-        cost = extraction_cost(work, greedy, B)
-        if method == "greedy" or (cost == 0.0 and greedy.q <= n_active // 2):
-            chosen = (greedy, B, cost)
-            resolved = "greedy"
+        # auto keeps greedy only when exact with at most n_active // 2 roles
+        max_q = n_active // 2 if method == "auto" else None
+        greedy = cluster_rows(state.U, angle_tol, max_q=max_q)
+        if greedy is not None:
+            B = reconstruct_B(work, greedy)
+            cost = extraction_cost(work, greedy, B)
+            if method == "greedy" or cost == 0.0:
+                chosen = (greedy, B, cost)
+                resolved = "greedy"
 
     if chosen is None:
         resolved = "sweep"

@@ -32,7 +32,7 @@ import numpy as np
 
 from .graphcore import Adjacency, as_adjacency
 from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _fixed_point, iterate)
+                         _compress, _fixed_point, iterate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,24 +51,6 @@ class LowRankState:
     @property
     def r(self) -> int:
         return self.U.shape[1]
-
-
-def _compress(F: np.ndarray, trunc_tol: float):
-    """Orthogonalize-then-SVD compression of a stacked factor.
-
-    Returns (U, s) with U U^T ~= F F^T, s the kept singular values of F
-    (those at least ``trunc_tol`` times the largest) and U / s orthonormal.
-    F is reduced to L = R^T from the QR factorization F^T = Q R, since
-    F F^T = L L^T: the left singular factor and singular values of F are
-    those of L, and no Q is formed.  For a wide m x w stack, as every stack
-    built here is, L is an m x m triangle.
-    """
-    L = np.linalg.qr(F.T, mode="r").T
-    W, s, _ = np.linalg.svd(L, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((F.shape[0], 0)), s[:0]
-    keep = s >= trunc_tol * s[0]
-    return W[:, keep] * s[keep], s[keep]
 
 
 def lowrank_iterate(A, beta2: float, k: int | None = None,

@@ -11,7 +11,12 @@ the recurrence
 
 where ``G[X] = A X A^T + A^T X A``.  The recurrence converges if and only if
 ``beta^2`` is strictly below ``1 / rho(A (x) A + A^T (x) A^T)``; the operator
-spectral radius is exposed as :func:`beta_bound`.
+spectral radius is exposed as :func:`beta_bound`.  It is found by a power
+iteration on ``G``, which maps positive semi-definite matrices to positive
+semi-definite ones.  Where the dominant eigenvector is numerically low-rank
+(as on noisy block cycles) the iterate is kept as a thin factor ``V V^T`` of
+rank r, at O(n^2 r) a step; otherwise the iteration runs on dense n x n
+iterates at O(n^3) a step.
 
 Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
 The limit (:func:`fixed_point`) is found instead by solving the linear system
@@ -39,6 +44,13 @@ DEFAULT_BETA2_FRACTION = 0.81
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_K = 10000
 
+# beta_bound: the relative change at which its estimate has settled, the
+# largest part of G[X] (relative, Frobenius norm) its truncation may keep
+# discarding, and the rank its thin factor starts at
+_TOL = 1e-10
+_DISCARD_TOL = 1e-6
+_START_RANK = 8
+
 
 class NonConvergenceError(RuntimeError):
     """An iteration hit its step limit; ``state`` holds the last iterate.
@@ -48,7 +60,8 @@ class NonConvergenceError(RuntimeError):
     :func:`scaled_fixed_point` and ``lowrank_iterate`` at the fixed point
     (one entry per CG iteration; ``lowrank_iterate``'s state is the factor
     of the last CG iterate), and the relative change of the estimate for
-    :func:`beta_bound` (one entry per step after the first).
+    :func:`beta_bound` (one entry per step after the first, in its factored
+    and exact regimes alike; its state is the last estimate).
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -92,44 +105,108 @@ def _sym(S: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2
 
 
+def _compress(F: np.ndarray, trunc_tol: float):
+    """Orthogonalize-then-SVD compression of a stacked factor.
+
+    Returns (U, s) with U U^T ~= F F^T, s the kept singular values of F
+    (those at least ``trunc_tol`` times the largest) and U / s orthonormal.
+    F is reduced to L = R^T from the QR factorization F^T = Q R, since
+    F F^T = L L^T: the left singular factor and singular values of F are
+    those of L, and no Q is formed.  For a wide m x w stack, as
+    ``lowrank_iterate`` builds, L is an m x m triangle; for a tall one, as
+    :func:`beta_bound` builds, it is m x w and the compression costs
+    O(m w^2).
+    """
+    L = np.linalg.qr(F.T, mode="r").T
+    W, s, _ = np.linalg.svd(L, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((F.shape[0], 0)), s[:0]
+    keep = s >= trunc_tol * s[0]
+    return W[:, keep] * s[keep], s[keep]
+
+
 def beta_bound(A) -> float:
     """Spectral radius of X -> A X A^T + A^T X A (equals rho(A(x)A + A^T(x)A^T)).
 
-    Deterministic power iteration on symmetric matrices starting from the
-    identity, normalized in Frobenius norm each step, with relative-change
-    tolerance 1e-10 and at most ``DEFAULT_MAX_K`` steps (read at call time).
-    The admissible damping region is ``beta^2 < 1 / beta_bound(A)``.
+    A deterministic power iteration on symmetric matrices, normalized in
+    Frobenius norm each step.  Its estimate is ``||G[X]||_F`` for the unit
+    iterate X, a lower bound on rho at every step, and it stops once the
+    estimate settles: its relative change from the step before is at most
+    1e-10.  The admissible damping region is ``beta^2 < 1 / beta_bound(A)``.
 
     The iteration runs on the quotient of A by structural equivalence
     (:attr:`Adjacency.quotient`, c classes): the operator's nonzero
     eigenvectors lie in ``Q X Q^T``, where it acts as the same operator on
-    the c x c quotient matrix, and the start ``I_c / sqrt(n)`` is the
-    projection of ``I / sqrt(n)``.  Every estimate is thus the one the n x n
-    iteration would make, at O(c^3) a step instead of O(n^3); with no
-    equivalent nodes (c = n) it is that iteration.  Past the step limit,
+    the c x c quotient matrix A_hat.  It has two regimes:
+
+    - Factored, while 2r < c for a rank r that starts at 8: the iterate is
+      a thin factor ``X = V V^T``.  Since ``G[V V^T] = F F^T`` for
+      ``F = [A_hat V, A_hat^T V]``, a step costs O(c^2 r): form F, compress
+      it (:func:`_compress`) and keep its top r.  The start is the rank-r
+      projection of ``G[I]`` on the range of ``G[I] Omega`` for a fixed
+      Gaussian c x r matrix Omega (a randomized range finder).  G maps
+      positive semi-definite matrices to positive semi-definite ones, so
+      rho has such an eigenvector, and for all Omega outside a set of
+      measure zero this start overlaps it.  The part of ``G[X]`` a step
+      discards, relative in Frobenius norm, is the floor the truncation
+      puts under the residual ``||G[X] - rho_hat X||``; it moves the
+      estimate by about its square over the relative spectral gap.  When
+      it exceeds 1e-6 and has not halved since the step before, r doubles.
+    - Exact, once 2r >= c (from the start when c <= 16): the dense c x c
+      iterate from ``I_c / sqrt(n)``, the projection of ``I / sqrt(n)``,
+      at O(c^3) a step.  With no equivalent nodes (c = n) it is the power
+      iteration on the n x n operator.
+
+    After ``DEFAULT_MAX_K`` steps in all (read at call time),
     :class:`NonConvergenceError` carries the last estimate and, from the
-    second step on, the relative change of the estimate at each step.
+    second step on, the relative change of the estimate at each step.  The
+    exact regime's estimates start afresh, so its first step is not tested
+    against the last factored estimate, but its history entry is that
+    change.
     """
     A = as_adjacency(A)
     quotient = A.quotient
     M = quotient.entries
     if not M.any():
         raise ValueError("beta_bound requires a nonzero adjacency matrix")
-    X = np.eye(quotient.c) / np.sqrt(A.n)
-    estimate = 0.0
     history = []
-    for _ in range(DEFAULT_MAX_K):
+    estimate = 0.0
+    steps = 0
+    rank = _START_RANK
+    if 2 * rank < quotient.c:
+        omega = np.random.default_rng(0).standard_normal((quotient.c, rank))
+        Q = np.linalg.qr(M @ (M.T @ omega) + M.T @ (M @ omega))[0]
+        U, s = _compress(np.hstack([Q.T @ M, Q.T @ M.T]), 0.0)
+        V = Q @ U / np.sqrt(np.linalg.norm(s**2))
+        last_discarded = np.inf
+        while 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
+            steps += 1
+            U, s = _compress(np.hstack([M @ V, M.T @ V]), 0.0)
+            power = s**2   # the eigenvalues of G[V V^T]
+            norm = float(np.linalg.norm(power))
+            if estimate > 0.0:
+                history.append(abs(norm - estimate) / estimate)
+                if history[-1] <= _TOL:
+                    return norm
+            discarded = float(np.linalg.norm(power[rank:])) / norm
+            if discarded > _DISCARD_TOL and 2.0 * discarded > last_discarded:
+                rank *= 2
+            V = U[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
+            estimate, last_discarded = norm, discarded
+    X = np.eye(quotient.c) / np.sqrt(A.n)
+    last = 0.0
+    while steps < DEFAULT_MAX_K:
+        steps += 1
         Y = _sym(M @ X @ M.T + M.T @ X @ M)
         norm = float(np.linalg.norm(Y))
         if norm == 0.0:
             raise ValueError("similarity operator annihilated the power iterate")
         if estimate > 0.0:
-            change = abs(norm - estimate)
-            history.append(change / estimate)
-            if change <= 1e-10 * estimate:
-                return norm
+            history.append(abs(norm - estimate) / estimate)
+        if abs(norm - last) <= _TOL * last:
+            return norm
         X = Y / norm
-        estimate = norm
+        last = estimate = norm
     raise NonConvergenceError(
         f"power iteration for the spectral radius did not settle "
         f"(last estimate {estimate})", state=estimate, history=history)

@@ -13,6 +13,7 @@ from rolekit import (
     PerturbationModel,
     RoleMatrix,
     build_ideal,
+    checkerboard_signature,
     cluster_rows,
     default_beta2,
     extract_roles,
@@ -267,6 +268,46 @@ def test_reconstruct_B_minimizes_cost_over_all_binary_role_matrices():
             assert best <= extraction_cost(A, asg, RoleMatrix(entries)) + 1e-12
 
 
+def _random_role_model(rng, n):
+    """A random partition of n nodes (some unassigned), optionally signed,
+    and a random binary role matrix."""
+    q = int(rng.integers(1, 6))
+    sigma = np.where(rng.random(n) < 0.2, -1, rng.integers(0, q, n))
+    sigma[rng.permutation(n)[:q]] = np.arange(q)    # every role owns a node
+    signs = None
+    if rng.random() < 0.5:
+        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    B = RoleMatrix((rng.random((q, q)) < 0.5).astype(float))
+    return Assignment(sigma, signs=signs), B
+
+
+def test_extraction_cost_equals_the_dense_definition():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(5, 40))
+        asg, B = _random_role_model(rng, n)
+        if trial % 3 == 0:     # signed
+            M = rng.choice([-1.0, 0.0, 1.0], size=(n, n))
+        elif trial % 3 == 1:   # unweighted
+            M = (rng.random((n, n)) < 0.4).astype(float)
+        else:                  # weighted
+            M = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5)
+        A = Adjacency.from_matrix(M)
+        dense = float(np.sum((M - ideal_adjacency(B, asg).entries) ** 2))
+        got = extraction_cost(A, asg, B)
+        if A.kind == "weighted":
+            assert abs(got - dense) <= 1e-12 * float(np.sum(M * M))
+        else:
+            # every term is an integer: the block-sum cost is exact
+            assert got == dense
+
+
+def test_extraction_cost_rejects_a_mismatched_assignment():
+    A, B, truth = generate_structure("community", (4, 5, 3))
+    with pytest.raises(ValueError):
+        extraction_cost(Adjacency.from_matrix(np.zeros((5, 5))), truth, B)
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
@@ -382,3 +423,47 @@ def test_split_signed_roles_every_role_mixed_doubles_dimension():
     assert split.B_hat.shape == (4, 4)
     W = split.assignment.membership()
     assert np.array_equal(W @ split.B_hat @ W.T, A.entries)
+
+
+def _auto_without_early_stop(A, **kwargs):
+    """``extract_roles(A, method="auto")`` as it ran with the greedy
+    grouping run in full: kept when it reproduces the work graph exactly
+    with at most n_active // 2 roles, otherwise the sweep."""
+    signature = checkerboard_signature(A) if A.kind == "signed" else None
+    work = A if signature is None else abs(A)
+    state = lowrank_iterate(work, default_beta2(work), k=kwargs.get("k", 6),
+                            trunc_tol=kwargs.get("trunc_tol", 1e-10))
+    n_active = int((~_normalized_rows(state.U)[1]).sum())
+    greedy = cluster_rows(state.U)
+    kept = (greedy.q <= n_active // 2
+            and extraction_cost(work, greedy, reconstruct_B(work, greedy)) == 0.0)
+    return extract_roles(A, method="greedy" if kept else "sweep", **kwargs)
+
+
+def _auto_graphs():
+    rng = np.random.default_rng(12)
+    for kind, sizes in [("community", (5, 6, 4)), ("overlapping", (6, 5, 7)),
+                        ("bipartite_communities", (4, 6, 5, 3)),
+                        ("block_cycle", (6, 5, 7, 4)), ("community", (1, 1, 2)),
+                        ("community", (1, 1, 1, 2)), ("signed_example", None)]:
+        n = 6 if sizes is None else sum(sizes)
+        A, _, _ = generate_structure(kind, sizes, perm=rng.permutation(n))
+        yield A, {}
+    for n, p, seed in [(40, 0.05, 1), (60, 0.1, 2), (100, 0.1, 3), (200, 0.1, 4)]:
+        A, _, _ = generate_structure("block_cycle", (n // 4,) * 4,
+                                     perm=rng.permutation(n))
+        yield perturb(A, PerturbationModel(p_in=p, p_out=p, seed=seed)), {"trunc_tol": 1e-3}
+
+
+def test_auto_returns_what_it_returned_without_the_greedy_early_stop():
+    for A, kwargs in _auto_graphs():
+        got = extract_roles(A, **kwargs).to_json_dict()
+        assert got == _auto_without_early_stop(A, **kwargs).to_json_dict()
+
+
+def test_cluster_rows_stops_past_max_q():
+    A, _, _ = generate_structure("community", (3, 4, 5))
+    U = lowrank_iterate(A, default_beta2(A), k=3).U
+    assert cluster_rows(U, max_q=2) is None
+    full = cluster_rows(U)
+    assert np.array_equal(cluster_rows(U, max_q=3).sigma, full.sigma)

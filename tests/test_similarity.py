@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     RANK_DEFICIENT,
@@ -114,17 +116,122 @@ def test_beta_bound_matches_kronecker_oracle_random():
         assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-6)
 
 
+def dense_beta_bound(A) -> float:
+    """The dense power iteration beta_bound ran before its factored regime:
+    on the quotient, from I_c / sqrt(n), until the estimate settles."""
+    quotient = A.quotient
+    M = quotient.entries
+    X = np.eye(quotient.c) / np.sqrt(A.n)
+    estimate = 0.0
+    for _ in range(10000):
+        Y = M @ X @ M.T + M.T @ X @ M
+        Y = (Y + Y.T) / 2
+        norm = float(np.linalg.norm(Y))
+        if estimate > 0.0 and abs(norm - estimate) <= 1e-10 * estimate:
+            return norm
+        X = Y / norm
+        estimate = norm
+    raise AssertionError("the dense power iteration did not settle")
+
+
+def _signs(n, seed):
+    return np.where(np.random.default_rng(seed).random(n) < 0.5, -1.0, 1.0)
+
+
+def _hard_graph(name):
+    rng = np.random.default_rng(0)
+    if name == "sparse_er":        # c = 414: no dominant low-rank eigenvector
+        return (rng.random((500, 500)) < 0.002).astype(float)
+    if name == "er_p05":           # a truncation floor near 3e-7 at rank 8
+        return (rng.random((500, 500)) < 0.05).astype(float)
+    if name == "directed_cycle":   # eigenvalues of G at +rho and -rho
+        return np.roll(np.eye(60), 1, axis=1)
+    if name == "bipartite":        # edges only between two parts: -rho too
+        M = np.zeros((60, 60))
+        M[:25, 25:] = rng.random((25, 35)) < 0.3
+        M[25:, :25] = rng.random((35, 25)) < 0.2
+        return M
+    if name == "checkerboard_signed":
+        base = perturb(generate_structure("block_cycle", (10, 12, 9, 11))[0],
+                       PerturbationModel(p_in=0.1, p_out=0.1, seed=4)).entries
+        d = _signs(base.shape[0], 4)
+        return d[:, None] * base * d[None, :]
+    if name == "rank_one_weighted":   # c = n = 220, rank-4 eigenvector
+        A, _, _ = generate_structure("block_cycle", (60, 50, 70, 40))
+        return apply_rank_one_weights(A, rng.uniform(0.5, 2.0, A.n)).entries
+    if name.startswith("c"):       # c just above the exact switch at 2r = 16
+        c = int(name[1:])
+        return (np.random.default_rng(c).random((c, c)) < 0.3).astype(float)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", ["sparse_er", "er_p05", "directed_cycle",
+                                  "bipartite", "checkerboard_signed",
+                                  "rank_one_weighted", "c17", "c18", "c24"])
+def test_beta_bound_agrees_with_the_dense_iteration(name):
+    A = Adjacency.from_matrix(_hard_graph(name))
+    assert beta_bound(A) == pytest.approx(dense_beta_bound(A), rel=1e-10)
+
+
+def test_beta_bound_matches_kronecker_oracle_past_the_exact_switch():
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        A = random_digraph(rng, n_max=30, n_min=17)
+        assert A.quotient.c > 16
+        assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-9)
+
+
+def test_beta_bound_keeps_a_thin_factor_on_noisy_block_cycles(monkeypatch):
+    A, _, _ = generate_structure("block_cycle", (50, 50, 50, 50))
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=7))
+    assert noisy.quotient.c == 200
+    widths = []
+    compress = similarity._compress
+
+    def spy(F, trunc_tol):
+        widths.append(F.shape[1])
+        return compress(F, trunc_tol)
+
+    monkeypatch.setattr(similarity, "_compress", spy)
+    rho = beta_bound(noisy)
+    # the start compresses one 2c-wide stack; every step after it is thin
+    assert widths[0] == 400 and max(widths[1:]) <= 32
+    assert rho == pytest.approx(dense_beta_bound(noisy), rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), density=st.floats(0.05, 0.6),
+       signed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_beta_bound_is_invariant_under_node_permutation(n, density, signed, seed):
+    rng = np.random.default_rng(seed)
+    M = (rng.random((n, n)) < density).astype(float)
+    assume(M.any())
+    if signed:
+        d = _signs(n, seed)
+        M = d[:, None] * M * d[None, :]
+    perm = rng.permutation(n)
+    before = beta_bound(Adjacency.from_matrix(M))
+    after = beta_bound(Adjacency.from_matrix(M[np.ix_(perm, perm)]))
+    assert after == pytest.approx(before, rel=1e-9)
+
+
 def test_beta_bound_nonconvergence_history_has_one_change_per_step(monkeypatch):
-    A = Adjacency.from_matrix(SLOW_CG)
-    for max_k in (2, 4, 7):
-        monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
-        with pytest.raises(NonConvergenceError) as info:
-            beta_bound(A)
-        history = info.value.history
-        # every step after the first compares its estimate with the last one
-        assert len(history) == max_k - 1
-        assert all(h > 1e-10 for h in history)
-        assert info.value.state > 0
+    # slow_cg runs the exact iteration (c = 6) and er_p05 the factored one;
+    # c24 runs 7 factored steps, then restarts in the exact regime
+    for name, max_ks in (("slow_cg", (2, 4, 7)), ("er_p05", (2, 4, 7)),
+                         ("c24", (2, 7, 10))):
+        A = Adjacency.from_matrix(SLOW_CG if name == "slow_cg" else _hard_graph(name))
+        rho = dense_beta_bound(A)
+        for max_k in max_ks:
+            monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
+            with pytest.raises(NonConvergenceError) as info:
+                beta_bound(A)
+            history = info.value.history
+            # every step after the first compares its estimate with the last one
+            assert len(history) == max_k - 1
+            assert all(h > 1e-10 for h in history)
+            # every estimate is a lower bound on rho
+            assert 0 < info.value.state <= rho * (1 + 1e-12)
 
 
 def test_beta_bound_rejects_zero_graph():
