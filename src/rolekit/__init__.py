@@ -1,10 +1,10 @@
 """Role extraction for directed graphs via neighborhood-pattern similarity.
 
 The toolkit builds and recognizes block-structured ("ideal") graphs, computes
-the neighborhood-pattern similarity matrix densely or through a truncated
-low-rank factor, recovers role assignments by clustering the factor rows, and
-provides a perturbation lab for studying how singular-value gaps reveal the
-number of roles.
+the neighborhood-pattern similarity matrix densely or as a truncated low-rank
+factor, recovers role assignments by clustering nodes on the cosines between
+their similarity rows, and provides a perturbation lab for studying how
+singular-value gaps reveal the number of roles.
 """
 
 from .graphcore import (

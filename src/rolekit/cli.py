@@ -68,12 +68,9 @@ def _resolve_beta2(text: str) -> float | None:
     if text == "auto":
         return None
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"--beta2 must be a number or 'auto', got {text!r}")
-    if value < 0:
-        raise ValueError("--beta2 must be non-negative")
-    return value
 
 
 def _depth(args) -> int | None:
@@ -258,7 +255,8 @@ def build_parser() -> _Parser:
     _add_measure_flags(e)
     _add_depth_flags(e, default_k=6)
     e.add_argument("--trunc-tol", type=float, default=1e-10,
-                   help="factor truncation tolerance (1e-3 suits perturbed graphs)")
+                   help="floor of the role-count estimate: eigenvalues of S "
+                        "below trunc-tol^2 times the largest are left out")
     e.add_argument("--angle-tol", type=float, default=1e-6)
     e.add_argument("--method", choices=("auto", "greedy", "sweep"), default="auto")
     e.add_argument("--out", help="write the result JSON here instead of stdout")

@@ -1,18 +1,30 @@
-"""Role recovery: cluster the rows of the similarity factor, rebuild B.
+"""Role recovery: group nodes by the angles of their similarity rows, rebuild B.
 
-On an ideal graph the rows of the thin factor U (with S_k = U U^T) form
-exactly q clusters of pairwise-parallel vectors, one per role, for every
-depth k.  Extraction therefore normalizes the rows, groups them by angular
-distance, reads the role matrix off the block densities of the adjacency
+The similarity S_k is positive semi-definite, so S_k = U U^T for a factor U,
+and whatever the factor, the cosine between its rows i and j is the entry
+K_ij of the cosine Gram matrix
+
+    K = D^(-1/2) S_k D^(-1/2),   D = diag(S_k).
+
+On an ideal graph the nodes form exactly q groups of pairwise-parallel rows,
+one per role, for every depth k.  Extraction therefore groups nodes by K
+alone, reads the role matrix off the block densities of the adjacency
 matrix, and scores the fit with the squared Frobenius cost
 ``||A - (PZ) B (PZ)^T||_F^2``.
 
-For graphs that are not exactly ideal the parallel clusters blur; extraction
-then sweeps candidate role counts around the singular-value gap estimate
-with a deterministic spherical k-means and keeps the smallest count whose
-cost is within a few percent of the best.  Checkerboard signed graphs are
-extracted through |A|, with the signs reattached to the indicator matrix
-afterwards.
+S_k is computed on the quotient by structural equivalence
+(:class:`rolekit.graphcore.Quotient`), where it is the c x c matrix
+``S_hat = Q^T S_k Q``: the nodes of one class have equal rows of S_k, so
+they always share a label, each class counts with its size, and K_ij is
+``K_hat[a, b]`` for the classes a of i and b of j.
+
+For graphs that are not exactly ideal the parallel groups blur; extraction
+then sweeps candidate role counts around the gap in the spectrum of S_k with
+a deterministic kernel spherical k-means on K (Dhillon, Guan & Kulis, KDD
+2004) and keeps the smallest count whose cost is within 5% of the best.
+Checkerboard signed graphs are extracted through |A|, with the signs
+reattached to the indicator matrix afterwards.  :func:`cluster_rows` runs
+the same greedy grouping on the rows of an explicit factor.
 """
 
 from __future__ import annotations
@@ -23,20 +35,22 @@ import numpy as np
 
 from .graphcore import (
     SIGNED,
+    Adjacency,
     Assignment,
     RoleMatrix,
     _merge_equivalent_roles,
     as_adjacency,
     checkerboard_signature,
 )
-from .lowrank import LowRankState, estimate_rank, lowrank_iterate
-from .similarity import DEFAULT_MAX_K, resolve_beta2
+from .lowrank import LowRankState, estimate_rank
+from .similarity import DEFAULT_MAX_K, DEFAULT_TOL, _fixed_point, iterate, resolve_beta2
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_GAP_RATIO = 0.5
 DEFAULT_DEPTH = 6
 
-#: a factor row counts as zero below this fraction of the largest row norm
+#: a node's row of the factor counts as zero below this fraction of the
+#: largest row norm (its squared norm is the node's diagonal entry of S)
 _ZERO_ROW_RTOL = 1e-12
 
 
@@ -77,16 +91,41 @@ class SignedRoleSplit:
 
 
 def _normalized_rows(U: np.ndarray):
-    """Unit rows with the sign convention: first entry of largest magnitude
-    is made positive.  Returns (rows, zero_mask)."""
+    """Unit rows of U, and the mask of its zero rows (norm at most
+    ``_ZERO_ROW_RTOL`` times the largest), which stay zero."""
     U = np.asarray(U, dtype=float)
     norms = np.linalg.norm(U, axis=1)
     zero = norms <= _ZERO_ROW_RTOL * (norms.max() if norms.size else 0.0)
     rows = np.divide(U, norms[:, None], out=np.zeros_like(U), where=~zero[:, None])
-    if rows.size:
-        lead = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
-        rows[lead < 0] *= -1.0
     return rows, zero
+
+
+def _greedy_scan(m: int, cosines, angle_tol: float,
+                 max_q: int | None = None) -> np.ndarray | None:
+    """Group m items by line angle, scanning them in order.
+
+    ``cosines(i, reps)`` gives the cosines between item i and the items in
+    the index array ``reps``; the angle between two lines is the arccos of
+    the absolute cosine.  Each item joins the earliest-created group whose
+    first item lies within ``angle_tol`` of its line, else founds a new
+    group, so labels are ordered by first item.  With ``max_q`` the scan
+    stops, returning None, when an item would found group ``max_q + 1``.
+    """
+    labels = np.empty(m, dtype=int)
+    reps = np.empty(m, dtype=int)
+    q = 0
+    for i in range(m):
+        angles = np.arccos(np.clip(np.abs(cosines(i, reps[:q])), 0.0, 1.0))
+        hits = np.flatnonzero(angles <= angle_tol)
+        if hits.size:
+            labels[i] = hits[0]
+        elif q == max_q:
+            return None
+        else:
+            labels[i] = q
+            reps[q] = i
+            q += 1
+    return labels
 
 
 def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL, *,
@@ -99,26 +138,18 @@ def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL, *,
     else founds a new cluster.  Cluster labels are thus ordered by first
     node index.  Zero rows (disconnected nodes) are left unassigned.  With
     ``max_q`` the scan stops, returning None, when a row would found
-    cluster ``max_q + 1``: ``extract_roles`` in ``auto`` mode never keeps
-    such a grouping.
+    cluster ``max_q + 1``.  :func:`extract_roles` runs the same scan on
+    the cosine Gram matrix of S instead of on a factor.
     """
     U = U.U if isinstance(U, LowRankState) else np.asarray(U, dtype=float)
     rows, zero = _normalized_rows(U)
-    sigma = -np.ones(rows.shape[0], dtype=int)
-    reps = np.empty_like(rows)
-    q = 0
-    for i in np.flatnonzero(~zero):
-        row = rows[i]
-        angles = np.arccos(np.clip(np.abs(reps[:q] @ row), 0.0, 1.0))
-        hits = np.flatnonzero(angles <= angle_tol)
-        if hits.size:
-            sigma[i] = hits[0]
-        elif q == max_q:
-            return None
-        else:
-            sigma[i] = q
-            reps[q] = row
-            q += 1
+    rows = rows[~zero]
+    labels = _greedy_scan(rows.shape[0], lambda i, reps: rows[reps] @ rows[i],
+                          angle_tol, max_q)
+    if labels is None:
+        return None
+    sigma = -np.ones(U.shape[0], dtype=int)
+    sigma[~zero] = labels
     return Assignment(sigma)
 
 
@@ -197,74 +228,96 @@ def split_signed_roles(assignment: Assignment, B: RoleMatrix) -> SignedRoleSplit
                            assignment=Assignment(sigma_hat))
 
 
-def _spherical_kmeans(rows: np.ndarray, active: np.ndarray, q: int,
-                      max_iter: int = 100) -> np.ndarray:
-    """Deterministic spherical k-means on sign-normalized unit rows.
+def _kernel_kmeans(K: np.ndarray, weights: np.ndarray, q: int, start: int,
+                   max_iter: int = 100) -> np.ndarray:
+    """Deterministic spherical k-means of unit vectors known by their cosines.
 
-    Farthest-first initialization from the first active row, Lloyd updates
-    with cosine similarity, empty clusters reseeded on the worst-served row.
-    Returns a label array over all rows (-1 for inactive ones).
+    ``K`` is the cosine Gram matrix of m unit vectors, and vector a counts
+    ``weights[a]`` times.  A center is the normalized weighted sum of its
+    members, so the cosines to the centers are ``K Z / sqrt(diag(Z^T K Z))``
+    for the weighted membership matrix Z, and no vector is ever formed.
+    Seeds are chosen farthest-first from vector ``start``; Lloyd updates
+    follow, a cluster left empty is reseeded with the vector its center
+    serves worst, and the loop stops when the labels repeat.  Returns one
+    label per vector, numbered in order of first vector.
     """
-    labels = -np.ones(rows.shape[0], dtype=int)
-    idx = np.flatnonzero(active)
-    pts = rows[idx]
-    m = pts.shape[0]
+    m = K.shape[0]
     q = min(q, m)
-
-    centers = [pts[0]]
-    sims = pts @ pts[0]
-    while len(centers) < q:
-        far = int(np.argmin(sims))
-        centers.append(pts[far])
-        sims = np.maximum(sims, pts @ pts[far])
-    C = np.vstack(centers)
-
-    assign = np.zeros(m, dtype=int)
+    seeds = [start]
+    near = K[start].copy()
+    while len(seeds) < q:
+        far = int(np.argmin(near))
+        seeds.append(far)
+        np.maximum(near, K[far], out=near)
+    sims = K[:, seeds]
+    rows = np.arange(m)
+    labels = np.zeros(m, dtype=int)
     for _ in range(max_iter):
-        new_assign = np.argmax(pts @ C.T, axis=1)
+        new = np.argmax(sims, axis=1)
         for label in range(q):
-            members = new_assign == label
-            if not members.any():
-                served = (pts * C[new_assign]).sum(axis=1)
-                new_assign[int(np.argmin(served))] = label
-                members = new_assign == label
-            center = pts[members].mean(axis=0)
-            norm = np.linalg.norm(center)
-            if norm > 0:
-                center = center / norm
-                lead = int(np.argmax(np.abs(center)))
-                if center[lead] < 0:
-                    center = -center
-                C[label] = center
-        if np.array_equal(new_assign, assign):
+            if not (new == label).any():
+                new[int(np.argmin(sims[rows, new]))] = label
+        Z = np.zeros((m, q))
+        Z[rows, new] = weights
+        KZ = K @ Z
+        norms = np.sqrt(np.maximum((Z * KZ).sum(axis=0), 0.0))
+        sims = KZ / np.where(norms > 0.0, norms, 1.0)
+        if np.array_equal(new, labels):
             break
-        assign = new_assign
+        labels = new
+    present, first = np.unique(labels, return_index=True)
+    relabel = np.empty(q, dtype=int)
+    relabel[present[np.argsort(first)]] = np.arange(present.size)
+    return relabel[labels]
 
-    # relabel clusters by first node occurrence for reproducibility
-    relabel = -np.ones(q, dtype=int)
-    next_label = 0
-    for a in assign:
-        if relabel[a] < 0:
-            relabel[a] = next_label
-            next_label += 1
-    labels[idx] = relabel[assign]
-    return labels
+
+def _quotient_similarity(A: Adjacency, beta2: float, k: int | None,
+                         max_k: int) -> np.ndarray:
+    """S_hat, the similarity at depth k (the fixed point at k=None) on the
+    quotient of A by structural equivalence."""
+    small = Adjacency.from_matrix(A.quotient.entries)
+    if k is None:
+        return _fixed_point(small, beta2, DEFAULT_TOL, max_k).S
+    return iterate(small, beta2, k).S
+
+
+def _gap_estimate(S: np.ndarray, trunc_tol: float, gap_ratio: float) -> int:
+    """The role count the spectrum of S suggests: :func:`estimate_rank` of
+    its descending eigenvalues, keeping those at least ``trunc_tol**2``
+    times the largest, the squares of the singular values that
+    ``lowrank_iterate`` keeps at ``trunc_tol``.  Eigenvalues computed from
+    S itself carry rounding errors of about c * eps times the largest for
+    a c x c matrix (a factor's singular values carry them only squared), so
+    values below that floor are left out as well: they are zero to working
+    precision, and would otherwise set the estimate by rounding alone."""
+    w = np.linalg.eigvalsh(S)[::-1]
+    floor = max(trunc_tol**2, S.shape[0] * np.finfo(float).eps) * w[0]
+    return estimate_rank(w[w >= floor], gap_ratio)
 
 
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
                   trunc_tol: float = 1e-10, angle_tol: float = DEFAULT_ANGLE_TOL,
                   gap_ratio: float = DEFAULT_GAP_RATIO,
                   method: str = "auto", max_k: int = DEFAULT_MAX_K) -> ExtractionResult:
-    """Full pipeline: factor the similarity, cluster rows, rebuild B, score.
+    """Full pipeline: compute the similarity, group nodes, rebuild B, score.
 
-    ``k=None`` factors the similarity at its fixed point, solved by
-    conjugate gradients with ``max_k`` capping the iterations.  ``method`` is
-    ``"greedy"`` (angular grouping, exact on ideal graphs), ``"sweep"``
-    (spherical k-means over role counts around the spectral-gap estimate,
-    keeping the smallest count within 5% of the least cost), or ``"auto"``:
-    the greedy result is kept when it reproduces the graph exactly with a
-    compressive role count (q at most half the assigned nodes), otherwise
-    the sweep runs.
+    The similarity S_k at depth ``k`` runs on the quotient by structural
+    equivalence; ``k=None`` takes its fixed point, solved by conjugate
+    gradients with ``max_k`` capping the iterations.  Nodes are grouped on
+    the cosine Gram matrix K of S_k (see the module docstring), with nodes
+    whose diagonal entry of S_k is negligible left unassigned.  ``method``
+    is ``"greedy"`` (nodes in order join the first group whose first node
+    lies within ``angle_tol`` of their line, exact on ideal graphs),
+    ``"sweep"`` (kernel spherical k-means on K, seeded farthest-first from
+    the class with the largest diagonal entry of S_k, for role counts
+    within 2 of the spectral-gap estimate, keeping the smallest count
+    within 5% of the least cost), or ``"auto"``: the greedy result is kept
+    when it reproduces the graph exactly with a compressive role count (q
+    at most half the assigned nodes), otherwise the sweep runs.  The gap
+    estimate is :func:`rolekit.lowrank.estimate_rank` with ``gap_ratio``
+    on the eigenvalues of S_k; ``trunc_tol`` sets its floor, as eigenvalues
+    below ``trunc_tol**2`` times the largest are left out (and so are those
+    below the rounding floor of the eigensolver, see :func:`_gap_estimate`).
 
     Signed graphs with a checkerboard signature are extracted through |A|;
     the signs are reattached to the indicator matrix and the residual is
@@ -275,6 +328,14 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         raise ValueError("cannot extract roles from an empty graph")
     if method not in ("auto", "greedy", "sweep"):
         raise ValueError(f"unknown extraction method: {method!r}")
+    if not 0.0 < trunc_tol < 1.0:
+        raise ValueError("trunc_tol must lie strictly between 0 and 1")
+    if not angle_tol >= 0.0:
+        raise ValueError("angle_tol must be non-negative")
+    if not 0.0 < gap_ratio <= 1.0:
+        raise ValueError("gap_ratio must lie in (0, 1]")
+    if not max_k >= 1:
+        raise ValueError("max_k must be at least 1")
 
     signature = None
     work = A
@@ -284,18 +345,30 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
             work = abs(A)
 
     beta2, _ = resolve_beta2(work, beta2)
-    state = lowrank_iterate(work, beta2, k=k, trunc_tol=trunc_tol, max_k=max_k)
-    rows, zero = _normalized_rows(state.U)
-    active = ~zero
-    n_active = int(active.sum())
+    quotient = work.quotient
+    S = _quotient_similarity(work, beta2, k, max_k)
+    diag = np.maximum(np.diag(S), 0.0)
+    norms = np.sqrt(diag / quotient.sizes)   # the nodes' factor row norms
+    act = np.flatnonzero(norms > _ZERO_ROW_RTOL * norms.max())
+    root = np.sqrt(diag[act])
+    K = S[np.ix_(act, act)]
+    K /= root[:, None]
+    K /= root
+    n_active = int(quotient.sizes[act].sum())
+
+    def lift(labels):   # labels of the active classes -> node assignment
+        sigma = -np.ones(quotient.c, dtype=int)
+        sigma[act] = labels
+        return Assignment(sigma[quotient.labels])
 
     chosen = None
     resolved = method
     if method in ("auto", "greedy"):
         # auto keeps greedy only when exact with at most n_active // 2 roles
         max_q = n_active // 2 if method == "auto" else None
-        greedy = cluster_rows(state.U, angle_tol, max_q=max_q)
-        if greedy is not None:
+        labels = _greedy_scan(act.size, lambda a, reps: K[a, reps], angle_tol, max_q)
+        if labels is not None:
+            greedy = lift(labels)
             B = reconstruct_B(work, greedy)
             cost = extraction_cost(work, greedy, B)
             if method == "greedy" or cost == 0.0:
@@ -304,11 +377,12 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
 
     if chosen is None:
         resolved = "sweep"
-        q_guess = estimate_rank(state.sigma**2, gap_ratio)
+        q_guess = _gap_estimate(S, trunc_tol, gap_ratio)
+        start = int(np.argmax(diag[act]))
+        weights = quotient.sizes[act].astype(float)
         candidates = []
-        for q in range(max(1, q_guess - 2), min(n_active, q_guess + 2) + 1):
-            labels = _spherical_kmeans(rows, active, q)
-            asg = Assignment(labels)
+        for q in range(max(1, q_guess - 2), min(act.size, q_guess + 2) + 1):
+            asg = lift(_kernel_kmeans(K, weights, q, start))
             B = reconstruct_B(work, asg)
             candidates.append((asg, B, extraction_cost(work, asg, B)))
         # extra roles can always soak up a little noise, so a pure argmin

@@ -12,6 +12,13 @@ is taken from ``[A L, A^T L]`` and not from an eigendecomposition of S_k,
 whose small eigenvalues are the squares of the factor's singular values and
 lose half their digits.
 
+The factor is a library output: role extraction
+(:func:`rolekit.extract.extract_roles`) groups nodes on S_k itself and does
+not call :func:`lowrank_iterate`; :func:`rolekit.extract.cluster_rows`
+groups the rows of a factor by the same greedy scan.  :func:`estimate_rank`
+reads a role count off a descending spectrum and serves both extraction and
+the spectrum report.
+
 Structurally equivalent nodes are collapsed first: with c classes,
 A = Q A_hat Q^T for the c x c quotient matrix A_hat and orthonormal Q
 (:class:`rolekit.graphcore.Quotient`), so the dense recurrence runs on A_hat
@@ -32,7 +39,7 @@ import numpy as np
 
 from .graphcore import Adjacency, as_adjacency
 from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _compress, _fixed_point, iterate)
+                         _check_beta2, _compress, _fixed_point, iterate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +81,7 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
     2000) even 1e-3 keeps every rank, r = n.
     """
     A = as_adjacency(A)
-    if beta2 < 0:
-        raise ValueError("beta2 must be non-negative")
+    _check_beta2(beta2)
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
     if k is not None and k < 1:

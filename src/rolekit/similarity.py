@@ -212,16 +212,22 @@ def beta_bound(A) -> float:
         f"(last estimate {estimate})", state=estimate, history=history)
 
 
+def _check_beta2(beta2: float) -> None:
+    """Reject a damping that is negative, infinite or NaN."""
+    if not 0.0 <= beta2 < np.inf:
+        raise ValueError(f"beta2 must be finite and non-negative, got {beta2!r}")
+
+
 def resolve_beta2(A, beta2: float | None) -> tuple[float, float]:
     """The damping to use on ``A``, and the operator radius ``rho`` it was
     checked against.
 
-    ``None`` selects the default 0.81 / rho.  A negative ``beta2`` is
-    rejected before ``rho`` is computed, and one at or above the admissible
-    bound ``1 / rho`` after.
+    ``None`` selects the default 0.81 / rho.  A ``beta2`` that is negative,
+    infinite or NaN is rejected before ``rho`` is computed, and one at or
+    above the admissible bound ``1 / rho`` after.
     """
-    if beta2 is not None and beta2 < 0:
-        raise ValueError("beta2 must be non-negative")
+    if beta2 is not None:
+        _check_beta2(beta2)
     rho = beta_bound(A)
     if beta2 is None:
         return DEFAULT_BETA2_FRACTION / rho, rho
@@ -239,12 +245,12 @@ def default_beta2(A) -> float:
 def iterate(A, beta2: float, k: int) -> SimilarityState:
     """Run exactly ``k`` steps of the similarity recurrence.
 
-    No admissibility check is made, so this can be used to observe divergence
-    for damping above the bound.
+    Only a finite non-negative ``beta2`` is accepted, but no admissibility
+    check is made, so this can be used to observe divergence for damping
+    above the bound.
     """
     A = as_adjacency(A)
-    if beta2 < 0:
-        raise ValueError("beta2 must be non-negative")
+    _check_beta2(beta2)
     if k < 1:
         raise ValueError("iteration depth k must be at least 1")
     eye = np.eye(A.n)

@@ -159,6 +159,10 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     A = as_adjacency(A)
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
+    if not 0.0 < gap_ratio <= 1.0:
+        raise ValueError("gap_ratio must lie in (0, 1]")
+    if not max_k >= 1:
+        raise ValueError("max_k must be at least 1")
     source = "user" if beta2 is not None else "auto-0.81/rho"
     if k is None:
         state = fixed_point(A, beta2, tol=FIXED_POINT_TOL, max_k=max_k)

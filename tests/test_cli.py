@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import SIGNED_EXAMPLE, SLOW_CG
-from rolekit import (Adjacency, read_edge_list, read_ground_truth,
-                     write_edge_list)
+from rolekit import (Adjacency, extract_roles, fixed_point, iterate,
+                     lowrank_iterate, read_edge_list, read_ground_truth,
+                     similarity, spectrum_report, write_edge_list)
 from rolekit.cli import main
+from rolekit.similarity import resolve_beta2
 
 
 def run(capsys, *argv):
@@ -340,3 +342,93 @@ def test_generate_then_extract_round_trip(tmp_path, capsys, kind, sizes):
     for node, role in enumerate(truth.sigma):
         want.setdefault(int(role), set()).add(node)
     assert sorted(map(sorted, got.values())) == sorted(map(sorted, want.values()))
+
+
+# ---------------------------------------------------------------------------
+# settings are checked before any solver runs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record every call of beta_bound and of the similarity operator."""
+    calls = []
+    for name in ("beta_bound", "gamma"):
+        original = getattr(similarity, name)
+        monkeypatch.setattr(similarity, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+@pytest.fixture
+def small_graph(tmp_path):
+    path = tmp_path / "cycle.tsv"
+    A = Adjacency.from_matrix(np.roll(np.eye(6), 1, axis=1))
+    write_edge_list(path, A)
+    return A, str(path)
+
+
+def assert_config_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "invalid configuration" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+def test_beta2_must_be_finite_and_non_negative(value, small_graph, capsys, solver_calls):
+    A, path = small_graph
+    beta2 = float(value)
+    for call in (lambda: resolve_beta2(A, beta2), lambda: iterate(A, beta2, 3),
+                 lambda: lowrank_iterate(A, beta2, k=3), lambda: lowrank_iterate(A, beta2),
+                 lambda: fixed_point(A, beta2), lambda: extract_roles(A, beta2=beta2),
+                 lambda: spectrum_report(A, beta2=beta2),
+                 lambda: spectrum_report(A, beta2=beta2, k=3)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            call()
+    assert_config_error(capsys, "extract", path, f"--beta2={value}")
+    assert_config_error(capsys, "extract", path, f"--beta2={value}", "--fixed-point")
+    assert_config_error(capsys, "spectrum", path, f"--beta2={value}")
+    assert_config_error(capsys, "spectrum", path, f"--beta2={value}", "--k", "3")
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_angle_tol_must_be_non_negative(value, small_graph, capsys, solver_calls):
+    A, path = small_graph
+    with pytest.raises(ValueError, match="angle_tol"):
+        extract_roles(A, angle_tol=float(value))
+    assert_config_error(capsys, "extract", path, f"--angle-tol={value}")
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-0.5", "1.5", "inf"])
+def test_gap_ratio_must_lie_in_the_unit_interval(value, small_graph, capsys, solver_calls):
+    A, path = small_graph
+    for call in (extract_roles, spectrum_report):
+        with pytest.raises(ValueError, match="gap_ratio"):
+            call(A, gap_ratio=float(value))
+    assert_config_error(capsys, "extract", path, f"--gap-ratio={value}")
+    assert_config_error(capsys, "spectrum", path, f"--gap-ratio={value}")
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_k_must_be_positive(value, small_graph, capsys, solver_calls):
+    A, path = small_graph
+    for call in (extract_roles, spectrum_report):
+        with pytest.raises(ValueError, match="max_k"):
+            call(A, max_k=int(value))
+    assert_config_error(capsys, "extract", path, f"--max-k={value}")
+    assert_config_error(capsys, "extract", path, f"--max-k={value}", "--fixed-point")
+    assert_config_error(capsys, "spectrum", path, f"--max-k={value}")
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "1", "-1e-3"])
+def test_trunc_tol_must_lie_strictly_between_0_and_1(value, small_graph, capsys,
+                                                     solver_calls):
+    A, path = small_graph
+    with pytest.raises(ValueError, match="trunc_tol"):
+        extract_roles(A, trunc_tol=float(value))
+    assert_config_error(capsys, "extract", path, f"--trunc-tol={value}")
+    assert solver_calls == []

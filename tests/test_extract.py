@@ -16,16 +16,24 @@ from rolekit import (
     checkerboard_signature,
     cluster_rows,
     default_beta2,
+    estimate_rank,
     extract_roles,
     extraction_cost,
     generate_structure,
     ideal_adjacency,
+    iterate,
     lowrank_iterate,
     perturb,
     reconstruct_B,
     split_signed_roles,
 )
-from rolekit.extract import _ZERO_ROW_RTOL, _normalized_rows
+from rolekit.extract import (
+    _ZERO_ROW_RTOL,
+    _gap_estimate,
+    _kernel_kmeans,
+    _normalized_rows,
+    _quotient_similarity,
+)
 
 # the 5-role signed generalized role matrix of the 6-node checkerboard example
 SIGNED_SPLIT_B_HAT = np.array([
@@ -102,17 +110,12 @@ def test_cluster_representatives_never_parallel_for_minimal_B():
 
 
 def _normalized_rows_by_row(U):
-    """The per-row definition: divide by the norm, then negate the row if
-    its first entry of largest magnitude is negative."""
+    """The per-row definition: divide every nonzero row by its norm."""
     norms = np.linalg.norm(U, axis=1)
     zero = norms <= _ZERO_ROW_RTOL * (norms.max() if norms.size else 0.0)
     rows = np.zeros_like(U)
     for i in np.flatnonzero(~zero):
-        v = U[i] / norms[i]
-        lead = int(np.argmax(np.abs(v)))
-        if v[lead] < 0:
-            v = -v
-        rows[i] = v
+        rows[i] = U[i] / norms[i]
     return rows, zero
 
 
@@ -141,8 +144,9 @@ def _bundled_rows(rng, n=300, d=12, bundles=7):
     count, and rows with tied leading magnitudes."""
     dirs = rng.standard_normal((bundles, d))
     if d >= 2:
-        # two entries of equal top magnitude and opposite sign: the sign
-        # convention splits this bundle into two nearly antiparallel halves
+        # two entries of equal top magnitude and opposite sign: a sign
+        # convention by leading entry would split this bundle into two
+        # nearly antiparallel halves; grouping by line angle must not
         top = np.abs(dirs[0]).max() + 1.0
         dirs[0, :2] = [top, -top]
     U = np.empty((n, d))
@@ -467,3 +471,94 @@ def test_cluster_rows_stops_past_max_q():
     assert cluster_rows(U, max_q=2) is None
     full = cluster_rows(U)
     assert np.array_equal(cluster_rows(U, max_q=3).sigma, full.sigma)
+
+
+# ---------------------------------------------------------------------------
+# the kernel sweep and the gap estimate read S alone
+# ---------------------------------------------------------------------------
+
+def _spherical_kmeans_on_rows(U, q):
+    """Spherical k-means on the unit rows of a factor U, run as the kernel
+    sweep runs on K: seeds farthest-first from the row of largest norm,
+    centers the normalized sums of their members, a cluster left empty
+    reseeded with the row its old center serves worst."""
+    norms = np.linalg.norm(U, axis=1)
+    X = U / norms[:, None]
+    seeds = [int(np.argmax(norms))]
+    near = X @ X[seeds[0]]
+    while len(seeds) < q:
+        seeds.append(int(np.argmin(near)))
+        near = np.maximum(near, X @ X[seeds[-1]])
+    C = X[seeds]
+    labels = np.zeros(X.shape[0], dtype=int)
+    for _ in range(100):
+        new = np.argmax(X @ C.T, axis=1)
+        for label in range(q):
+            if not (new == label).any():
+                new[int(np.argmin(np.einsum("ij,ij->i", X, C[new])))] = label
+        C = np.array([X[new == label].sum(axis=0) for label in range(q)])
+        C /= np.linalg.norm(C, axis=1)[:, None]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return canonicalize(Assignment(labels))[0]
+
+
+def _noisy_graphs():
+    rng = np.random.default_rng(41)
+    for kind, sizes, p in [("block_cycle", (15, 15, 15, 15), 0.1),
+                           ("block_cycle", (20, 10, 10, 20), 0.2),
+                           ("community", (12, 18, 15), 0.1),
+                           ("overlapping", (10, 12, 14), 0.15)]:
+        n = sum(sizes)
+        A, _, _ = generate_structure(kind, sizes, perm=rng.permutation(n))
+        yield perturb(A, PerturbationModel(p_in=p, p_out=p, seed=n))
+
+
+def test_the_kernel_sweep_equals_spherical_kmeans_on_any_factor():
+    rng = np.random.default_rng(43)
+    for A in _noisy_graphs():
+        assert A.quotient.c == A.n
+        S = iterate(A, default_beta2(A), 6).S
+        w, V = np.linalg.eigh(S)
+        U = V * np.sqrt(np.clip(w, 0.0, None))            # S = U U^T
+        Q = np.linalg.qr(rng.standard_normal((A.n, A.n)))[0]   # a random rotation
+        root = np.sqrt(np.diag(S))
+        K = S / np.outer(root, root)
+        for q in range(1, 7):
+            got = _kernel_kmeans(K, np.ones(A.n), q, int(np.argmax(np.diag(S))))
+            assert np.array_equal(got, _spherical_kmeans_on_rows(U, q))
+            assert np.array_equal(got, _spherical_kmeans_on_rows(U @ Q, q))
+
+
+def _gap_graphs():
+    """The noisy graphs above and the acceptance suite's: 10%-flipped block
+    cycles at n = 200 (criterion 10) and n = 500 (criterion 12), and ideal
+    ones on every generator, rank-deficient included (criteria 3 and 7)."""
+    for A in _noisy_graphs():
+        yield A, 1e-3
+    A, _, _ = generate_structure("block_cycle", (50, 50, 50, 50))
+    for seed in range(3):
+        yield perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=seed)), 1e-3
+    rng = np.random.default_rng(500)
+    A, _, _ = generate_structure("block_cycle", (125, 125, 125, 125),
+                                 perm=rng.permutation(500))
+    yield perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=500)), 1e-3
+    yield Adjacency.from_matrix(RANK_DEFICIENT), 1e-10
+    for kind, sizes in [("community", (5, 6, 4)), ("overlapping", (6, 5, 7)),
+                        ("bipartite_communities", (4, 6, 5, 3)),
+                        ("block_cycle", (6, 5, 7, 4)), ("community", (1, 1, 1, 2)),
+                        ("signed_example", None)]:
+        A, _, _ = generate_structure(kind, sizes)
+        yield abs(A), 1e-10
+
+
+@pytest.mark.parametrize("k", [6, None])
+def test_the_gap_estimate_equals_the_one_from_the_factor(k):
+    for A, trunc_tol in _gap_graphs():
+        beta2 = default_beta2(A)
+        S = _quotient_similarity(A, beta2, k, 10000)
+        sigma = lowrank_iterate(A, beta2, k=k, trunc_tol=trunc_tol).sigma
+        for gap_ratio in (0.3, 0.5, 0.8):
+            assert (_gap_estimate(S, trunc_tol, gap_ratio)
+                    == estimate_rank(sigma**2, gap_ratio))

@@ -25,6 +25,7 @@ from rolekit import (
     gamma,
     generate_structure,
     iterate,
+    lowrank_iterate,
     pattern_counts,
     perturb,
     scaled_fixed_point,
@@ -614,3 +615,64 @@ def test_scaled_rejects_non_rank_one_weighted_input():
     M = np.array([[0.0, 2.0], [5.0, 0.0]])
     with pytest.raises(ValueError):
         scaled_iterate(Adjacency.from_matrix(M), np.array([1.0, 1.0]), 0.01, 1)
+
+
+# ---------------------------------------------------------------------------
+# oracles across the engine's paths, on random small graphs
+# ---------------------------------------------------------------------------
+
+def _random_graph(n, density, kind, seed):
+    """A random digraph, unsigned, signed or weighted; None if empty."""
+    rng = np.random.default_rng(seed)
+    M = (rng.random((n, n)) < density).astype(float)
+    if kind == "signed":
+        M *= rng.choice([-1.0, 1.0], size=(n, n))
+    elif kind == "weighted":
+        M *= rng.uniform(0.2, 3.0, size=(n, n))
+    return Adjacency.from_matrix(M) if M.any() else None
+
+
+GRAPH_ARGS = dict(n=st.integers(1, 14), density=st.floats(0.05, 0.7),
+                  kind=st.sampled_from(("unsigned", "signed", "weighted")),
+                  seed=st.integers(0, 2**32 - 1))
+
+
+def _close(X, Y, rel):
+    return np.linalg.norm(X - Y) <= rel * max(np.linalg.norm(Y), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GRAPH_ARGS, k=st.integers(1, 6), fraction=st.floats(0.05, 0.95))
+def test_iterate_and_fixed_point_commute_with_node_permutation(n, density, kind, seed,
+                                                               k, fraction):
+    A = _random_graph(n, density, kind, seed)
+    assume(A is not None)
+    beta2 = fraction / beta_bound(A)
+    perm = np.random.default_rng(seed).permutation(n)
+    B = Adjacency.from_matrix(A.entries[np.ix_(perm, perm)])
+    # S(P A P^T) = P S(A) P^T
+    assert _close(iterate(B, beta2, k).S, iterate(A, beta2, k).S[np.ix_(perm, perm)], 1e-12)
+    assert _close(fixed_point(B, beta2).S, fixed_point(A, beta2).S[np.ix_(perm, perm)],
+                  1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GRAPH_ARGS, k=st.integers(1, 6), fraction=st.floats(0.05, 0.95))
+def test_the_factor_reproduces_the_dense_iterate(n, density, kind, seed, k, fraction):
+    A = _random_graph(n, density, kind, seed)
+    assume(A is not None)
+    beta2 = fraction / beta_bound(A)
+    U = lowrank_iterate(A, beta2, k=k).U
+    assert _close(U @ U.T, iterate(A, beta2, k).S, 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GRAPH_ARGS, fraction=st.floats(0.05, 0.95))
+def test_the_fixed_point_factor_reproduces_the_dense_fixed_point(n, density, kind, seed,
+                                                                 fraction):
+    A = _random_graph(n, density, kind, seed)
+    assume(A is not None)
+    beta2 = fraction / beta_bound(A)
+    U = lowrank_iterate(A, beta2).U
+    # U U^T = G[I + beta^2 S] for the accepted S, within the residual of S
+    assert _close(U @ U.T, fixed_point(A, beta2).S, 1e-9)
