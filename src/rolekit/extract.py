@@ -21,7 +21,8 @@ they always share a label, each class counts with its size, and K_ij is
 For graphs that are not exactly ideal the parallel groups blur; extraction
 then sweeps candidate role counts around the gap in the spectrum of S_k with
 a deterministic kernel spherical k-means on K (Dhillon, Guan & Kulis, KDD
-2004) and keeps the smallest count whose cost is within 5% of the best.
+2004), run from a few seeds, and keeps the smallest count whose cost is
+within 5% of the best.
 Checkerboard signed graphs are extracted through |A|, with the signs
 reattached to the indicator matrix afterwards.  :func:`cluster_rows` runs
 the same greedy grouping on the rows of an explicit factor.
@@ -29,13 +30,12 @@ the same greedy grouping on the rows of an explicit factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graphcore import (
     SIGNED,
-    Adjacency,
     Assignment,
     RoleMatrix,
     _merge_equivalent_roles,
@@ -43,7 +43,8 @@ from .graphcore import (
     checkerboard_signature,
 )
 from .lowrank import LowRankState, estimate_rank
-from .similarity import DEFAULT_MAX_K, DEFAULT_TOL, _fixed_point, iterate, resolve_beta2
+from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
+                         _quotient_similarity, resolve_beta2)
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_GAP_RATIO = 0.5
@@ -52,6 +53,10 @@ DEFAULT_DEPTH = 6
 #: a node's row of the factor counts as zero below this fraction of the
 #: largest row norm (its squared norm is the node's diagonal entry of S)
 _ZERO_ROW_RTOL = 1e-12
+
+#: the sweep runs k-means from this many seeds per role count, the classes
+#: with the largest diagonal entries of S, and keeps the cheapest model
+_SWEEP_STARTS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +243,11 @@ def _kernel_kmeans(K: np.ndarray, weights: np.ndarray, q: int, start: int,
     for the weighted membership matrix Z, and no vector is ever formed.
     Seeds are chosen farthest-first from vector ``start``; Lloyd updates
     follow, a cluster left empty is reseeded with the vector its center
-    serves worst, and the loop stops when the labels repeat.  Returns one
-    label per vector, numbered in order of first vector.
+    serves worst, and the loop stops when the labels repeat.  Every tie
+    goes to the lowest index: among equally far vectors when seeding, among
+    equally close centers (numbered in seed order), and among equally
+    badly served vectors when reseeding.  Returns one label per vector, the
+    number of its center.
     """
     m = K.shape[0]
     q = min(q, m)
@@ -265,20 +273,7 @@ def _kernel_kmeans(K: np.ndarray, weights: np.ndarray, q: int, start: int,
         if np.array_equal(new, labels):
             break
         labels = new
-    present, first = np.unique(labels, return_index=True)
-    relabel = np.empty(q, dtype=int)
-    relabel[present[np.argsort(first)]] = np.arange(present.size)
-    return relabel[labels]
-
-
-def _quotient_similarity(A: Adjacency, beta2: float, k: int | None,
-                         max_k: int) -> np.ndarray:
-    """S_hat, the similarity at depth k (the fixed point at k=None) on the
-    quotient of A by structural equivalence."""
-    small = Adjacency.from_matrix(A.quotient.entries)
-    if k is None:
-        return _fixed_point(small, beta2, DEFAULT_TOL, max_k).S
-    return iterate(small, beta2, k).S
+    return labels
 
 
 def _gap_estimate(S: np.ndarray, trunc_tol: float, gap_ratio: float) -> int:
@@ -303,15 +298,18 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
 
     The similarity S_k at depth ``k`` runs on the quotient by structural
     equivalence; ``k=None`` takes its fixed point, solved by conjugate
-    gradients with ``max_k`` capping the iterations.  Nodes are grouped on
-    the cosine Gram matrix K of S_k (see the module docstring), with nodes
-    whose diagonal entry of S_k is negligible left unassigned.  ``method``
+    gradients with ``max_k`` capping the iterations; past the cap,
+    :class:`NonConvergenceError` carries the last iterate as an n x n
+    similarity state.  Nodes are grouped on the cosine Gram matrix K of S_k
+    (see the module docstring), with nodes whose diagonal entry of S_k is
+    negligible left unassigned.  ``method``
     is ``"greedy"`` (nodes in order join the first group whose first node
     lies within ``angle_tol`` of their line, exact on ideal graphs),
-    ``"sweep"`` (kernel spherical k-means on K, seeded farthest-first from
-    the class with the largest diagonal entry of S_k, for role counts
-    within 2 of the spectral-gap estimate, keeping the smallest count
-    within 5% of the least cost), or ``"auto"``: the greedy result is kept
+    ``"sweep"`` (kernel spherical k-means on K for role counts within 2 of
+    the spectral-gap estimate, each count seeded farthest-first from each
+    of the four classes with the largest diagonal entries of S_k and
+    scored by its cheapest model, keeping the smallest count within 5% of
+    the least cost), or ``"auto"``: the greedy result is kept
     when it reproduces the graph exactly with a compressive role count (q
     at most half the assigned nodes), otherwise the sweep runs.  The gap
     estimate is :func:`rolekit.lowrank.estimate_rank` with ``gap_ratio``
@@ -346,7 +344,12 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
 
     beta2, _ = resolve_beta2(work, beta2)
     quotient = work.quotient
-    S = _quotient_similarity(work, beta2, k, max_k)
+    try:
+        S = _quotient_similarity(work, beta2, k, DEFAULT_TOL, max_k).S
+    except NonConvergenceError as exc:   # lift the last iterate to the nodes
+        S = quotient.lift(quotient.lift(exc.state.S).T)
+        raise NonConvergenceError(str(exc), state=replace(exc.state, S=S),
+                                  history=exc.history) from None
     diag = np.maximum(np.diag(S), 0.0)
     norms = np.sqrt(diag / quotient.sizes)   # the nodes' factor row norms
     act = np.flatnonzero(norms > _ZERO_ROW_RTOL * norms.max())
@@ -357,8 +360,9 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     n_active = int(quotient.sizes[act].sum())
 
     def lift(labels):   # labels of the active classes -> node assignment
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
         sigma = -np.ones(quotient.c, dtype=int)
-        sigma[act] = labels
+        sigma[act] = np.argsort(np.argsort(first))[inverse]   # by first node
         return Assignment(sigma[quotient.labels])
 
     chosen = None
@@ -378,13 +382,23 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     if chosen is None:
         resolved = "sweep"
         q_guess = _gap_estimate(S, trunc_tol, gap_ratio)
-        start = int(np.argmax(diag[act]))
-        weights = quotient.sizes[act].astype(float)
+        # k-means runs on the classes ranked by S_aa, largest first, so its
+        # ties go to the larger S_aa and not to the earlier node
+        rank = np.argsort(-diag[act], kind="stable")
+        K_rank = K[np.ix_(rank, rank)]
+        weights = quotient.sizes[act][rank].astype(float)
+        labels = np.empty(act.size, dtype=int)
         candidates = []
         for q in range(max(1, q_guess - 2), min(act.size, q_guess + 2) + 1):
-            asg = lift(_kernel_kmeans(K, weights, q, start))
-            B = reconstruct_B(work, asg)
-            candidates.append((asg, B, extraction_cost(work, asg, B)))
+            best = None
+            for start in range(min(_SWEEP_STARTS, act.size)):   # the first wins ties
+                labels[rank] = _kernel_kmeans(K_rank, weights, q, start)
+                asg = lift(labels)
+                B = reconstruct_B(work, asg)
+                cost = extraction_cost(work, asg, B)
+                if best is None or cost < best[2]:
+                    best = (asg, B, cost)
+            candidates.append(best)
         # extra roles can always soak up a little noise, so a pure argmin
         # drifts upward; keep the smallest q within 5% of the best cost
         least = min(c[2] for c in candidates)

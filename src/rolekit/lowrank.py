@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import Adjacency, as_adjacency
+from .graphcore import as_adjacency
 from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _check_beta2, _compress, _fixed_point, iterate)
+                         _check_beta2, _compress, _quotient_similarity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +92,6 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
     M = quotient.entries
     if not M.any():
         raise ValueError("low-rank iteration requires a nonzero adjacency matrix")
-    small = Adjacency.from_matrix(M)
     eye = np.eye(quotient.c)
 
     def factor(L, steps):   # the factor of G[L L^T]
@@ -101,10 +100,10 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
                             trunc_tol=trunc_tol)
 
     if k is not None:
-        X = eye + beta2 * iterate(small, beta2, k - 1).S if k > 1 else eye
+        X = eye + beta2 * _quotient_similarity(A, beta2, k - 1).S if k > 1 else eye
         return factor(np.linalg.cholesky(X), k)
     try:
-        state = _fixed_point(small, beta2, tol, max_k)
+        state = _quotient_similarity(A, beta2, None, tol, max_k)
     except NonConvergenceError as exc:
         # a CG iterate short of convergence can leave I + beta^2 S
         # indefinite, so the state factors only its non-negative part

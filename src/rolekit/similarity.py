@@ -57,11 +57,13 @@ class NonConvergenceError(RuntimeError):
 
     ``history`` holds, per iteration, the quantity the loop tests against
     its tolerance: the relative residual for :func:`fixed_point`,
-    :func:`scaled_fixed_point` and ``lowrank_iterate`` at the fixed point
-    (one entry per CG iteration; ``lowrank_iterate``'s state is the factor
-    of the last CG iterate), and the relative change of the estimate for
-    :func:`beta_bound` (one entry per step after the first, in its factored
-    and exact regimes alike; its state is the last estimate).
+    :func:`scaled_fixed_point`, and ``lowrank_iterate`` and
+    ``extract_roles`` at the fixed point (one entry per CG iteration; the
+    state is the n x n similarity of the last CG iterate, except for
+    ``lowrank_iterate``, whose state is its factor), and the relative change
+    of the estimate for :func:`beta_bound` (one entry per step after the
+    first, in its factored and exact regimes alike; its state is the last
+    estimate).
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -278,6 +280,20 @@ def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     beta2, _ = resolve_beta2(A, beta2)
     return _fixed_point(A, beta2, tol, max_k)
+
+
+def _quotient_similarity(A: Adjacency, beta2: float, k: int | None,
+                         tol: float = DEFAULT_TOL,
+                         max_k: int = DEFAULT_MAX_K) -> SimilarityState:
+    """The similarity at depth k on the quotient of A by structural
+    equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
+    :class:`rolekit.graphcore.Quotient`).  ``k=None`` takes the fixed point
+    by :func:`_fixed_point`, whose :class:`NonConvergenceError` carries the
+    last quotient iterate."""
+    small = Adjacency.from_matrix(A.quotient.entries)
+    if k is None:
+        return _fixed_point(small, beta2, tol, max_k)
+    return iterate(small, beta2, k)
 
 
 def _residual(A: Adjacency, beta2: float, S: np.ndarray) -> np.ndarray:
