@@ -30,7 +30,7 @@ the same greedy grouping on the rows of an explicit factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .graphcore import (
 )
 from .lowrank import LowRankState, estimate_rank
 from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _quotient_similarity, resolve_beta2)
+                         _check_solve, _lifted, _quotient_similarity, resolve_beta2)
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_GAP_RATIO = 0.5
@@ -332,8 +332,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         raise ValueError("angle_tol must be non-negative")
     if not 0.0 < gap_ratio <= 1.0:
         raise ValueError("gap_ratio must lie in (0, 1]")
-    if not max_k >= 1:
-        raise ValueError("max_k must be at least 1")
+    _check_solve(DEFAULT_TOL, max_k)
 
     signature = None
     work = A
@@ -346,10 +345,8 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     quotient = work.quotient
     try:
         S = _quotient_similarity(work, beta2, k, DEFAULT_TOL, max_k).S
-    except NonConvergenceError as exc:   # lift the last iterate to the nodes
-        S = quotient.lift(quotient.lift(exc.state.S).T)
-        raise NonConvergenceError(str(exc), state=replace(exc.state, S=S),
-                                  history=exc.history) from None
+    except NonConvergenceError as exc:
+        raise _lifted(work, exc) from None
     diag = np.maximum(np.diag(S), 0.0)
     norms = np.sqrt(diag / quotient.sizes)   # the nodes' factor row norms
     act = np.flatnonzero(norms > _ZERO_ROW_RTOL * norms.max())

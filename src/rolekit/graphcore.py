@@ -372,40 +372,21 @@ def build_ideal(B: RoleMatrix, sizes, perm=None, signs=None) -> Adjacency:
     return ideal_adjacency(B, Assignment.from_blocks(sizes, perm, signs))
 
 
-def _parallel_rows(u: np.ndarray, v: np.ndarray, rtol: float = 1e-12) -> bool:
-    # linear dependence as parallelism; for binary rows this is equality
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return True
-    return abs(float(u @ v)) >= (1.0 - rtol) * nu * nv
-
-
 def is_minimal_role_matrix(B: RoleMatrix) -> bool:
-    """True iff no two rows of [B B^T] are linearly dependent and none is zero."""
+    """True iff no row of [B B^T] is zero and no two are equal (for binary
+    rows, linearly dependent): :func:`minimalize` would change nothing."""
     C = np.hstack([B.entries, B.entries.T])
-    if (C == 0).all(axis=1).any():
-        return False
-    for i in range(C.shape[0]):
-        for j in range(i + 1, C.shape[0]):
-            if _parallel_rows(C[i], C[j]):
-                return False
-    return True
+    return bool(C.any(axis=1).all()) and np.unique(C, axis=0).shape[0] == B.q
 
 
 def _merge_equivalent_roles(B: RoleMatrix, assignment: Assignment):
     """Merge roles whose rows of [B B^T] coincide; returns (B, assignment)."""
     C = np.hstack([B.entries, B.entries.T])
-    group_of: dict[tuple, int] = {}
-    rep: list[int] = []
-    relabel = np.empty(B.q, dtype=int)
-    for r in range(B.q):
-        key = tuple(C[r])
-        if key not in group_of:
-            group_of[key] = len(rep)
-            rep.append(r)
-        relabel[r] = group_of[key]
-    if len(rep) == B.q:
+    _, rep, relabel = np.unique(C, axis=0, return_index=True, return_inverse=True)
+    if rep.size == B.q:
         return B, assignment
+    order = np.argsort(rep)   # number the merged roles by their first role
+    rep, relabel = rep[order], np.argsort(order)[relabel.ravel()]
     new_B = RoleMatrix(B.entries[np.ix_(rep, rep)])
     sigma = assignment.sigma.copy()
     mask = sigma >= 0

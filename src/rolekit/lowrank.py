@@ -39,7 +39,7 @@ import numpy as np
 
 from .graphcore import as_adjacency
 from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _check_beta2, _compress, _quotient_similarity)
+                         _check_beta2, _check_solve, _compress, _quotient_similarity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +86,8 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
     if k is not None and k < 1:
         raise ValueError("iteration depth k must be at least 1")
-    if k is None and tol <= 0:
-        raise ValueError("tol must be positive")
+    if k is None:
+        _check_solve(tol, max_k)
     quotient = A.quotient
     M = quotient.entries
     if not M.any():

@@ -57,9 +57,9 @@ class NonConvergenceError(RuntimeError):
 
     ``history`` holds, per iteration, the quantity the loop tests against
     its tolerance: the relative residual for :func:`fixed_point`,
-    :func:`scaled_fixed_point`, and ``lowrank_iterate`` and
-    ``extract_roles`` at the fixed point (one entry per CG iteration; the
-    state is the n x n similarity of the last CG iterate, except for
+    :func:`scaled_fixed_point`, and ``lowrank_iterate``, ``extract_roles``
+    and ``spectrum_report`` at the fixed point (one entry per CG iteration;
+    the state is the n x n similarity of the last CG iterate, except for
     ``lowrank_iterate``, whose state is its factor), and the relative change
     of the estimate for :func:`beta_bound` (one entry per step after the
     first, in its factored and exact regimes alike; its state is the last
@@ -220,6 +220,14 @@ def _check_beta2(beta2: float) -> None:
         raise ValueError(f"beta2 must be finite and non-negative, got {beta2!r}")
 
 
+def _check_solve(tol: float, max_k: int) -> None:
+    """Reject a tolerance that is not positive (NaN included) and a cap below 1."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not max_k >= 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k!r}")
+
+
 def resolve_beta2(A, beta2: float | None) -> tuple[float, float]:
     """The damping to use on ``A``, and the operator radius ``rho`` it was
     checked against.
@@ -276,10 +284,8 @@ def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
     carrying the last state and the relative residual after each iteration.
     """
     A = as_adjacency(A)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    beta2, _ = resolve_beta2(A, beta2)
-    return _fixed_point(A, beta2, tol, max_k)
+    _check_solve(tol, max_k)
+    return _fixed_point(A, resolve_beta2(A, beta2)[0], tol, max_k)
 
 
 def _quotient_similarity(A: Adjacency, beta2: float, k: int | None,
@@ -289,11 +295,19 @@ def _quotient_similarity(A: Adjacency, beta2: float, k: int | None,
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
     :class:`rolekit.graphcore.Quotient`).  ``k=None`` takes the fixed point
     by :func:`_fixed_point`, whose :class:`NonConvergenceError` carries the
-    last quotient iterate."""
+    last quotient iterate (:func:`_lifted` lifts it to the nodes)."""
     small = Adjacency.from_matrix(A.quotient.entries)
     if k is None:
         return _fixed_point(small, beta2, tol, max_k)
     return iterate(small, beta2, k)
+
+
+def _lifted(A: Adjacency, exc: NonConvergenceError) -> NonConvergenceError:
+    """``exc`` from :func:`_quotient_similarity` on A, its state lifted from
+    the quotient iterate S_hat to the n x n similarity ``Q S_hat Q^T``."""
+    lift = A.quotient.lift
+    state = replace(exc.state, S=lift(lift(exc.state.S).T))
+    return NonConvergenceError(str(exc), state=state, history=exc.history)
 
 
 def _residual(A: Adjacency, beta2: float, S: np.ndarray) -> np.ndarray:
@@ -398,11 +412,8 @@ def scaled_fixed_point(A_W, d, beta2: float | None = None, tol: float = DEFAULT_
     is resolved against A, and ``tol`` and ``max_k`` apply to the solve on A.
     """
     d, base = _weighted_parts(A_W, d)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    beta2, _ = resolve_beta2(base, beta2)
     try:
-        state = _fixed_point(base, beta2, tol, max_k)
+        state = fixed_point(base, beta2, tol, max_k)
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             f"weighted {exc}", state=_conjugate(exc.state, d),

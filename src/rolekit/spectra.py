@@ -8,7 +8,11 @@ relative gap at position q, which is what makes the role count detectable;
 this module samples such perturbations reproducibly, builds the expected
 matrices, reports the singular values of A, S^(1/2) and S side by side, and
 provides the closed-form depth scaling of the undirected case for checking
-how the gap grows with the iteration depth and the damping weight.
+how the gap grows with the iteration depth and the damping weight.  The
+report works on the quotient by structural equivalence, as extraction does:
+with c classes, ``A = Q A_hat Q^T`` and ``S = Q S_hat Q^T`` for orthonormal
+Q (:class:`rolekit.graphcore.Quotient`), so the nonzero singular values of
+A and S are those of A_hat and S_hat, and the rest are exactly 0.
 
 Random draws use the Philox counter-based generator (numpy's implementation)
 so a seed reproduces bit-identically across platforms; entries are drawn in
@@ -24,7 +28,8 @@ import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
 from .lowrank import estimate_rank
-from .similarity import DEFAULT_MAX_K, fixed_point, iterate, resolve_beta2
+from .similarity import (DEFAULT_MAX_K, NonConvergenceError, _check_solve,
+                         _lifted, _quotient_similarity, resolve_beta2)
 
 CONVENTIONS = ("occupancy", "flip")
 
@@ -149,11 +154,14 @@ class SpectrumReport:
 def spectrum_report(A, beta2: float | None = None, k: int | None = None,
                     top_m: int = 10, gap_ratio: float = 0.5,
                     max_k: int = DEFAULT_MAX_K) -> SpectrumReport:
-    """Compute the top singular values of A, S^(1/2) and S.
+    """The top ``min(top_m, n)`` singular values of A, S^(1/2) and S: those
+    of A_hat and S_hat on the c classes, then exact zeros.
 
-    ``k=None`` solves for the similarity fixed point to a relative
-    residual of ``FIXED_POINT_TOL``, with ``max_k`` capping the solver's
-    iterations; otherwise the recurrence runs ``k`` steps.
+    ``k=None`` solves for the fixed point to a relative residual of
+    ``FIXED_POINT_TOL``, with ``max_k`` capping the solver's iterations;
+    past the cap, :class:`NonConvergenceError` carries the last iterate as
+    an n x n similarity state.  Otherwise the recurrence runs ``k`` steps,
+    and a given ``beta2`` is not checked against the admissible bound.
     ``sigma_S_half`` is taken as ``sqrt(sigma_S)``.
     """
     A = as_adjacency(A)
@@ -161,24 +169,24 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
         raise ValueError("top_m must be at least 1")
     if not 0.0 < gap_ratio <= 1.0:
         raise ValueError("gap_ratio must lie in (0, 1]")
-    if not max_k >= 1:
-        raise ValueError("max_k must be at least 1")
+    _check_solve(FIXED_POINT_TOL, max_k)
     source = "user" if beta2 is not None else "auto-0.81/rho"
-    if k is None:
-        state = fixed_point(A, beta2, tol=FIXED_POINT_TOL, max_k=max_k)
-    else:
-        if beta2 is None:
-            beta2, _ = resolve_beta2(A, None)
-        state = iterate(A, beta2, k)
-    sigma_A = np.linalg.svd(A.entries, compute_uv=False)
-    sigma_S = np.linalg.svd(state.S, compute_uv=False)
-    sigma_S_half = np.sqrt(sigma_S)
-    m = min(top_m, sigma_A.size)
+    if k is None or beta2 is None:
+        beta2, _ = resolve_beta2(A, beta2)
+    try:
+        state = _quotient_similarity(A, beta2, k, FIXED_POINT_TOL, max_k)
+    except NonConvergenceError as exc:
+        raise _lifted(A, exc) from None
+    m = min(top_m, A.n)
+    sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th
+    top = min(m, A.quotient.c)
+    sigma_A[:top] = np.linalg.svd(A.quotient.entries, compute_uv=False)[:top]
+    sigma_S[:top] = np.linalg.svd(state.S, compute_uv=False)[:top]
     return SpectrumReport(
-        sigma_A=sigma_A[:m],
-        sigma_S_half=sigma_S_half[:m],
-        sigma_S=sigma_S[:m],
-        gap_index=estimate_rank(sigma_S[:m], gap_ratio),
+        sigma_A=sigma_A,
+        sigma_S_half=np.sqrt(sigma_S),
+        sigma_S=sigma_S,
+        gap_index=estimate_rank(sigma_S, gap_ratio),
         beta2=float(state.beta2),
         k_or_fixed="fixed-point" if k is None else int(k),
         gap_ratio=float(gap_ratio),

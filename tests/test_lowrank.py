@@ -15,6 +15,7 @@ from rolekit import (
     iterate,
     lowrank_iterate,
 )
+from rolekit import lowrank
 from rolekit.lowrank import _compress
 
 # the published 10-value spectra of the ideal and perturbed block cycles,
@@ -192,6 +193,19 @@ def test_lowrank_nonconvergence_state_factors_the_psd_part():
     assert state.k == 2
     assert info.value.history == dense.value.history
     assert np.linalg.norm(state.U @ state.U.T - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [{"tol": float("nan")}, {"max_k": 0}],
+                         ids=["tol=nan", "max_k=0"])
+def test_lowrank_rejects_bad_fixed_point_settings_before_any_solve(monkeypatch, bad):
+    # a NaN tol escaped as "LinAlgError: Eigenvalues did not converge", and
+    # max_k = 0 raised "did not converge within 0 iterations"
+    def boom(*args, **kwargs):
+        raise AssertionError("a solve ran before the settings were checked")
+    monkeypatch.setattr(lowrank, "_quotient_similarity", boom)
+    A = Adjacency.from_matrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        lowrank_iterate(A, 0.01, k=None, **bad)
 
 
 def test_lowrank_validates_arguments():

@@ -300,6 +300,37 @@ def test_fixed_point_rejects_beta_at_or_above_bound():
         fixed_point(A, 0.6)
 
 
+def no_solve(monkeypatch):
+    """Make every similarity solve, and the bound it resolves beta2 against,
+    fail the test if it runs."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a solve ran before the settings were checked")
+    for name in ("beta_bound", "_fixed_point", "iterate"):
+        monkeypatch.setattr(similarity, name, boom)
+
+
+BAD_SOLVE_SETTINGS = [{"tol": float("nan")}, {"max_k": 0}]
+
+
+@pytest.mark.parametrize("bad", BAD_SOLVE_SETTINGS, ids=["tol=nan", "max_k=0"])
+def test_fixed_point_rejects_bad_settings_before_any_solve(monkeypatch, bad):
+    # a NaN tol ran all 10 000 CG iterations on NaN, and max_k = 0 raised
+    # "did not converge within 0 iterations"
+    no_solve(monkeypatch)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        fixed_point(Adjacency.from_matrix(SLOW_CG), **bad)
+
+
+@pytest.mark.parametrize("bad", BAD_SOLVE_SETTINGS, ids=["tol=nan", "max_k=0"])
+def test_scaled_fixed_point_rejects_bad_settings_before_any_solve(monkeypatch, bad):
+    A = Adjacency.from_matrix(SLOW_CG)
+    d = np.linspace(0.5, 2.0, A.n)
+    W = apply_rank_one_weights(A, d)
+    no_solve(monkeypatch)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        scaled_fixed_point(W, d, **bad)
+
+
 def test_fixed_point_nonconvergence_carries_state():
     A = Adjacency.from_matrix(SLOW_CG)
     with pytest.raises(NonConvergenceError) as info:

@@ -4,18 +4,24 @@ import pytest
 from conftest import orth_basis
 from rolekit import (
     Adjacency,
+    NonConvergenceError,
     PerturbationModel,
     RoleMatrix,
+    default_beta2,
     expected_adjacency,
+    fixed_point,
     generate_structure,
     ideal_singular_values,
     iterate,
     perturb,
     ratio_monotonicity_check,
     rng_for,
+    similarity,
     spectrum_report,
     undirected_sigma_at_depth,
 )
+from rolekit.graphcore import STRUCTURE_KINDS
+from rolekit.spectra import FIXED_POINT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +214,80 @@ def test_spectrum_report_json_summary():
                         "beta2", "k", "gap_ratio", "beta2_source"}
     assert doc["k"] == 2
     assert len(doc["sigma_A"]) == 4
+
+
+def _ideal_graphs():
+    """Ideal graphs of every structure kind (the signed example, whose S has
+    rank 3 on c = 5 classes, included), and a block cycle with three
+    disconnected nodes, which form one more class."""
+    for kind in STRUCTURE_KINDS:
+        sizes = {"signed_example": None,
+                 "bipartite_communities": (3, 4, 2, 5, 3, 2)}.get(kind, (3, 4, 2, 5))
+        yield generate_structure(kind, sizes)[0]
+    A, _, _ = generate_structure("block_cycle", (3, 4, 2, 5))
+    M = np.zeros((A.n + 3, A.n + 3))
+    M[3:, 3:] = A.entries
+    yield Adjacency.from_matrix(M)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_spectrum_report_commutes_with_node_permutation(k):
+    # at the parent the values past c were rounding noise of an n x n SVD,
+    # which changed with node order
+    rng = np.random.default_rng(2009)
+    for A in _ideal_graphs():
+        c = A.quotient.c
+        want = spectrum_report(A, k=k, top_m=A.n)
+        for _ in range(4):
+            perm = rng.permutation(A.n)
+            got = spectrum_report(A.entries[np.ix_(perm, perm)], k=k, top_m=A.n)
+            for name in ("sigma_A", "sigma_S"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.size == A.n
+                assert not g[c:].any() and not w[c:].any()
+                # values that are rounding noise of an exact 0 (the signed
+                # example's last two) compare against the largest
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * w[0])
+            assert np.array_equal(got.sigma_S_half, np.sqrt(got.sigma_S))
+            assert (got.gap_index, got.beta2) == pytest.approx((want.gap_index, want.beta2),
+                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_spectrum_report_applies_the_operator_on_the_quotient_only(monkeypatch, k):
+    shapes = []
+    original = similarity.gamma
+
+    def recording(A, X):
+        shapes.append(np.shape(X))
+        return original(A, X)
+
+    monkeypatch.setattr(similarity, "gamma", recording)
+    A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
+    report = spectrum_report(A, k=k)
+    assert shapes and set(shapes) == {(4, 4)}
+    assert report.sigma_S.size == 10 and not report.sigma_S[4:].any()
+
+
+def test_spectrum_report_nonconvergence_carries_the_last_iterate_on_the_nodes():
+    # two flipped edges leave 8 classes of 12 nodes; the solve runs on the
+    # quotient, and its last iterate is lifted to the nodes
+    A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
+    M = A.entries.copy()
+    M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
+    A = Adjacency.from_matrix(M)
+    assert A.quotient.c == 8
+    beta2 = default_beta2(A)
+    for got in (None, beta2):
+        with pytest.raises(NonConvergenceError) as info:
+            spectrum_report(A, beta2=got, max_k=3)
+        with pytest.raises(NonConvergenceError) as dense:
+            fixed_point(A, beta2, tol=FIXED_POINT_TOL, max_k=3)
+        state, want = info.value.state, dense.value.state
+        assert state.S.shape == (A.n, A.n)
+        assert (state.k, state.beta2, state.converged) == (3, beta2, False)
+        assert np.linalg.norm(state.S - want.S) <= 1e-12 * np.linalg.norm(want.S)
+        assert info.value.history == pytest.approx(dense.value.history, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
