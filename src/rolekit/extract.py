@@ -44,7 +44,7 @@ from .graphcore import (
 )
 from .lowrank import LowRankState, estimate_rank
 from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _check_solve, _lifted, _quotient_similarity, resolve_beta2)
+                         _lifted, _quotient_similarity, resolve_beta2)
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_GAP_RATIO = 0.5
@@ -302,18 +302,17 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     :class:`NonConvergenceError` carries the last iterate as an n x n
     similarity state.  Nodes are grouped on the cosine Gram matrix K of S_k
     (see the module docstring), with nodes whose diagonal entry of S_k is
-    negligible left unassigned.  ``method``
-    is ``"greedy"`` (nodes in order join the first group whose first node
-    lies within ``angle_tol`` of their line, exact on ideal graphs),
-    ``"sweep"`` (kernel spherical k-means on K for role counts within 2 of
-    the spectral-gap estimate, each count seeded farthest-first from each
-    of the four classes with the largest diagonal entries of S_k and
-    scored by its cheapest model, keeping the smallest count within 5% of
-    the least cost), or ``"auto"``: the greedy result is kept
-    when it reproduces the graph exactly with a compressive role count (q
-    at most half the assigned nodes), otherwise the sweep runs.  The gap
-    estimate is :func:`rolekit.lowrank.estimate_rank` with ``gap_ratio``
-    on the eigenvalues of S_k; ``trunc_tol`` sets its floor, as eigenvalues
+    negligible left unassigned.  ``method`` is ``"greedy"`` (nodes in order
+    join the first group whose first node lies within ``angle_tol`` of their
+    line, exact on ideal graphs), ``"sweep"`` (kernel spherical k-means on K
+    for role counts within 2 of the spectral-gap estimate, each count seeded
+    farthest-first from each of the four classes with the largest diagonal
+    entries of S_k and scored by its cheapest model, keeping the smallest
+    count within 5% of the least cost), or ``"auto"``: the greedy result is
+    kept when it reproduces the graph exactly with a compressive role count
+    (q at most half the assigned nodes), otherwise the sweep runs.  The gap
+    estimate is :func:`rolekit.lowrank.estimate_rank` with ``gap_ratio`` on
+    the eigenvalues of S_k; ``trunc_tol`` sets its floor, as eigenvalues
     below ``trunc_tol**2`` times the largest are left out (and so are those
     below the rounding floor of the eigensolver, see :func:`_gap_estimate`).
 
@@ -332,7 +331,8 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         raise ValueError("angle_tol must be non-negative")
     if not 0.0 < gap_ratio <= 1.0:
         raise ValueError("gap_ratio must lie in (0, 1]")
-    _check_solve(DEFAULT_TOL, max_k)
+    if not max_k >= 1:
+        raise ValueError("max_k must be at least 1")
 
     signature = None
     work = A
@@ -341,12 +341,14 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         if signature is not None:
             work = abs(A)
 
-    beta2, _ = resolve_beta2(work, beta2)
+    if k is not None:
+        beta2, _ = resolve_beta2(work, beta2)
     quotient = work.quotient
     try:
-        S = _quotient_similarity(work, beta2, k, DEFAULT_TOL, max_k).S
+        state = _quotient_similarity(work, beta2, k, DEFAULT_TOL, max_k)
     except NonConvergenceError as exc:
         raise _lifted(work, exc) from None
+    S, beta2 = state.S, state.beta2
     diag = np.maximum(np.diag(S), 0.0)
     norms = np.sqrt(diag / quotient.sizes)   # the nodes' factor row norms
     act = np.flatnonzero(norms > _ZERO_ROW_RTOL * norms.max())

@@ -288,17 +288,17 @@ def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
     return _fixed_point(A, resolve_beta2(A, beta2)[0], tol, max_k)
 
 
-def _quotient_similarity(A: Adjacency, beta2: float, k: int | None,
+def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
                          tol: float = DEFAULT_TOL,
                          max_k: int = DEFAULT_MAX_K) -> SimilarityState:
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
-    :class:`rolekit.graphcore.Quotient`).  ``k=None`` takes the fixed point
-    by :func:`_fixed_point`, whose :class:`NonConvergenceError` carries the
-    last quotient iterate (:func:`_lifted` lifts it to the nodes)."""
-    small = Adjacency.from_matrix(A.quotient.entries)
+    :class:`rolekit.graphcore.Quotient`).  ``k=None`` is :func:`fixed_point`
+    on A_hat, which resolves ``beta2`` (None for the default) and checks it;
+    its :class:`NonConvergenceError` carries the last quotient iterate."""
+    small = A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
     if k is None:
-        return _fixed_point(small, beta2, tol, max_k)
+        return fixed_point(small, beta2, tol, max_k)
     return iterate(small, beta2, k)
 
 

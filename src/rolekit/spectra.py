@@ -28,8 +28,8 @@ import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
 from .lowrank import estimate_rank
-from .similarity import (DEFAULT_MAX_K, NonConvergenceError, _check_solve,
-                         _lifted, _quotient_similarity, resolve_beta2)
+from .similarity import (DEFAULT_MAX_K, NonConvergenceError, _lifted,
+                         _quotient_similarity, resolve_beta2)
 
 CONVENTIONS = ("occupancy", "flip")
 
@@ -169,10 +169,11 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
         raise ValueError("top_m must be at least 1")
     if not 0.0 < gap_ratio <= 1.0:
         raise ValueError("gap_ratio must lie in (0, 1]")
-    _check_solve(FIXED_POINT_TOL, max_k)
+    if not max_k >= 1:
+        raise ValueError("max_k must be at least 1")
     source = "user" if beta2 is not None else "auto-0.81/rho"
-    if k is None or beta2 is None:
-        beta2, _ = resolve_beta2(A, beta2)
+    if k is not None and beta2 is None:
+        beta2, _ = resolve_beta2(A, None)
     try:
         state = _quotient_similarity(A, beta2, k, FIXED_POINT_TOL, max_k)
     except NonConvergenceError as exc:

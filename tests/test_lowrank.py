@@ -198,8 +198,6 @@ def test_lowrank_nonconvergence_state_factors_the_psd_part():
 @pytest.mark.parametrize("bad", [{"tol": float("nan")}, {"max_k": 0}],
                          ids=["tol=nan", "max_k=0"])
 def test_lowrank_rejects_bad_fixed_point_settings_before_any_solve(monkeypatch, bad):
-    # a NaN tol escaped as "LinAlgError: Eigenvalues did not converge", and
-    # max_k = 0 raised "did not converge within 0 iterations"
     def boom(*args, **kwargs):
         raise AssertionError("a solve ran before the settings were checked")
     monkeypatch.setattr(lowrank, "_quotient_similarity", boom)

@@ -232,8 +232,6 @@ def _ideal_graphs():
 
 @pytest.mark.parametrize("k", [None, 3])
 def test_spectrum_report_commutes_with_node_permutation(k):
-    # at the parent the values past c were rounding noise of an n x n SVD,
-    # which changed with node order
     rng = np.random.default_rng(2009)
     for A in _ideal_graphs():
         c = A.quotient.c
@@ -248,7 +246,6 @@ def test_spectrum_report_commutes_with_node_permutation(k):
                 # values that are rounding noise of an exact 0 (the signed
                 # example's last two) compare against the largest
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * w[0])
-            assert np.array_equal(got.sigma_S_half, np.sqrt(got.sigma_S))
             assert (got.gap_index, got.beta2) == pytest.approx((want.gap_index, want.beta2),
                                                                rel=1e-12)
 
@@ -285,7 +282,9 @@ def test_spectrum_report_nonconvergence_carries_the_last_iterate_on_the_nodes():
             fixed_point(A, beta2, tol=FIXED_POINT_TOL, max_k=3)
         state, want = info.value.state, dense.value.state
         assert state.S.shape == (A.n, A.n)
-        assert (state.k, state.beta2, state.converged) == (3, beta2, False)
+        # a default beta2 is resolved on the quotient: A's to rounding
+        assert (state.k, state.converged) == (3, False)
+        assert state.beta2 == pytest.approx(beta2, rel=1e-12)
         assert np.linalg.norm(state.S - want.S) <= 1e-12 * np.linalg.norm(want.S)
         assert info.value.history == pytest.approx(dense.value.history, rel=1e-9)
 
