@@ -43,8 +43,7 @@ from .graphcore import (
     checkerboard_signature,
 )
 from .lowrank import LowRankState, estimate_rank
-from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _lifted, _quotient_similarity, resolve_beta2)
+from .similarity import DEFAULT_MAX_K, DEFAULT_TOL, _quotient_similarity
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_GAP_RATIO = 0.5
@@ -299,8 +298,10 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     The similarity S_k at depth ``k`` runs on the quotient by structural
     equivalence; ``k=None`` takes its fixed point, solved by conjugate
     gradients with ``max_k`` capping the iterations; past the cap,
-    :class:`NonConvergenceError` carries the last iterate as an n x n
-    similarity state.  Nodes are grouped on the cosine Gram matrix K of S_k
+    :class:`rolekit.similarity.NonConvergenceError` carries the last
+    iterate as an n x n similarity state.  At every depth ``beta2`` (None
+    for 0.81 / rho) is rejected at or above the admissible bound
+    ``1 / rho``.  Nodes are grouped on the cosine Gram matrix K of S_k
     (see the module docstring), with nodes whose diagonal entry of S_k is
     negligible left unassigned.  ``method`` is ``"greedy"`` (nodes in order
     join the first group whose first node lies within ``angle_tol`` of their
@@ -331,8 +332,6 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         raise ValueError("angle_tol must be non-negative")
     if not 0.0 < gap_ratio <= 1.0:
         raise ValueError("gap_ratio must lie in (0, 1]")
-    if not max_k >= 1:
-        raise ValueError("max_k must be at least 1")
 
     signature = None
     work = A
@@ -341,13 +340,8 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         if signature is not None:
             work = abs(A)
 
-    if k is not None:
-        beta2, _ = resolve_beta2(work, beta2)
     quotient = work.quotient
-    try:
-        state = _quotient_similarity(work, beta2, k, DEFAULT_TOL, max_k)
-    except NonConvergenceError as exc:
-        raise _lifted(work, exc) from None
+    state = _quotient_similarity(work, beta2, k, DEFAULT_TOL, max_k)
     S, beta2 = state.S, state.beta2
     diag = np.maximum(np.diag(S), 0.0)
     norms = np.sqrt(diag / quotient.sizes)   # the nodes' factor row norms

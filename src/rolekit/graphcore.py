@@ -301,12 +301,6 @@ class Assignment:
     def unassigned(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.sigma < 0)]
 
-    def perm(self) -> np.ndarray:
-        """Assigned node ids in block order: sorted by (role, node id)."""
-        nodes = np.flatnonzero(self.sigma >= 0)
-        order = np.lexsort((nodes, self.sigma[nodes]))
-        return nodes[order]
-
     def membership(self) -> np.ndarray:
         """The ``n x q`` indicator matrix PZ (signed when signs are present)."""
         W = np.zeros((self.n, self.q))
@@ -438,20 +432,14 @@ def checkerboard_signature(A: Adjacency) -> SignMatrix | None:
         stack = [start]
         while stack:
             i = stack.pop()
-            for j in np.flatnonzero(sgn[i] != 0):
-                want = sgn[i, j] * q[i]
-                if q[j] == 0:
-                    q[j] = want
-                    stack.append(int(j))
-                elif q[j] != want:
-                    return None
-            for j in np.flatnonzero(sgn[:, i] != 0):
-                want = sgn[j, i] * q[i]
-                if q[j] == 0:
-                    q[j] = want
-                    stack.append(int(j))
-                elif q[j] != want:
-                    return None
+            for signs in (sgn[i], sgn[:, i]):   # out-edges, then in-edges
+                for j in np.flatnonzero(signs):
+                    want = signs[j] * q[i]
+                    if q[j] == 0:
+                        q[j] = want
+                        stack.append(int(j))
+                    elif q[j] != want:
+                        return None
     return SignMatrix(q)
 
 

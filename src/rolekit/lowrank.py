@@ -14,10 +14,11 @@ lose half their digits.
 
 The factor is a library output: role extraction
 (:func:`rolekit.extract.extract_roles`) groups nodes on S_k itself and does
-not call :func:`lowrank_iterate`; :func:`rolekit.extract.cluster_rows`
-groups the rows of a factor by the same greedy scan.  :func:`estimate_rank`
-reads a role count off a descending spectrum and serves both extraction and
-the spectrum report.
+not call :func:`lowrank_iterate`, but both take S_k from the same solve,
+with one beta^2 rule and one non-convergence state.
+:func:`rolekit.extract.cluster_rows` groups the rows of a factor by the
+same greedy scan.  :func:`estimate_rank` reads a role count off a
+descending spectrum and serves both extraction and the spectrum report.
 
 Structurally equivalent nodes are collapsed first: with c classes,
 A = Q A_hat Q^T for the c x c quotient matrix A_hat and orthonormal Q
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import as_adjacency
-from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, NonConvergenceError,
-                         _check_beta2, _check_solve, _compress, _quotient_similarity)
+from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, _check_beta2, _check_solve,
+                         _compress, _quotient_similarity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +66,22 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
                     max_k: int = DEFAULT_MAX_K) -> LowRankState:
     """The thin factor U of the similarity S_k = U U^T at depth k.
 
-    The dense recurrence runs k - 1 steps on the quotient by structural
-    equivalence (:func:`rolekit.similarity.iterate`), and the stack
-    ``[A L, A^T L]`` with ``L L^T = I + beta^2 S_{k-1}`` is compressed once
-    (see the module docstring).  With ``k=None`` the k - 1 steps are replaced
-    by the conjugate-gradient solve of :func:`rolekit.similarity.fixed_point`
-    (requires admissible beta2): it stops once the true residual is at most
-    ``tol`` relative to S, ``k`` is then its iteration count, and ``max_k``
-    caps it.  Past the cap :class:`NonConvergenceError` carries the factor of
-    the last iterate (k = max_k) and the relative residual per iteration.
-    ``trunc_tol`` is a relative cutoff on the factor's singular values,
-    applied once at the end: it keeps those at least ``trunc_tol`` times the
-    largest.  Around 1e-10 it reproduces the exact rank on ideal graphs.  It
-    is no rank cap: on 10%-flipped block cycles (measured from n = 40 to
-    2000) even 1e-3 keeps every rank, r = n.
+    ``S_{k-1}`` comes from the quotient by structural equivalence by the
+    same route as in ``extract_roles`` and ``spectrum_report``: k - 1 steps
+    of :func:`rolekit.similarity.iterate`, or with ``k=None`` the
+    conjugate-gradient solve of :func:`rolekit.similarity.fixed_point`,
+    which stops once the true residual is at most ``tol`` relative to S
+    (``k`` is then its iteration count, capped by ``max_k``).  The stack
+    ``[A L, A^T L]`` with ``L L^T = I + beta^2 S_{k-1}`` is then compressed
+    once (see the module docstring); k = 1 factors ``G[I]``.  Wherever S is
+    used, a ``beta2`` at or above the admissible bound is rejected, and past
+    ``max_k`` :class:`rolekit.similarity.NonConvergenceError` carries the
+    n x n similarity state of the last CG iterate and its residual history,
+    as from ``fixed_point``.  ``trunc_tol`` is a relative cutoff on the
+    factor's singular values, applied once at the end: it keeps those at
+    least ``trunc_tol`` times the largest.  Around 1e-10 it reproduces the
+    exact rank on ideal graphs.  It is no rank cap: on 10%-flipped block
+    cycles (measured from n = 40 to 2000) even 1e-3 keeps every rank.
     """
     A = as_adjacency(A)
     _check_beta2(beta2)
@@ -92,26 +95,13 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
     M = quotient.entries
     if not M.any():
         raise ValueError("low-rank iteration requires a nonzero adjacency matrix")
-    eye = np.eye(quotient.c)
-
-    def factor(L, steps):   # the factor of G[L L^T]
-        U, sigma = _compress(np.hstack([M @ L, M.T @ L]), trunc_tol)
-        return LowRankState(U=quotient.lift(U), k=steps, sigma=sigma,
-                            trunc_tol=trunc_tol)
-
-    if k is not None:
-        X = eye + beta2 * _quotient_similarity(A, beta2, k - 1).S if k > 1 else eye
-        return factor(np.linalg.cholesky(X), k)
-    try:
-        state = _quotient_similarity(A, beta2, None, tol, max_k)
-    except NonConvergenceError as exc:
-        # a CG iterate short of convergence can leave I + beta^2 S
-        # indefinite, so the state factors only its non-negative part
-        w, V = np.linalg.eigh(eye + beta2 * exc.state.S)
-        L = V * np.sqrt(np.clip(w, 0.0, None))
-        raise NonConvergenceError(f"factored {exc}", state=factor(L, max_k),
-                                  history=exc.history) from None
-    return factor(np.linalg.cholesky(eye + beta2 * state.S), state.k)
+    L = np.eye(quotient.c)   # L L^T = I + beta^2 S_{k-1}, with S_0 = 0
+    if k != 1:
+        state = _quotient_similarity(A, beta2, None if k is None else k - 1, tol, max_k)
+        L = np.linalg.cholesky(L + beta2 * state.S)
+    U, sigma = _compress(np.hstack([M @ L, M.T @ L]), trunc_tol)
+    return LowRankState(U=quotient.lift(U), k=state.k if k is None else k,
+                        sigma=sigma, trunc_tol=trunc_tol)
 
 
 def estimate_rank(sigma, gap_ratio: float, noise_floor: float = 1e-12) -> int:

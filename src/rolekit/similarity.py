@@ -55,15 +55,15 @@ _START_RANK = 8
 class NonConvergenceError(RuntimeError):
     """An iteration hit its step limit; ``state`` holds the last iterate.
 
-    ``history`` holds, per iteration, the quantity the loop tests against
-    its tolerance: the relative residual for :func:`fixed_point`,
-    :func:`scaled_fixed_point`, and ``lowrank_iterate``, ``extract_roles``
-    and ``spectrum_report`` at the fixed point (one entry per CG iteration;
-    the state is the n x n similarity of the last CG iterate, except for
-    ``lowrank_iterate``, whose state is its factor), and the relative change
-    of the estimate for :func:`beta_bound` (one entry per step after the
-    first, in its factored and exact regimes alike; its state is the last
-    estimate).
+    There are two solves, and each gives ``state`` and ``history`` one
+    meaning.  The similarity solve (:func:`fixed_point`,
+    :func:`scaled_fixed_point`, and ``extract_roles``, ``spectrum_report``
+    and ``lowrank_iterate`` at the fixed point): the state is the n x n
+    :class:`SimilarityState` of the last CG iterate, and the history the
+    relative residual after each CG iteration.  :func:`beta_bound`: the
+    state is the last estimate of rho, and the history the relative change
+    of the estimate at each step after the first, in its factored and exact
+    regimes alike.
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -293,21 +293,24 @@ def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
                          max_k: int = DEFAULT_MAX_K) -> SimilarityState:
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
-    :class:`rolekit.graphcore.Quotient`).  ``k=None`` is :func:`fixed_point`
-    on A_hat, which resolves ``beta2`` (None for the default) and checks it;
-    its :class:`NonConvergenceError` carries the last quotient iterate."""
+    :class:`rolekit.graphcore.Quotient`).  This is the one route from a
+    command to the similarity.  ``max_k`` must be at least 1 at every depth.
+    ``beta2`` (None for the default 0.81 / rho) is resolved and checked
+    against the admissible bound at every depth: by :func:`resolve_beta2`
+    on A at a finite k, by :func:`fixed_point` on A_hat at ``k=None``.  Past
+    ``max_k``, :class:`NonConvergenceError` carries the last iterate lifted
+    to the n x n similarity ``Q S_hat Q^T``, with the solve's history."""
+    if not max_k >= 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k!r}")
     small = A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
-    if k is None:
+    if k is not None:
+        return iterate(small, resolve_beta2(A, beta2)[0], k)
+    try:
         return fixed_point(small, beta2, tol, max_k)
-    return iterate(small, beta2, k)
-
-
-def _lifted(A: Adjacency, exc: NonConvergenceError) -> NonConvergenceError:
-    """``exc`` from :func:`_quotient_similarity` on A, its state lifted from
-    the quotient iterate S_hat to the n x n similarity ``Q S_hat Q^T``."""
-    lift = A.quotient.lift
-    state = replace(exc.state, S=lift(lift(exc.state.S).T))
-    return NonConvergenceError(str(exc), state=state, history=exc.history)
+    except NonConvergenceError as exc:
+        lift = A.quotient.lift
+        state = replace(exc.state, S=lift(lift(exc.state.S).T))
+        raise NonConvergenceError(str(exc), state=state, history=exc.history) from None
 
 
 def _residual(A: Adjacency, beta2: float, S: np.ndarray) -> np.ndarray:

@@ -28,8 +28,7 @@ import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
 from .lowrank import estimate_rank
-from .similarity import (DEFAULT_MAX_K, NonConvergenceError, _lifted,
-                         _quotient_similarity, resolve_beta2)
+from .similarity import DEFAULT_MAX_K, _quotient_similarity
 
 CONVENTIONS = ("occupancy", "flip")
 
@@ -159,25 +158,21 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
 
     ``k=None`` solves for the fixed point to a relative residual of
     ``FIXED_POINT_TOL``, with ``max_k`` capping the solver's iterations;
-    past the cap, :class:`NonConvergenceError` carries the last iterate as
-    an n x n similarity state.  Otherwise the recurrence runs ``k`` steps,
-    and a given ``beta2`` is not checked against the admissible bound.
-    ``sigma_S_half`` is taken as ``sqrt(sigma_S)``.
+    past the cap, :class:`rolekit.similarity.NonConvergenceError` carries
+    the last iterate as an n x n similarity state.  Otherwise the recurrence
+    runs ``k`` steps.  At every depth ``beta2`` (None for 0.81 / rho) is
+    rejected at or above the admissible bound ``1 / rho`` before any step,
+    as in ``extract_roles``.  ``sigma_S_half`` is taken as
+    ``sqrt(sigma_S)``.  ``gap_index`` is the role count
+    :func:`rolekit.lowrank.estimate_rank` reads off ``sigma_S`` with
+    ``gap_ratio``; the CSV and SVG do not show it.
     """
     A = as_adjacency(A)
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
     if not 0.0 < gap_ratio <= 1.0:
         raise ValueError("gap_ratio must lie in (0, 1]")
-    if not max_k >= 1:
-        raise ValueError("max_k must be at least 1")
-    source = "user" if beta2 is not None else "auto-0.81/rho"
-    if k is not None and beta2 is None:
-        beta2, _ = resolve_beta2(A, None)
-    try:
-        state = _quotient_similarity(A, beta2, k, FIXED_POINT_TOL, max_k)
-    except NonConvergenceError as exc:
-        raise _lifted(A, exc) from None
+    state = _quotient_similarity(A, beta2, k, FIXED_POINT_TOL, max_k)
     m = min(top_m, A.n)
     sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th
     top = min(m, A.quotient.c)
@@ -191,7 +186,7 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
         beta2=float(state.beta2),
         k_or_fixed="fixed-point" if k is None else int(k),
         gap_ratio=float(gap_ratio),
-        beta2_source=source,
+        beta2_source="user" if beta2 is not None else "auto-0.81/rho",
     )
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import SIGNED_EXAMPLE, SLOW_CG
-from rolekit import (Adjacency, extract_roles, fixed_point, iterate,
-                     lowrank_iterate, read_edge_list, read_ground_truth,
+from rolekit import (Adjacency, extract_roles, fixed_point, generate_structure,
+                     iterate, lowrank_iterate, read_edge_list, read_ground_truth,
                      similarity, spectrum_report, write_edge_list)
 from rolekit.cli import main
 from rolekit.similarity import resolve_beta2
@@ -390,6 +390,28 @@ def test_beta2_must_be_finite_and_non_negative(value, small_graph, capsys, solve
     assert_config_error(capsys, "spectrum", path, f"--beta2={value}")
     assert_config_error(capsys, "spectrum", path, f"--beta2={value}", "--k", "3")
     assert solver_calls == []
+
+
+def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, solver_calls):
+    # beta2 = 2 / rho is past the bound 1 / rho: every command that uses the
+    # similarity rejects it before the first step, at a finite depth and at
+    # the fixed point, on the 6-cycle (rho = 2, no equivalent nodes) and on
+    # a block cycle of 3 classes
+    A, path = small_graph
+    for G in (A, generate_structure("block_cycle", (5, 5, 5))[0]):
+        beta2 = 2.0 / similarity.beta_bound(G)
+        for call in (lambda: extract_roles(G, beta2=beta2),
+                     lambda: extract_roles(G, beta2=beta2, k=None),
+                     lambda: spectrum_report(G, beta2=beta2, k=3),
+                     lambda: spectrum_report(G, beta2=beta2),
+                     lambda: lowrank_iterate(G, beta2, k=3),
+                     lambda: lowrank_iterate(G, beta2)):
+            with pytest.raises(ValueError, match="admissible bound"):
+                call()
+    for argv in (("extract",), ("extract", "--fixed-point"),
+                 ("spectrum", "--k", "3"), ("spectrum",)):
+        assert_config_error(capsys, argv[0], path, "--beta2", "1", *argv[1:])
+    assert "gamma" not in solver_calls
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])

@@ -169,6 +169,29 @@ def test_inconsistent_cycle_has_no_signature():
         assert not np.array_equal(np.outer(q, q) * M, np.abs(M))
 
 
+def test_checkerboard_signature_agrees_with_the_brute_force_oracle():
+    # random signed digraphs on n <= 6 nodes, half of them planted as
+    # q |A| q: a signature exists exactly when one of the 2^n sign vectors
+    # gives |A| = Q A Q, and a returned one must be such a vector
+    rng = np.random.default_rng(11)
+    found = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 7))
+        M = rng.choice([-1.0, 0.0, 1.0], size=(n, n), p=[0.3, 0.4, 0.3])
+        if trial % 2:
+            q = rng.choice([-1.0, 1.0], size=n)
+            M = np.outer(q, q) * np.abs(M)
+        signs = (np.array([1.0 if bits & (1 << i) else -1.0 for i in range(n)])
+                 for bits in range(2**n))
+        exists = any(np.array_equal(np.outer(q, q) * M, np.abs(M)) for q in signs)
+        Q = checkerboard_signature(Adjacency.from_matrix(M))
+        assert (Q is not None) == exists
+        if Q is not None:
+            found += 1
+            assert np.array_equal(Q.conjugate(M), np.abs(M))
+    assert 300 <= found < 600   # every planted graph, and some of the others
+
+
 # ---------------------------------------------------------------------------
 # rank-one weights
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ from conftest import RANK_DEFICIENT, random_digraph, sin_max_angle
 from rolekit import (
     Adjacency,
     NonConvergenceError,
+    SimilarityState,
     apply_rank_one_weights,
     beta_bound,
     default_beta2,
     estimate_rank,
     fixed_point,
-    gamma,
     generate_structure,
     iterate,
     lowrank_iterate,
@@ -175,24 +175,29 @@ def test_lowrank_nonconvergence_history_has_one_residual_per_iteration():
         assert all(h > 1e-15 for h in history)
 
 
-def test_lowrank_nonconvergence_state_factors_the_psd_part():
-    # two CG iterations leave I + beta^2 S indefinite on this graph, which
-    # has no Cholesky factor: the state factors G[X+] instead, with X+ the
-    # part of I + beta^2 S on its non-negative eigenvalues
-    M = (np.random.default_rng(4).random((8, 8)) < 0.4).astype(float)
-    A = Adjacency.from_matrix(M)
-    beta2 = 0.99 / beta_bound(A)
-    with pytest.raises(NonConvergenceError) as dense:
-        fixed_point(A, beta2, tol=1e-15, max_k=2)
-    w, V = np.linalg.eigh(np.eye(A.n) + beta2 * dense.value.state.S)
-    assert w[0] < -0.5
-    want = gamma(A, (V * np.clip(w, 0.0, None)) @ V.T)
-    with pytest.raises(NonConvergenceError) as info:
-        lowrank_iterate(A, beta2, k=None, tol=1e-15, max_k=2)
-    state = info.value.state
-    assert state.k == 2
-    assert info.value.history == dense.value.history
-    assert np.linalg.norm(state.U @ state.U.T - want) <= 1e-12 * np.linalg.norm(want)
+def test_lowrank_nonconvergence_carries_the_fixed_point_state():
+    # past max_k the error is the similarity solve's, as from fixed_point:
+    # the n x n state of the last CG iterate and its residual history, on a
+    # graph with no equivalent nodes and on one with 8 classes of 12 nodes
+    rng_graph = Adjacency.from_matrix(
+        (np.random.default_rng(4).random((8, 8)) < 0.4).astype(float))
+    A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
+    M = A.entries.copy()
+    M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
+    classes = Adjacency.from_matrix(M)
+    assert (rng_graph.quotient.c, classes.quotient.c) == (8, 8)
+    for A in (rng_graph, classes):
+        beta2 = 0.99 / beta_bound(A)
+        with pytest.raises(NonConvergenceError) as dense:
+            fixed_point(A, beta2, tol=1e-15, max_k=2)
+        with pytest.raises(NonConvergenceError) as info:
+            lowrank_iterate(A, beta2, k=None, tol=1e-15, max_k=2)
+        state, want = info.value.state, dense.value.state
+        assert isinstance(state, SimilarityState)
+        assert (state.k, state.beta2, state.converged) == (2, beta2, False)
+        assert state.S.shape == (A.n, A.n)
+        assert np.linalg.norm(state.S - want.S) <= 1e-12 * np.linalg.norm(want.S)
+        assert info.value.history == pytest.approx(dense.value.history, rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [{"tol": float("nan")}, {"max_k": 0}],
