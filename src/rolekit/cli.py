@@ -87,8 +87,10 @@ def cmd_generate(args) -> int:
         raise ValueError(f"--kind {args.kind} requires --sizes")
     A, B, assignment = generate_structure(args.kind, sizes)
     extra = None
+    # checked on every run, so a probability outside [0, 1] (NaN included)
+    # is rejected even where it would flip nothing
+    model = PerturbationModel(p_in=args.p_in, p_out=args.p_out, seed=args.seed)
     if args.p_in > 0 or args.p_out > 0:
-        model = PerturbationModel(p_in=args.p_in, p_out=args.p_out, seed=args.seed)
         A = perturb(A, model)
         extra = {"perturbation": {"p_in": args.p_in, "p_out": args.p_out,
                                   "seed": args.seed}}
@@ -110,7 +112,6 @@ def cmd_extract(args) -> int:
         trunc_tol=args.trunc_tol,
         angle_tol=args.angle_tol,
         gap_ratio=args.gap_ratio,
-        method=args.method,
         max_k=args.max_k,
     )
     text = json.dumps(_round_floats(result.to_json_dict()), sort_keys=True) + "\n"
@@ -129,7 +130,6 @@ def cmd_spectrum(args) -> int:
         beta2=beta2,
         k=_depth(args),
         top_m=args.top,
-        gap_ratio=args.gap_ratio,
         max_k=args.max_k,
     )
     text = report.to_csv_text()
@@ -223,11 +223,9 @@ def _add_depth_flags(p: _Parser, default_k: int | None):
                         "for the fixed point (default: %(default)s)")
 
 
-def _add_measure_flags(p: _Parser):
+def _add_beta2_flag(p: _Parser):
     p.add_argument("--beta2", default="auto",
                    help="damping weight squared, or 'auto' for 0.81/rho (default)")
-    p.add_argument("--gap-ratio", type=float, default=0.5,
-                   help="singular-value ratio below which a gap is declared")
 
 
 def build_parser() -> _Parser:
@@ -252,20 +250,21 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("extract", help="recover the role structure")
     e.add_argument("graph", help="edge-list input file")
-    _add_measure_flags(e)
+    _add_beta2_flag(e)
+    e.add_argument("--gap-ratio", type=float, default=0.5,
+                   help="singular-value ratio below which a gap is declared")
     _add_depth_flags(e, default_k=6)
     e.add_argument("--trunc-tol", type=float, default=1e-10,
                    help="floor of the role-count estimate: eigenvalues of S "
                         "below trunc-tol^2 times the largest are left out")
     e.add_argument("--angle-tol", type=float, default=1e-6)
-    e.add_argument("--method", choices=("auto", "greedy", "sweep"), default="auto")
     e.add_argument("--out", help="write the result JSON here instead of stdout")
     e.set_defaults(func=cmd_extract)
 
     s = sub.add_parser("spectrum",
                        help="report singular values of A, S^1/2 and S")
     s.add_argument("graph", help="edge-list input file")
-    _add_measure_flags(s)
+    _add_beta2_flag(s)
     _add_depth_flags(s, default_k=None)
     s.add_argument("--top", type=int, default=10, help="number of values to report")
     s.add_argument("--svg", help="also render a log-scale scatter SVG here")

@@ -42,11 +42,10 @@ from .graphcore import (
     as_adjacency,
     checkerboard_signature,
 )
-from .lowrank import LowRankState, estimate_rank
-from .similarity import DEFAULT_MAX_K, DEFAULT_TOL, _quotient_similarity
+from .lowrank import DEFAULT_GAP_RATIO, LowRankState, estimate_rank
+from .similarity import DEFAULT_MAX_K, _quotient_similarity
 
 DEFAULT_ANGLE_TOL = 1e-6
-DEFAULT_GAP_RATIO = 0.5
 DEFAULT_DEPTH = 6
 
 #: a node's row of the factor counts as zero below this fraction of the
@@ -292,30 +291,35 @@ def _gap_estimate(S: np.ndarray, trunc_tol: float, gap_ratio: float) -> int:
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
                   trunc_tol: float = 1e-10, angle_tol: float = DEFAULT_ANGLE_TOL,
                   gap_ratio: float = DEFAULT_GAP_RATIO,
-                  method: str = "auto", max_k: int = DEFAULT_MAX_K) -> ExtractionResult:
+                  max_k: int = DEFAULT_MAX_K) -> ExtractionResult:
     """Full pipeline: compute the similarity, group nodes, rebuild B, score.
 
     The similarity S_k at depth ``k`` runs on the quotient by structural
     equivalence; ``k=None`` takes its fixed point, solved by conjugate
-    gradients with ``max_k`` capping the iterations; past the cap,
+    gradients to a relative residual of
+    :data:`rolekit.similarity.DEFAULT_TOL`, as ``spectrum_report`` does,
+    with ``max_k`` capping the iterations; past the cap,
     :class:`rolekit.similarity.NonConvergenceError` carries the last
-    iterate as an n x n similarity state.  At every depth ``beta2`` (None
+    iterate as an n x n similarity state.  A ``k`` or ``max_k`` below 1 is
+    rejected before anything is computed.  At every depth ``beta2`` (None
     for 0.81 / rho) is rejected at or above the admissible bound
     ``1 / rho``.  Nodes are grouped on the cosine Gram matrix K of S_k
     (see the module docstring), with nodes whose diagonal entry of S_k is
-    negligible left unassigned.  ``method`` is ``"greedy"`` (nodes in order
-    join the first group whose first node lies within ``angle_tol`` of their
-    line, exact on ideal graphs), ``"sweep"`` (kernel spherical k-means on K
-    for role counts within 2 of the spectral-gap estimate, each count seeded
-    farthest-first from each of the four classes with the largest diagonal
-    entries of S_k and scored by its cheapest model, keeping the smallest
-    count within 5% of the least cost), or ``"auto"``: the greedy result is
-    kept when it reproduces the graph exactly with a compressive role count
-    (q at most half the assigned nodes), otherwise the sweep runs.  The gap
-    estimate is :func:`rolekit.lowrank.estimate_rank` with ``gap_ratio`` on
-    the eigenvalues of S_k; ``trunc_tol`` sets its floor, as eigenvalues
-    below ``trunc_tol**2`` times the largest are left out (and so are those
-    below the rounding floor of the eigensolver, see :func:`_gap_estimate`).
+    negligible left unassigned, by one rule.  First the greedy scan: nodes
+    in order join the first group whose first node lies within
+    ``angle_tol`` of their line.  Its result is kept when it reproduces the
+    graph exactly with a compressive role count (q at most half the
+    assigned nodes), as on ideal graphs; the scan stops as soon as it would
+    exceed that count.  Otherwise the sweep runs: kernel spherical k-means
+    on K for role counts within 2 of the spectral-gap estimate, each count
+    seeded farthest-first from each of the four classes with the largest
+    diagonal entries of S_k and scored by its cheapest model, keeping the
+    smallest count within 5% of the least cost.  ``params["method"]``
+    records which of the two gave the result.  The gap estimate is
+    :func:`rolekit.lowrank.estimate_rank` with ``gap_ratio`` on the
+    eigenvalues of S_k; ``trunc_tol`` sets its floor, as eigenvalues below
+    ``trunc_tol**2`` times the largest are left out (and so are those below
+    the rounding floor of the eigensolver, see :func:`_gap_estimate`).
 
     Signed graphs with a checkerboard signature are extracted through |A|;
     the signs are reattached to the indicator matrix and the residual is
@@ -324,8 +328,6 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     A = as_adjacency(A)
     if not A.entries.any():
         raise ValueError("cannot extract roles from an empty graph")
-    if method not in ("auto", "greedy", "sweep"):
-        raise ValueError(f"unknown extraction method: {method!r}")
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
     if not angle_tol >= 0.0:
@@ -341,7 +343,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
             work = abs(A)
 
     quotient = work.quotient
-    state = _quotient_similarity(work, beta2, k, DEFAULT_TOL, max_k)
+    state = _quotient_similarity(work, beta2, k, max_k)
     S, beta2 = state.S, state.beta2
     diag = np.maximum(np.diag(S), 0.0)
     norms = np.sqrt(diag / quotient.sizes)   # the nodes' factor row norms
@@ -358,22 +360,18 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         sigma[act] = np.argsort(np.argsort(first))[inverse]   # by first node
         return Assignment(sigma[quotient.labels])
 
-    chosen = None
-    resolved = method
-    if method in ("auto", "greedy"):
-        # auto keeps greedy only when exact with at most n_active // 2 roles
-        max_q = n_active // 2 if method == "auto" else None
-        labels = _greedy_scan(act.size, lambda a, reps: K[a, reps], angle_tol, max_q)
-        if labels is not None:
-            greedy = lift(labels)
-            B = reconstruct_B(work, greedy)
-            cost = extraction_cost(work, greedy, B)
-            if method == "greedy" or cost == 0.0:
-                chosen = (greedy, B, cost)
-                resolved = "greedy"
+    # greedy is kept only when exact with at most n_active // 2 roles
+    chosen, method = None, "greedy"
+    labels = _greedy_scan(act.size, lambda a, reps: K[a, reps], angle_tol,
+                          n_active // 2)
+    if labels is not None:
+        greedy = lift(labels)
+        B = reconstruct_B(work, greedy)
+        if extraction_cost(work, greedy, B) == 0.0:
+            chosen = (greedy, B, 0.0)
 
     if chosen is None:
-        resolved = "sweep"
+        method = "sweep"
         q_guess = _gap_estimate(S, trunc_tol, gap_ratio)
         # k-means runs on the classes ranked by S_aa, largest first, so its
         # ties go to the larger S_aa and not to the earlier node
@@ -410,7 +408,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         "trunc_tol": float(trunc_tol),
         "angle_tol": float(angle_tol),
         "gap_ratio": float(gap_ratio),
-        "method": resolved,
+        "method": method,
     }
     return ExtractionResult(
         q_est=assignment.q,

@@ -15,7 +15,7 @@ lose half their digits.
 The factor is a library output: role extraction
 (:func:`rolekit.extract.extract_roles`) groups nodes on S_k itself and does
 not call :func:`lowrank_iterate`, but both take S_k from the same solve,
-with one beta^2 rule and one non-convergence state.
+with one beta^2 rule, one tolerance and one non-convergence state.
 :func:`rolekit.extract.cluster_rows` groups the rows of a factor by the
 same greedy scan.  :func:`estimate_rank` reads a role count off a
 descending spectrum and serves both extraction and the spectrum report.
@@ -39,8 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import as_adjacency
-from .similarity import (DEFAULT_MAX_K, DEFAULT_TOL, _check_beta2, _check_solve,
-                         _compress, _quotient_similarity)
+from .similarity import DEFAULT_MAX_K, _check_beta2, _compress, _quotient_similarity
+
+#: the ratio of consecutive singular values below which :func:`estimate_rank`
+#: declares a gap, in extraction and in the spectrum report alike
+DEFAULT_GAP_RATIO = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +65,7 @@ class LowRankState:
 
 
 def lowrank_iterate(A, beta2: float, k: int | None = None,
-                    trunc_tol: float = 1e-10, tol: float = DEFAULT_TOL,
+                    trunc_tol: float = 1e-10,
                     max_k: int = DEFAULT_MAX_K) -> LowRankState:
     """The thin factor U of the similarity S_k = U U^T at depth k.
 
@@ -70,8 +73,10 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
     same route as in ``extract_roles`` and ``spectrum_report``: k - 1 steps
     of :func:`rolekit.similarity.iterate`, or with ``k=None`` the
     conjugate-gradient solve of :func:`rolekit.similarity.fixed_point`,
-    which stops once the true residual is at most ``tol`` relative to S
-    (``k`` is then its iteration count, capped by ``max_k``).  The stack
+    which stops once the true residual is at most
+    :data:`rolekit.similarity.DEFAULT_TOL` relative to S, the one tolerance
+    of every command (``k`` is then its iteration count, capped by
+    ``max_k``, which must be at least 1 wherever S is used).  The stack
     ``[A L, A^T L]`` with ``L L^T = I + beta^2 S_{k-1}`` is then compressed
     once (see the module docstring); k = 1 factors ``G[I]``.  Wherever S is
     used, a ``beta2`` at or above the admissible bound is rejected, and past
@@ -89,29 +94,27 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
     if k is not None and k < 1:
         raise ValueError("iteration depth k must be at least 1")
-    if k is None:
-        _check_solve(tol, max_k)
     quotient = A.quotient
     M = quotient.entries
     if not M.any():
         raise ValueError("low-rank iteration requires a nonzero adjacency matrix")
     L = np.eye(quotient.c)   # L L^T = I + beta^2 S_{k-1}, with S_0 = 0
     if k != 1:
-        state = _quotient_similarity(A, beta2, None if k is None else k - 1, tol, max_k)
+        state = _quotient_similarity(A, beta2, None if k is None else k - 1, max_k)
         L = np.linalg.cholesky(L + beta2 * state.S)
     U, sigma = _compress(np.hstack([M @ L, M.T @ L]), trunc_tol)
     return LowRankState(U=quotient.lift(U), k=state.k if k is None else k,
                         sigma=sigma, trunc_tol=trunc_tol)
 
 
-def estimate_rank(sigma, gap_ratio: float, noise_floor: float = 1e-12) -> int:
+def estimate_rank(sigma, gap_ratio: float) -> int:
     """Estimate the effective rank from a descending singular-value array.
 
     Scanning the consecutive ratios ``sigma[r] / sigma[r-1]``, the estimate
     is the position of the last ratio that drops below ``gap_ratio``: the
     boundary between the structured spectrum and the trailing noise floor.
-    Values at or below ``noise_floor`` times the largest carry no rank
-    information, so a drop between two of them never marks the boundary.
+    Values at or below 1e-12 times the largest carry no rank information,
+    so a drop between two of them never marks the boundary.
     Returns the full length when no ratio qualifies.
     """
     sig = np.asarray(sigma, dtype=float).ravel()
@@ -119,7 +122,7 @@ def estimate_rank(sigma, gap_ratio: float, noise_floor: float = 1e-12) -> int:
         raise ValueError("estimate_rank needs at least one singular value")
     if (sig < 0).any():
         raise ValueError("singular values must be non-negative")
-    floor = noise_floor * sig[0]
+    floor = 1e-12 * sig[0]
     best = None
     for r in range(1, sig.size):
         hi, lo = sig[r - 1], sig[r]

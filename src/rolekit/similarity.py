@@ -41,7 +41,12 @@ from .graphcore import Adjacency, as_adjacency
 
 #: default damping as a fraction of the admissible bound: beta^2 = 0.81 / rho
 DEFAULT_BETA2_FRACTION = 0.81
-DEFAULT_TOL = 1e-10
+#: the one stopping rule of the similarity solve: every command accepts the
+#: fixed point at a true residual of at most this times ||S||_F.  The
+#: spectrum report prints 9 significant digits of singular values spanning
+#: orders of magnitude, so the bound on the error relative to ||S||_F sits
+#: well below its last printed digit.
+DEFAULT_TOL = 1e-13
 DEFAULT_MAX_K = 10000
 
 # beta_bound: the relative change at which its estimate has settled, the
@@ -289,24 +294,28 @@ def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
 
 
 def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
-                         tol: float = DEFAULT_TOL,
                          max_k: int = DEFAULT_MAX_K) -> SimilarityState:
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
     :class:`rolekit.graphcore.Quotient`).  This is the one route from a
-    command to the similarity.  ``max_k`` must be at least 1 at every depth.
-    ``beta2`` (None for the default 0.81 / rho) is resolved and checked
-    against the admissible bound at every depth: by :func:`resolve_beta2`
-    on A at a finite k, by :func:`fixed_point` on A_hat at ``k=None``.  Past
-    ``max_k``, :class:`NonConvergenceError` carries the last iterate lifted
-    to the n x n similarity ``Q S_hat Q^T``, with the solve's history."""
+    command to the similarity, so every command sees the same S_hat at a
+    given depth.  A depth ``k`` below 1 and a ``max_k`` below 1 are
+    rejected before anything is computed, at every depth.  ``beta2`` (None
+    for the default 0.81 / rho) is resolved and checked against the
+    admissible bound at every depth: by :func:`resolve_beta2` on A at a
+    finite k, by :func:`fixed_point` on A_hat at ``k=None``, which solves
+    to the one tolerance ``DEFAULT_TOL``.  Past ``max_k``,
+    :class:`NonConvergenceError` carries the last iterate lifted to the
+    n x n similarity ``Q S_hat Q^T``, with the solve's history."""
+    if k is not None and not k >= 1:
+        raise ValueError("iteration depth k must be at least 1")
     if not max_k >= 1:
         raise ValueError(f"max_k must be at least 1, got {max_k!r}")
     small = A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
     if k is not None:
         return iterate(small, resolve_beta2(A, beta2)[0], k)
     try:
-        return fixed_point(small, beta2, tol, max_k)
+        return fixed_point(small, beta2, DEFAULT_TOL, max_k)
     except NonConvergenceError as exc:
         lift = A.quotient.lift
         state = replace(exc.state, S=lift(lift(exc.state.S).T))

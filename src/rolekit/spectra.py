@@ -9,10 +9,12 @@ this module samples such perturbations reproducibly, builds the expected
 matrices, reports the singular values of A, S^(1/2) and S side by side, and
 provides the closed-form depth scaling of the undirected case for checking
 how the gap grows with the iteration depth and the damping weight.  The
-report works on the quotient by structural equivalence, as extraction does:
-with c classes, ``A = Q A_hat Q^T`` and ``S = Q S_hat Q^T`` for orthonormal
-Q (:class:`rolekit.graphcore.Quotient`), so the nonzero singular values of
-A and S are those of A_hat and S_hat, and the rest are exactly 0.
+report takes S by the same route and to the same tolerance as extraction,
+so both see one S at every depth.  Like extraction, it works on the
+quotient by structural equivalence: with c classes, ``A = Q A_hat Q^T``
+and ``S = Q S_hat Q^T`` for orthonormal Q
+(:class:`rolekit.graphcore.Quotient`), so the nonzero singular values of A
+and S are those of A_hat and S_hat, and the rest are exactly 0.
 
 Random draws use the Philox counter-based generator (numpy's implementation)
 so a seed reproduces bit-identically across platforms; entries are drawn in
@@ -21,22 +23,15 @@ row-major order, one uniform per matrix entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
-from .lowrank import estimate_rank
+from .lowrank import DEFAULT_GAP_RATIO, estimate_rank
 from .similarity import DEFAULT_MAX_K, _quotient_similarity
 
 CONVENTIONS = ("occupancy", "flip")
-
-#: residual tolerance of the fixed-point solve.  The solve bounds the error
-#: relative to ||S||_F, while the report prints 9 significant digits of
-#: singular values spanning orders of magnitude, so it needs a tighter
-#: tolerance than the similarity default of 1e-10.
-FIXED_POINT_TOL = 1e-13
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -110,8 +105,9 @@ class SpectrumReport:
 
     ``sigma_S_half`` holds the square roots of ``sigma_S``, the singular
     values of a symmetric square root of S.  ``gap_index`` is the role
-    count estimated from the spectrum of S.  ``beta2_source`` records
-    whether the damping was supplied or derived from the default rule.
+    count estimated from the spectrum of S; the CSV and SVG do not show
+    it.  ``beta2_source`` records whether the damping was supplied or
+    derived from the default rule.
     """
 
     sigma_A: np.ndarray
@@ -120,7 +116,6 @@ class SpectrumReport:
     gap_index: int
     beta2: float
     k_or_fixed: int | str
-    gap_ratio: float
     beta2_source: str = "user"
 
     def to_csv_text(self) -> str:
@@ -134,45 +129,29 @@ class SpectrumReport:
             ]))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_A": [float(format(v, ".9g")) for v in self.sigma_A],
-            "sigma_S_half": [float(format(v, ".9g")) for v in self.sigma_S_half],
-            "sigma_S": [float(format(v, ".9g")) for v in self.sigma_S],
-            "gap_index": int(self.gap_index),
-            "beta2": float(format(self.beta2, ".9g")),
-            "k": self.k_or_fixed,
-            "gap_ratio": float(self.gap_ratio),
-            "beta2_source": self.beta2_source,
-        }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
-
 
 def spectrum_report(A, beta2: float | None = None, k: int | None = None,
-                    top_m: int = 10, gap_ratio: float = 0.5,
-                    max_k: int = DEFAULT_MAX_K) -> SpectrumReport:
+                    top_m: int = 10, max_k: int = DEFAULT_MAX_K) -> SpectrumReport:
     """The top ``min(top_m, n)`` singular values of A, S^(1/2) and S: those
     of A_hat and S_hat on the c classes, then exact zeros.
 
     ``k=None`` solves for the fixed point to a relative residual of
-    ``FIXED_POINT_TOL``, with ``max_k`` capping the solver's iterations;
-    past the cap, :class:`rolekit.similarity.NonConvergenceError` carries
-    the last iterate as an n x n similarity state.  Otherwise the recurrence
-    runs ``k`` steps.  At every depth ``beta2`` (None for 0.81 / rho) is
+    :data:`rolekit.similarity.DEFAULT_TOL`, as ``extract_roles`` does, with
+    ``max_k`` capping the solver's iterations; past the cap,
+    :class:`rolekit.similarity.NonConvergenceError` carries the last
+    iterate as an n x n similarity state.  Otherwise the recurrence runs
+    ``k`` steps.  A ``k`` or ``max_k`` below 1 is rejected before anything
+    is computed.  At every depth ``beta2`` (None for 0.81 / rho) is
     rejected at or above the admissible bound ``1 / rho`` before any step,
     as in ``extract_roles``.  ``sigma_S_half`` is taken as
     ``sqrt(sigma_S)``.  ``gap_index`` is the role count
-    :func:`rolekit.lowrank.estimate_rank` reads off ``sigma_S`` with
-    ``gap_ratio``; the CSV and SVG do not show it.
+    :func:`rolekit.lowrank.estimate_rank` reads off ``sigma_S`` at the gap
+    ratio 0.5.
     """
     A = as_adjacency(A)
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
-    if not 0.0 < gap_ratio <= 1.0:
-        raise ValueError("gap_ratio must lie in (0, 1]")
-    state = _quotient_similarity(A, beta2, k, FIXED_POINT_TOL, max_k)
+    state = _quotient_similarity(A, beta2, k, max_k)
     m = min(top_m, A.n)
     sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th
     top = min(m, A.quotient.c)
@@ -182,10 +161,9 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
         sigma_A=sigma_A,
         sigma_S_half=np.sqrt(sigma_S),
         sigma_S=sigma_S,
-        gap_index=estimate_rank(sigma_S, gap_ratio),
+        gap_index=estimate_rank(sigma_S, DEFAULT_GAP_RATIO),
         beta2=float(state.beta2),
         k_or_fixed="fixed-point" if k is None else int(k),
-        gap_ratio=float(gap_ratio),
         beta2_source="user" if beta2 is not None else "auto-0.81/rho",
     )
 

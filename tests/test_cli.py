@@ -63,6 +63,18 @@ def test_generate_perturbed_records_seed(tmp_path, capsys):
     assert doc["perturbation"] == {"p_in": 0.1, "p_out": 0.1, "seed": 3}
 
 
+@pytest.mark.parametrize("flag", ["--p-in", "--p-out"])
+@pytest.mark.parametrize("value", ["-0.5", "nan", "2"])
+def test_generate_rejects_a_flip_probability_outside_the_unit_interval(
+        flag, value, tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    code, stdout, err = run(capsys, "generate", "--kind", "block_cycle",
+                            "--sizes", "5,5", f"{flag}={value}", "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert "flip probabilities" in err
+    assert not out.exists() and not out.with_suffix(".truth.json").exists()
+
+
 def test_generate_rejects_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--kind", "community",
                        "--sizes", "0,5", "--out", str(tmp_path / "x.tsv"))
@@ -152,7 +164,7 @@ def test_extract_perturbed_block_cycle_defaults(tmp_path, capsys):
 def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     graph = tmp_path / "slow.tsv"
     write_edge_list(graph, Adjacency.from_matrix(SLOW_CG))
-    # at the default beta^2 = 0.81 / rho, CG needs 13 iterations to reach
+    # at the default beta^2 = 0.81 / rho, CG needs 16 iterations to reach
     # the default tolerance on this graph, so a cap of 3 cannot be met
     code, out, err = run(capsys, "extract", str(graph), "--fixed-point",
                          "--max-k", "3")
@@ -414,6 +426,26 @@ def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, so
     assert "gamma" not in solver_calls
 
 
+def test_one_tolerance_for_the_fixed_point_in_every_command(small_graph, capsys,
+                                                           monkeypatch):
+    # extract --fixed-point and spectrum solve for the same S, to DEFAULT_TOL
+    tols = []
+    original = similarity._fixed_point
+
+    def recording(A, beta2, tol, max_k):
+        tols.append(tol)
+        return original(A, beta2, tol, max_k)
+
+    monkeypatch.setattr(similarity, "_fixed_point", recording)
+    A, path = small_graph
+    extract_roles(A, k=None)
+    spectrum_report(A)
+    lowrank_iterate(A, 0.1, k=None)
+    assert run(capsys, "extract", path, "--fixed-point")[0] == 0
+    assert run(capsys, "spectrum", path)[0] == 0
+    assert tols == [similarity.DEFAULT_TOL] * 5
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
 def test_angle_tol_must_be_non_negative(value, small_graph, capsys, solver_calls):
     A, path = small_graph
@@ -426,11 +458,31 @@ def test_angle_tol_must_be_non_negative(value, small_graph, capsys, solver_calls
 @pytest.mark.parametrize("value", ["nan", "0", "-0.5", "1.5", "inf"])
 def test_gap_ratio_must_lie_in_the_unit_interval(value, small_graph, capsys, solver_calls):
     A, path = small_graph
-    for call in (extract_roles, spectrum_report):
-        with pytest.raises(ValueError, match="gap_ratio"):
-            call(A, gap_ratio=float(value))
+    with pytest.raises(ValueError, match="gap_ratio"):
+        extract_roles(A, gap_ratio=float(value))
     assert_config_error(capsys, "extract", path, f"--gap-ratio={value}")
-    assert_config_error(capsys, "spectrum", path, f"--gap-ratio={value}")
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("argv", [("extract", "--method", "greedy"),
+                                  ("spectrum", "--gap-ratio", "0.5")])
+def test_extraction_rule_and_spectrum_gap_ratio_are_not_flags(argv, small_graph, capsys,
+                                                              solver_calls):
+    _, path = small_graph
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments" in err
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_k_must_be_positive(value, small_graph, capsys, solver_calls):
+    A, path = small_graph
+    for call in (extract_roles, spectrum_report):
+        with pytest.raises(ValueError, match="depth k"):
+            call(A, k=int(value))
+    assert_config_error(capsys, "extract", path, f"--k={value}")
+    assert_config_error(capsys, "spectrum", path, f"--k={value}")
     assert solver_calls == []
 
 

@@ -35,6 +35,8 @@ from rolekit.extract import (
     _kernel_kmeans,
     _normalized_rows,
 )
+from rolekit import extract
+from rolekit.graphcore import _merge_equivalent_roles
 from rolekit.similarity import _quotient_similarity
 
 # the 5-role signed generalized role matrix of the 6-node checkerboard example
@@ -432,18 +434,25 @@ def test_split_signed_roles_every_role_mixed_doubles_dimension():
 
 
 def _auto_without_early_stop(A, **kwargs):
-    """``extract_roles(A, method="auto")`` as it ran with the greedy
-    grouping run in full: kept when it reproduces the work graph exactly
-    with at most n_active // 2 roles, otherwise the sweep."""
+    """What ``extract_roles`` returns with the greedy grouping run in full
+    on the rows of a factor: the greedy model, as the result JSON without
+    ``params``, when it reproduces the work graph exactly with at most
+    n_active // 2 roles; otherwise None, for the sweep."""
     signature = checkerboard_signature(A) if A.kind == "signed" else None
     work = A if signature is None else abs(A)
     state = lowrank_iterate(work, default_beta2(work), k=kwargs.get("k", 6),
                             trunc_tol=kwargs.get("trunc_tol", 1e-10))
     n_active = int((~_normalized_rows(state.U)[1]).sum())
     greedy = cluster_rows(state.U)
-    kept = (greedy.q <= n_active // 2
-            and extraction_cost(work, greedy, reconstruct_B(work, greedy)) == 0.0)
-    return extract_roles(A, method="greedy" if kept else "sweep", **kwargs)
+    B = reconstruct_B(work, greedy)
+    if greedy.q > n_active // 2 or extraction_cost(work, greedy, B) != 0.0:
+        return None
+    B, greedy = _merge_equivalent_roles(B, greedy)
+    if signature is not None:
+        greedy = Assignment(greedy.sigma, signs=signature.diag.copy())
+    return {"q": greedy.q, "sigma": greedy.sigma.tolist(),
+            "B": B.entries.astype(int).ravel().tolist(),
+            "residual": extraction_cost(A, greedy, B), "unassigned": greedy.unassigned()}
 
 
 def _auto_graphs():
@@ -462,9 +471,17 @@ def _auto_graphs():
 
 
 def test_auto_returns_what_it_returned_without_the_greedy_early_stop():
+    methods = []
     for A, kwargs in _auto_graphs():
         got = extract_roles(A, **kwargs).to_json_dict()
-        assert got == _auto_without_early_stop(A, **kwargs).to_json_dict()
+        want = _auto_without_early_stop(A, **kwargs)
+        methods.append(got["params"].pop("method"))
+        if want is None:
+            assert methods[-1] == "sweep"
+        else:
+            assert methods[-1] == "greedy"
+            assert {key: got[key] for key in want} == want
+    assert set(methods) == {"greedy", "sweep"}
 
 
 def test_cluster_rows_stops_past_max_q():
@@ -575,9 +592,35 @@ def test_a_recovered_planted_graph_has_the_flip_count_as_residual():
     assert recovered >= 87
 
 
+def test_the_fixed_point_extraction_groups_on_meets_the_one_tolerance(monkeypatch):
+    # ||S - G[I + beta^2 S]||_F <= 1e-13 ||S||_F for the S extraction
+    # groups nodes on, lifted to the nodes: on a noisy block cycle (no
+    # equivalent nodes) and on one with two flipped edges (8 classes)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(_quotient_similarity(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(extract, "_quotient_similarity", recording)
+    A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
+    M = A.entries.copy()
+    M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
+    noisy, _, _ = generate_structure("block_cycle", (10, 10, 10, 10))
+    noisy = perturb(noisy, PerturbationModel(p_in=0.1, p_out=0.1, seed=3))
+    for A in (noisy, Adjacency.from_matrix(M)):
+        extract_roles(A, k=None)
+        lift = A.quotient.lift
+        S = lift(lift(seen[-1].S).T)
+        X = np.eye(A.n) + seen[-1].beta2 * S
+        M = A.entries
+        residual = M @ X @ M.T + M.T @ X @ M - S
+        assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(S)
+
+
 def test_nonconvergence_carries_the_last_iterate_on_the_nodes():
     # two flipped edges leave 8 classes of 12 nodes; the solve runs on the
-    # quotient and needs 13 iterations, and the state is lifted back
+    # quotient and needs 16 iterations, and the state is lifted back
     A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
     M = A.entries.copy()
     M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import kron_rho
@@ -190,7 +190,8 @@ def canonical(sigma: np.ndarray) -> np.ndarray:
 def assert_equivariant(M: np.ndarray, perm: np.ndarray, automorphisms=(), **kwargs):
     """extract_roles on M and on M permuted by ``perm`` agree: in q_est,
     residual and the unassigned nodes, and in the partition node for node
-    or up to one of the given node automorphisms of M."""
+    or up to one of the given node automorphisms of M.  Returns the result
+    on M."""
     before = extract_roles(Adjacency.from_matrix(M), **kwargs)
     after = extract_roles(Adjacency.from_matrix(M[np.ix_(perm, perm)]), **kwargs)
     assert after.params == {**before.params,
@@ -214,6 +215,7 @@ def assert_equivariant(M: np.ndarray, perm: np.ndarray, automorphisms=(), **kwar
             match[int(a)] = int(b)
     order = [match[r] for r in range(before.q_est)]
     assert np.array_equal(after.B.entries[np.ix_(order, order)], before.B.entries)
+    return before
 
 
 def role_automorphisms(M: np.ndarray, B, truth) -> list[np.ndarray]:
@@ -265,8 +267,14 @@ def test_extract_roles_is_equivariant_under_node_permutation(kind, sizes, zeros,
 def test_the_sweep_is_equivariant_under_node_permutation(kind, sizes, p, seed):
     A, _, _ = generate_structure(kind, sizes)
     noisy = perturb(A, PerturbationModel(p_in=p, p_out=p, seed=seed % 1000))
+    # an exact greedy model has a role per class of structurally equivalent
+    # active nodes, so it is kept only when c <= n // 2 + 1 (counting the
+    # class of isolated nodes); one or two flips on a community graph can
+    # leave that few classes
+    assume(noisy.quotient.c > noisy.n // 2 + 1)
     perm = np.random.default_rng(seed).permutation(A.n)
-    assert_equivariant(noisy.entries, perm, trunc_tol=1e-3, method="sweep")
+    result = assert_equivariant(noisy.entries, perm, trunc_tol=1e-3)
+    assert result.params["method"] == "sweep"
 
 
 @pytest.mark.parametrize("A", [A for _, A in GRAPHS], ids=IDS)
