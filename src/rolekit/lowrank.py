@@ -42,7 +42,7 @@ from .graphcore import as_adjacency
 from .similarity import DEFAULT_MAX_K, _check_beta2, _compress, _quotient_similarity
 
 #: the ratio of consecutive singular values below which :func:`estimate_rank`
-#: declares a gap, in extraction and in the spectrum report alike
+#: declares a gap: extraction's default and the spectrum report's constant
 DEFAULT_GAP_RATIO = 0.5
 
 

@@ -41,11 +41,9 @@ from .graphcore import Adjacency, as_adjacency
 
 #: default damping as a fraction of the admissible bound: beta^2 = 0.81 / rho
 DEFAULT_BETA2_FRACTION = 0.81
-#: the one stopping rule of the similarity solve: every command accepts the
-#: fixed point at a true residual of at most this times ||S||_F.  The
-#: spectrum report prints 9 significant digits of singular values spanning
-#: orders of magnitude, so the bound on the error relative to ||S||_F sits
-#: well below its last printed digit.
+#: the one stopping rule of the similarity solve, in every command: a true
+#: residual of at most DEFAULT_TOL * ||S||_F, far below the last of the 9
+#: significant digits the spectrum report prints of values spanning decades
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_K = 10000
 
