@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -559,10 +560,13 @@ def read_edge_list(path, n: int | None = None) -> Adjacency:
     Repeating an edge with the same weight is allowed.
 
     A file whose lines all have two columns of plain integers, or all three
-    with a weight, is parsed in one vectorized pass; any other file, and any
-    file that fails a check, goes through the per-line parser, which is the
-    one source of error messages and line numbers.  Both give the same
-    matrix for every file the vectorized pass accepts.
+    with a weight, is parsed in one vectorized pass: ``np.loadtxt`` reads it
+    from its path, in numpy's C tokenizer.  Any other file, and any file
+    that fails a check, goes through the per-line parser, which is the one
+    source of error messages and line numbers.  Both give the same matrix
+    for every file the vectorized pass accepts.  A two-column file has
+    weight 1 on every edge, so a repeated edge cannot conflict: its weights
+    are not read back, and it is built as ``"unweighted"`` directly.
     """
     if n is not None and int(n) > MAX_NODES:
         raise EdgeListFormatError(
@@ -575,6 +579,9 @@ def read_edge_list(path, n: int | None = None) -> Adjacency:
     if n <= max_id:
         raise EdgeListFormatError(f"node id {max_id} exceeds declared count {n}")
     M = np.zeros((n, n))
+    if w is None:
+        M[src, dst] = 1.0
+        return Adjacency(M, UNWEIGHTED)
     M[src, dst] = w
     # every edge reads back its own weight, bit for bit, iff no edge is
     # repeated with another weight; then the order of the writes is moot
@@ -623,20 +630,36 @@ def _parse_edge_lines(path):
 _WEIGHTED_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 
 
+#: suffixes that numpy's loadtxt decompresses when it opens a file by name
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+
+
 def _parse_edges_vectorized(path):
     """Parse a file of uniform two- or three-column lines with ``np.loadtxt``.
 
-    Returns (src, dst, weight) arrays, or None when the file has lines of
-    both widths or of another width, a field ``loadtxt`` cannot parse
-    (including ones Python's ``int`` and ``float`` accept, such as ``1_0``),
+    ``loadtxt`` gets the file's absolute name, not an open handle: from a
+    name its C tokenizer reads the file in blocks, from a handle it pulls
+    one Python string per line.  It would fetch a name that looks like a
+    URL and decompress one with a compression suffix, so only an existing
+    file without such a suffix goes to it, and it reads the bytes ``open``
+    reads.
+
+    Returns (src, dst, weight) arrays, with weight None for a two-column
+    file (every edge weighs 1, so no repeat can conflict), or None when
+    the path is not such a file, or the file has lines of both widths or
+    of another width, a field ``loadtxt`` cannot parse (including ones
+    Python's ``int`` and ``float`` accept, such as ``1_0``),
     whitespace-only lines, no lines, or an edge the per-line parser would
     reject.  Fields it parses get the values ``int`` and ``float`` give.
     """
+    name = os.path.abspath(os.fsdecode(path))
+    if not os.path.isfile(name) or os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES:
+        return None
     for dtype in (np.int64, _WEIGHTED_EDGE):
         try:
-            with open(path) as fh, warnings.catch_warnings():
+            with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # a file without lines warns
-                E = np.loadtxt(fh, delimiter="\t", dtype=dtype, ndmin=2, comments=None)
+                E = np.loadtxt(name, delimiter="\t", dtype=dtype, ndmin=2, comments=None)
         except ValueError:
             continue
         if E.size == 0:
@@ -644,11 +667,11 @@ def _parse_edges_vectorized(path):
         if dtype is _WEIGHTED_EDGE:
             src, dst, w = E["src"].ravel(), E["dst"].ravel(), E["w"].ravel()
         elif E.shape[1] == 2:
-            src, dst, w = E[:, 0], E[:, 1], np.ones(E.shape[0])
+            src, dst, w = E[:, 0], E[:, 1], None
         else:
             continue   # three integer columns: parse the weights as floats
         if (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= MAX_NODES
-                or not np.isfinite(w).all()):
+                or (w is not None and not np.isfinite(w).all())):
             return None
         return src, dst, w
     return None

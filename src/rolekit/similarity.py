@@ -110,6 +110,18 @@ def _sym(S: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2
 
 
+def _gamma_of_identity(A: Adjacency) -> np.ndarray:
+    """G[I] = A A^T + A^T A, the common parents and children ``N_1``.
+
+    numpy computes each product of a matrix with its own transpose by a
+    symmetric rank-k update (BLAS ``syrk``), half the work of a general
+    product, and each is exactly symmetric.  On graphs with integer
+    entries it equals ``_sym(gamma(A, I))`` bit for bit.
+    """
+    M = A.entries
+    return M @ M.T + M.T @ M
+
+
 def _compress(F: np.ndarray, trunc_tol: float):
     """Orthogonalize-then-SVD compression of a stacked factor.
 
@@ -267,7 +279,7 @@ def iterate(A, beta2: float, k: int) -> SimilarityState:
     if k < 1:
         raise ValueError("iteration depth k must be at least 1")
     eye = np.eye(A.n)
-    S = _sym(gamma(A, eye))
+    S = _gamma_of_identity(A)
     for _ in range(k - 1):
         S = _sym(gamma(A, eye + beta2 * S))
     return SimilarityState(S=S, k=k, beta2=beta2, converged=False)
@@ -332,11 +344,11 @@ def _residual(A: Adjacency, beta2: float, S: np.ndarray) -> np.ndarray:
 def _fixed_point(A: Adjacency, beta2: float, tol: float, max_k: int) -> SimilarityState:
     """CG on (I - beta^2 G) S = G[I] from S = 0, for an admissible beta2.
 
-    Every iterate is symmetric, and every application of G goes through
-    :func:`gamma`.
+    Every iterate is symmetric, and every application of G to an iterate
+    goes through :func:`gamma`.
     """
     S = np.zeros((A.n, A.n))
-    R = _residual(A, beta2, S)   # G[I], the right-hand side, as S = 0
+    R = _gamma_of_identity(A)   # the right-hand side, and the residual at S = 0
     P = R.copy()
     rr = np.vdot(R, R)
     history = []
@@ -377,7 +389,7 @@ def pattern_counts(A, ell_max: int) -> list[PatternCount]:
     if ell_max < 1:
         raise ValueError("ell_max must be at least 1")
     out = []
-    N = _sym(gamma(A, np.eye(A.n)))
+    N = _gamma_of_identity(A)
     out.append(PatternCount(N=N, ell=1))
     for ell in range(2, ell_max + 1):
         N = _sym(gamma(A, N))

@@ -143,8 +143,10 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     ``k`` steps.  A ``k`` or ``max_k`` below 1 is rejected before anything
     is computed.  At every depth ``beta2`` (None for 0.81 / rho) is
     rejected at or above the admissible bound ``1 / rho`` before any step,
-    as in ``extract_roles``.  ``sigma_S_half`` is taken as
-    ``sqrt(sigma_S)``.  ``gap_index`` is the role count
+    as in ``extract_roles``.  S_hat is symmetric positive semi-definite,
+    so ``sigma_S`` is taken as the moduli of its eigenvalues
+    (``eigvalsh``; rounding can leave some slightly below 0), and
+    ``sigma_S_half`` as ``sqrt(sigma_S)``.  ``gap_index`` is the role count
     :func:`rolekit.lowrank.estimate_rank` reads off ``sigma_S`` at the gap
     ratio 0.5.
     """
@@ -156,7 +158,7 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th
     top = min(m, A.quotient.c)
     sigma_A[:top] = np.linalg.svd(A.quotient.entries, compute_uv=False)[:top]
-    sigma_S[:top] = np.linalg.svd(state.S, compute_uv=False)[:top]
+    sigma_S[:top] = np.sort(np.abs(np.linalg.eigvalsh(state.S)))[::-1][:top]
     return SpectrumReport(
         sigma_A=sigma_A,
         sigma_S_half=np.sqrt(sigma_S),

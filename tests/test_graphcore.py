@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -416,6 +417,52 @@ def test_edge_list_comment_line_is_rejected_at_its_line(tmp_path):
     with pytest.raises(EdgeListFormatError) as info:
         read_edge_list(path)
     assert info.value.line_no == 2
+
+
+def test_edge_list_repeated_two_column_edges_read_as_unweighted(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("0\t1\n1\t2\n0\t1\n2\t0\n1\t2\n")
+    A = read_edge_list(path)
+    assert A.kind == "unweighted"
+    assert np.array_equal(A.entries, np.roll(np.eye(3), 1, axis=1))
+
+
+@pytest.mark.parametrize("text, kind", [("0\t1\n1\t0\n", "unweighted"),
+                                        ("0\t1\t2.5\n1\t0\t-1\n", "weighted")],
+                         ids=["two columns", "three columns"])
+def test_vectorized_reader_hands_loadtxt_the_path(tmp_path, monkeypatch, text, kind):
+    # from a path numpy's C tokenizer reads the file in blocks; from a file
+    # object it pulls one Python string per line
+    seen = []
+    original = np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        seen.append(fname)
+        return original(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    assert _parse_edges_vectorized(path) is not None
+    assert read_edge_list(path).kind == kind
+    assert seen and all(isinstance(f, (str, os.PathLike)) for f in seen)
+
+
+def test_vectorized_reader_hands_loadtxt_only_a_plain_file(tmp_path, monkeypatch):
+    # loadtxt would fetch a URL, decompress by suffix, and open a
+    # compressed sibling of a missing file; the per-line parser reads the
+    # named file's own bytes, and only such a file goes to loadtxt
+    def refuse(fname, *args, **kwargs):
+        raise AssertionError(f"loadtxt was given {fname!r}")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    for suffix in (".bz2", ".gz", ".xz", ".lzma"):
+        plain = tmp_path / f"g.tsv{suffix}"
+        plain.write_text("0\t1\n1\t0\n")
+        assert np.array_equal(read_edge_list(plain).entries, [[0, 1], [1, 0]])
+    for missing in (tmp_path / "g.tsv", "http://example.invalid/g.tsv"):
+        with pytest.raises(FileNotFoundError):
+            read_edge_list(missing)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,23 @@ def test_beta_bound_rejects_zero_graph():
         beta_bound(Adjacency.from_matrix(np.zeros((3, 3))))
 
 
+def test_gamma_of_identity_equals_the_general_operator():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 40, 130):
+        M = (rng.random((n, n)) < 0.3).astype(float)
+        signs = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+        # integer entries: every sum is exact in either order
+        for A in (Adjacency.from_matrix(M), Adjacency.from_matrix(M * signs)):
+            want = similarity._sym(gamma(A, np.eye(n)))
+            got = similarity._gamma_of_identity(A)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        W = Adjacency.from_matrix(M * rng.lognormal(0.0, 1.0, (n, n)))
+        got = similarity._gamma_of_identity(W)
+        np.testing.assert_allclose(got, similarity._sym(gamma(W, np.eye(n))),
+                                   rtol=1e-14, atol=0)
+        assert np.array_equal(got, got.T)
+
+
 # ---------------------------------------------------------------------------
 # the recurrence and its fixed point
 # ---------------------------------------------------------------------------

@@ -239,6 +239,22 @@ def test_spectrum_report_commutes_with_node_permutation(k):
 
 
 @pytest.mark.parametrize("k", [None, 3])
+def test_sigma_S_are_the_singular_values_of_S_hat(k):
+    rng = np.random.default_rng(53)
+    M = (rng.random((30, 30)) < 0.2).astype(float)
+    signed = M * np.where(rng.random(M.shape) < 0.4, -1.0, 1.0)
+    weighted = M * rng.lognormal(0.0, 1.0, M.shape)
+    for A in (*_ideal_graphs(), Adjacency.from_matrix(signed),
+              Adjacency.from_matrix(weighted)):
+        S_hat = similarity._quotient_similarity(A, None, k).S
+        want = np.linalg.svd(S_hat, compute_uv=False)
+        got = spectrum_report(A, k=k, top_m=A.n).sigma_S
+        # values that are rounding noise of an exact 0 compare against the largest
+        np.testing.assert_allclose(got[:want.size], want, rtol=1e-12, atol=1e-14 * want[0])
+        assert not got[want.size:].any()
+
+
+@pytest.mark.parametrize("k", [None, 3])
 def test_spectrum_report_applies_the_operator_on_the_quotient_only(monkeypatch, k):
     shapes = []
     original = similarity.gamma
