@@ -1,31 +1,36 @@
 """Role recovery: group nodes by the angles of their similarity rows, rebuild B.
 
-The similarity S_k is positive semi-definite, so S_k = U U^T for a factor U,
-and whatever the factor, the cosine between its rows i and j is the entry
-K_ij of the cosine Gram matrix
-
-    K = D^(-1/2) S_k D^(-1/2),   D = diag(S_k).
-
-On an ideal graph the nodes form exactly q groups of pairwise-parallel rows,
-one per role, for every depth k.  Extraction therefore groups nodes by K
-alone, reads the role matrix off the block densities of the adjacency
-matrix, and scores the fit with the squared Frobenius cost
-``||A - (PZ) B (PZ)^T||_F^2``.
+The similarity S_k is positive semi-definite, so S_k = X X^T for a factor X,
+and whatever the factor, the cosine between its rows i and j is
+``S_ij / sqrt(S_ii S_jj)``.  On an ideal graph the nodes form exactly q
+groups of pairwise-parallel rows, one per role, for every depth k.
+Extraction therefore groups the rows of a factor of S_k by angle, reads the
+role matrix off the block densities of the adjacency matrix, and scores the
+fit with the squared Frobenius cost ``||A - (PZ) B (PZ)^T||_F^2``.
 
 S_k is computed on the quotient by structural equivalence
 (:class:`rolekit.graphcore.Quotient`), where it is the c x c matrix
-``S_hat = Q^T S_k Q``: the nodes of one class have equal rows of S_k, so
-they always share a label, each class counts with its size, and K_ij is
-``K_hat[a, b]`` for the classes a of i and b of j.
+``S_hat = Q^T S_k Q`` with the factor ``Q^T X``: the nodes of one class
+have parallel rows, so they always share a label, and each class counts
+with its size.
+
+The factor comes by one of two routes, and its rows are grouped by the
+same code whichever it is.  At a finite depth, on a quotient of more than
+2b classes (a block of b = r + 8 columns for a rank r from 8), it is the
+thin similarity ``S_hat_k ~= X X^T`` of rank r
+(:func:`rolekit.lowrank._thin_similarity`), at O(c^2 b) a product, and no
+c x c matrix is formed.  Otherwise (fewer classes, a start block of lower
+rank, or the fixed point) it is the exact factor of ``S_hat`` from its
+eigendecomposition.
 
 For graphs that are not exactly ideal the parallel groups blur; extraction
 then sweeps candidate role counts around the gap in the spectrum of S_k with
-a deterministic kernel spherical k-means on K (Dhillon, Guan & Kulis, KDD
-2004), run from a few seeds, and keeps the smallest count whose cost is
-within 5% of the best.
+a deterministic spherical k-means on the unit rows of the factor (Dhillon,
+Guan & Kulis, KDD 2004), run from a few seeds, and keeps the smallest count
+whose cost is within 5% of the best.
 Checkerboard signed graphs are extracted through |A|, with the signs
 reattached to the indicator matrix afterwards.  :func:`cluster_rows` runs
-the same greedy grouping on the rows of an explicit factor.
+the same greedy grouping on the rows of a factor on the nodes.
 """
 
 from __future__ import annotations
@@ -42,14 +47,29 @@ from .graphcore import (
     as_adjacency,
     checkerboard_signature,
 )
-from .lowrank import DEFAULT_GAP_RATIO, LowRankState, estimate_rank
-from .similarity import DEFAULT_MAX_K, _quotient_similarity
+from .lowrank import (
+    _OVERSAMPLE,
+    DEFAULT_GAP_RATIO,
+    LowRankState,
+    _thin_similarity,
+    estimate_rank,
+)
+from .similarity import (
+    _START_RANK,
+    DEFAULT_MAX_K,
+    _check_depth,
+    _quotient_graph,
+    _quotient_similarity,
+    iterate,
+    resolve_beta2,
+)
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_DEPTH = 6
 
-#: a node's row of the factor counts as zero below this fraction of the
-#: largest row norm (its squared norm is the node's diagonal entry of S)
+#: a row of the factor counts as zero at or below this fraction of the
+#: largest row norm (its squared norm is the node's diagonal entry of S);
+#: :func:`cluster_rows` leaves such a node unassigned
 _ZERO_ROW_RTOL = 1e-12
 
 #: the sweep runs k-means from this many seeds per role count, the classes
@@ -131,6 +151,25 @@ def _greedy_scan(m: int, cosines, angle_tol: float,
     return labels
 
 
+def _chunked_cosines(rows: np.ndarray, chunk: int = 256):
+    """``cosines(i, reps)`` of :func:`_greedy_scan` on the unit rows of a
+    factor.  The scan asks for items in order and its representatives are
+    earlier items, so the cosines of the next ``chunk`` items with all
+    items up to them come from one matrix product: O(m^2 r) in all for m
+    rows of length r, in blocks of ``chunk`` rows, and no m x m matrix is
+    formed."""
+    start, block = -chunk, None
+
+    def cosines(i, reps):
+        nonlocal start, block
+        if not start <= i < start + chunk:
+            start = i - i % chunk
+            block = rows[start:start + chunk] @ rows[:start + chunk].T
+        return block[i - start, reps]
+
+    return cosines
+
+
 def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL, *,
                  max_q: int | None = None) -> Assignment | None:
     """Group the rows of a factor into clusters of nearly-parallel vectors.
@@ -142,7 +181,7 @@ def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL, *,
     node index.  Zero rows (disconnected nodes) are left unassigned.  With
     ``max_q`` the scan stops, returning None, when a row would found
     cluster ``max_q + 1``.  :func:`extract_roles` runs the same scan on
-    the cosine Gram matrix of S instead of on a factor.
+    the rows of a factor on the quotient, one row per class.
     """
     U = U.U if isinstance(U, LowRankState) else np.asarray(U, dtype=float)
     rows, zero = _normalized_rows(U)
@@ -160,17 +199,13 @@ def reconstruct_B(A, assignment: Assignment) -> RoleMatrix:
     """Read the role matrix off block densities: B_IJ = 1 iff the block sum
     exceeds half the block size (exact ties resolve to 0)."""
     A = as_adjacency(A)
-    if assignment.n != A.n:
-        raise ValueError("assignment length does not match the graph")
-    sizes = assignment.sizes()
+    sizes = _role_sizes(A, assignment)
     if (sizes == 0).any():
         raise ValueError("every role must own at least one node")
     W = np.zeros((A.n, assignment.q))
     nodes = np.flatnonzero(assignment.sigma >= 0)
     W[nodes, assignment.sigma[nodes]] = 1.0
-    block_sums = W.T @ A.entries @ W
-    half = np.outer(sizes, sizes) / 2.0
-    return RoleMatrix((block_sums > half).astype(float))
+    return _densest(W.T @ A.entries @ W, sizes)
 
 
 def extraction_cost(A, assignment: Assignment, B: RoleMatrix) -> float:
@@ -187,14 +222,41 @@ def extraction_cost(A, assignment: Assignment, B: RoleMatrix) -> float:
     clipped to 0.
     """
     A = as_adjacency(A)
-    if assignment.n != A.n:
-        raise ValueError("assignment length does not match the graph")
+    sizes = _role_sizes(A, assignment)
     M = A.entries
     W = assignment.membership()
-    sizes = assignment.sizes().astype(float)
-    cost = (np.vdot(M, M) - 2.0 * np.vdot(B.entries, W.T @ M @ W)
-            + sizes @ B.entries**2 @ sizes)
+    return _cost(np.vdot(M, M), W.T @ M @ W, B, sizes)
+
+
+def _role_sizes(A, assignment: Assignment) -> np.ndarray:
+    if assignment.n != A.n:
+        raise ValueError("assignment length does not match the graph")
+    return assignment.sizes()
+
+
+def _densest(block_sums: np.ndarray, sizes: np.ndarray) -> RoleMatrix:
+    """:func:`reconstruct_B` from the block sums W^T A W."""
+    half = np.outer(sizes, sizes) / 2.0
+    return RoleMatrix((block_sums > half).astype(float))
+
+
+def _cost(norm2: float, block_sums: np.ndarray, B: RoleMatrix,
+          sizes: np.ndarray) -> float:
+    """:func:`extraction_cost` from ||A||^2 and the block sums W^T A W."""
+    sizes = sizes.astype(float)
+    cost = norm2 - 2.0 * np.vdot(B.entries, block_sums) + sizes @ B.entries**2 @ sizes
     return max(float(cost), 0.0)
+
+
+def _role_model(M: np.ndarray, norm2: float, assignment: Assignment):
+    """``reconstruct_B`` and ``extraction_cost`` of an unsigned assignment
+    whose every role owns a node, on the graph M with ``norm2 = ||M||^2``,
+    from one block-sum product."""
+    W = assignment.membership()
+    sizes = assignment.sizes()
+    block_sums = W.T @ M @ W
+    B = _densest(block_sums, sizes)
+    return B, _cost(norm2, block_sums, B, sizes)
 
 
 def split_signed_roles(assignment: Assignment, B: RoleMatrix) -> SignedRoleSplit:
@@ -231,31 +293,30 @@ def split_signed_roles(assignment: Assignment, B: RoleMatrix) -> SignedRoleSplit
                            assignment=Assignment(sigma_hat))
 
 
-def _kernel_kmeans(K: np.ndarray, weights: np.ndarray, q: int, start: int,
-                   max_iter: int = 100) -> np.ndarray:
-    """Deterministic spherical k-means of unit vectors known by their cosines.
+def _spherical_kmeans(R: np.ndarray, weights: np.ndarray, q: int, start: int,
+                      max_iter: int = 100) -> np.ndarray:
+    """Deterministic spherical k-means of the unit rows of R.
 
-    ``K`` is the cosine Gram matrix of m unit vectors, and vector a counts
-    ``weights[a]`` times.  A center is the normalized weighted sum of its
-    members, so the cosines to the centers are ``K Z / sqrt(diag(Z^T K Z))``
-    for the weighted membership matrix Z, and no vector is ever formed.
-    Seeds are chosen farthest-first from vector ``start``; Lloyd updates
-    follow, a cluster left empty is reseeded with the vector its center
-    serves worst, and the loop stops when the labels repeat.  Every tie
-    goes to the lowest index: among equally far vectors when seeding, among
-    equally close centers (numbered in seed order), and among equally
-    badly served vectors when reseeding.  Returns one label per vector, the
-    number of its center.
+    Row a counts ``weights[a]`` times.  A center is the normalized weighted
+    sum of its members, so the cosines to the centers are ``R C^T / |C|``
+    for the weighted sums ``C = Z^T R`` (Z the weighted membership matrix),
+    at O(m r q) a step for m rows of length r.  Seeds are chosen
+    farthest-first from row ``start``; Lloyd updates follow, a cluster
+    left empty is reseeded with the row its center serves worst, and the
+    loop stops when the labels repeat.  Every tie goes to the lowest index:
+    among equally far rows when seeding, among equally close centers
+    (numbered in seed order), and among equally badly served rows when
+    reseeding.  Returns one label per row, the number of its center.
     """
-    m = K.shape[0]
+    m = R.shape[0]
     q = min(q, m)
     seeds = [start]
-    near = K[start].copy()
+    near = R @ R[start]
     while len(seeds) < q:
         far = int(np.argmin(near))
         seeds.append(far)
-        np.maximum(near, K[far], out=near)
-    sims = K[:, seeds]
+        np.maximum(near, R @ R[far], out=near)
+    sims = R @ R[seeds].T
     rows = np.arange(m)
     labels = np.zeros(m, dtype=int)
     for _ in range(max_iter):
@@ -265,27 +326,67 @@ def _kernel_kmeans(K: np.ndarray, weights: np.ndarray, q: int, start: int,
                 new[int(np.argmin(sims[rows, new]))] = label
         Z = np.zeros((m, q))
         Z[rows, new] = weights
-        KZ = K @ Z
-        norms = np.sqrt(np.maximum((Z * KZ).sum(axis=0), 0.0))
-        sims = KZ / np.where(norms > 0.0, norms, 1.0)
+        C = Z.T @ R
+        norms = np.linalg.norm(C, axis=1)
+        sims = (R @ C.T) / np.where(norms > 0.0, norms, 1.0)
         if np.array_equal(new, labels):
             break
         labels = new
     return labels
 
 
-def _gap_estimate(S: np.ndarray, trunc_tol: float, gap_ratio: float) -> int:
-    """The role count the spectrum of S suggests: :func:`estimate_rank` of
-    its descending eigenvalues, keeping those at least ``trunc_tol**2``
-    times the largest, the squares of the singular values that
+def _gap_estimate(w: np.ndarray, c: int, trunc_tol: float, gap_ratio: float) -> int:
+    """The role count the descending eigenvalues w of the c x c similarity
+    suggest: :func:`estimate_rank` of those at least ``trunc_tol**2`` times
+    the largest, the squares of the singular values that
     ``lowrank_iterate`` keeps at ``trunc_tol``.  Eigenvalues computed from
-    S itself carry rounding errors of about c * eps times the largest for
-    a c x c matrix (a factor's singular values carry them only squared), so
-    values below that floor are left out as well: they are zero to working
-    precision, and would otherwise set the estimate by rounding alone."""
-    w = np.linalg.eigvalsh(S)[::-1]
-    floor = max(trunc_tol**2, S.shape[0] * np.finfo(float).eps) * w[0]
+    a c x c matrix carry rounding errors of about c * eps times the largest
+    (a factor's singular values carry them only squared), so values below
+    that floor are left out as well: they are zero to working precision,
+    and would otherwise set the estimate by rounding alone."""
+    floor = max(trunc_tol**2, c * np.finfo(float).eps) * w[0]
     return estimate_rank(w[w >= floor], gap_ratio)
+
+
+def _eigen_factor(S: np.ndarray):
+    """The factor ``X = V diag(sqrt(w))`` of ``S = V diag(w) V^T`` over the
+    eigenvalues above the rounding floor of :func:`_gap_estimate` (those
+    below it are zero to working precision, and their eigenvectors are
+    arbitrary within the null space), and all eigenvalues w, largest
+    first."""
+    w, V = np.linalg.eigh(S)
+    w, V = w[::-1], V[:, ::-1]
+    keep = w > S.shape[0] * np.finfo(float).eps * w[0]
+    return V[:, keep] * np.sqrt(w[keep]), w
+
+
+def _finite_depth_factor(A, beta2: float, k: int, trunc_tol: float,
+                         gap_ratio: float):
+    """A factor X of ``S_hat_k ~= X X^T`` on the quotient of A, and the
+    descending eigenvalues of ``S_hat_k`` that the gap estimate reads.
+
+    While the quotient has more than 2b classes, b = r + 8 for a rank r
+    from 8, it is the thin similarity of rank r
+    (:func:`rolekit.lowrank._thin_similarity`), with the b Ritz values of
+    its block in place of the eigenvalues.  r doubles while the gap
+    estimate q on those b values satisfies q + 2 > r, so that the sweep's
+    role counts up to q + 2 fit in the factor.  The estimate reads all b
+    values, not the top r, because the largest eigenvalue of an unsigned
+    S stands far above the rest: among r values that all belong to roles,
+    the only drop is the first, and q would read 1.  Otherwise, or when
+    the thin start block is rank-deficient, the factor is the exact one
+    of the dense iterate.
+    """
+    quotient = A.quotient
+    rank = _START_RANK
+    while quotient.c > 2 * (rank + _OVERSAMPLE):
+        thin = _thin_similarity(quotient.entries, quotient.sizes, beta2, k, rank)
+        if thin is None:
+            break
+        if _gap_estimate(thin[1], quotient.c, trunc_tol, gap_ratio) + 2 <= rank:
+            return thin
+        rank *= 2
+    return _eigen_factor(iterate(_quotient_graph(A), beta2, k).S)
 
 
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
@@ -303,23 +404,26 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     iterate as an n x n similarity state.  A ``k`` or ``max_k`` below 1 is
     rejected before anything is computed.  At every depth ``beta2`` (None
     for 0.81 / rho) is rejected at or above the admissible bound
-    ``1 / rho``.  Nodes are grouped on the cosine Gram matrix K of S_k
-    (see the module docstring), with nodes whose diagonal entry of S_k is
-    negligible left unassigned, by one rule.  First the greedy scan: nodes
-    in order join the first group whose first node lies within
-    ``angle_tol`` of their line.  Its result is kept when it reproduces the
-    graph exactly with a compressive role count (q at most half the
-    assigned nodes), as on ideal graphs; the scan stops as soon as it would
-    exceed that count.  Otherwise the sweep runs: kernel spherical k-means
-    on K for role counts within 2 of the spectral-gap estimate, each count
-    seeded farthest-first from each of the four classes with the largest
-    diagonal entries of S_k and scored by its cheapest model, keeping the
-    smallest count within 5% of the least cost.  ``params["method"]``
-    records which of the two gave the result.  The gap estimate is
-    :func:`rolekit.lowrank.estimate_rank` with ``gap_ratio`` on the
-    eigenvalues of S_k; ``trunc_tol`` sets its floor, as eigenvalues below
-    ``trunc_tol**2`` times the largest are left out (and so are those below
-    the rounding floor of the eigensolver, see :func:`_gap_estimate`).
+    ``1 / rho``.  Nodes are grouped on the unit rows of a factor X of S_k
+    (see the module docstring: the thin similarity at a finite depth above
+    32 classes, else the exact factor), with nodes that have no edge left
+    unassigned, by one rule.  First the greedy scan: nodes in order join
+    the first group whose first node lies within ``angle_tol`` of their
+    line.  Its result is kept when it reproduces the graph exactly with a
+    compressive role count (q at most half the assigned nodes), as on
+    ideal graphs; the scan stops as soon as it would exceed that count.
+    Otherwise the sweep runs: spherical k-means on the rows for role
+    counts within 2 of the spectral-gap estimate, each count seeded
+    farthest-first from each of the four classes with the largest
+    diagonal entries ``|X_a|^2`` of S_k and scored by its cheapest model,
+    keeping the smallest count within 5% of the least cost.
+    ``params["method"]`` records which of the two gave the result.  The
+    gap estimate is :func:`rolekit.lowrank.estimate_rank` with
+    ``gap_ratio`` on the eigenvalues of S_k: all c of them on the exact
+    route, the b Ritz values of the block on the thin one; ``trunc_tol``
+    sets its floor, as eigenvalues below ``trunc_tol**2`` times the
+    largest are left out (and so are those below the rounding floor of
+    the eigensolver, see :func:`_gap_estimate`).
 
     Signed graphs with a checkerboard signature are extracted through |A|;
     the signs are reattached to the indicator matrix and the residual is
@@ -343,15 +447,19 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
             work = abs(A)
 
     quotient = work.quotient
-    state = _quotient_similarity(work, beta2, k, max_k)
-    S, beta2 = state.S, state.beta2
-    diag = np.maximum(np.diag(S), 0.0)
-    norms = np.sqrt(diag / quotient.sizes)   # the nodes' factor row norms
-    act = np.flatnonzero(norms > _ZERO_ROW_RTOL * norms.max())
-    root = np.sqrt(diag[act])
-    K = S[np.ix_(act, act)]
-    K /= root[:, None]
-    K /= root
+    if k is None:
+        state = _quotient_similarity(work, beta2, None, max_k)
+        beta2 = state.beta2
+        X, w = _eigen_factor(state.S)
+    else:
+        _check_depth(k, max_k)
+        beta2 = resolve_beta2(work, beta2)[0]
+        X, w = _finite_depth_factor(work, beta2, k, trunc_tol, gap_ratio)
+    # the classes with an edge: S_aa = 0 only on the others, whose nodes
+    # are left unassigned
+    edges = quotient.entries != 0.0
+    act = np.flatnonzero(edges.any(axis=0) | edges.any(axis=1))
+    rows = _normalized_rows(X[act])[0]
     n_active = int(quotient.sizes[act].sum())
 
     def lift(labels):   # labels of the active classes -> node assignment
@@ -360,33 +468,33 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         sigma[act] = np.argsort(np.argsort(first))[inverse]   # by first node
         return Assignment(sigma[quotient.labels])
 
+    M = work.entries
+    norm2 = np.vdot(M, M)
     # greedy is kept only when exact with at most n_active // 2 roles
     chosen, method = None, "greedy"
-    labels = _greedy_scan(act.size, lambda a, reps: K[a, reps], angle_tol,
-                          n_active // 2)
+    labels = _greedy_scan(act.size, _chunked_cosines(rows), angle_tol, n_active // 2)
     if labels is not None:
         greedy = lift(labels)
-        B = reconstruct_B(work, greedy)
-        if extraction_cost(work, greedy, B) == 0.0:
+        B, cost = _role_model(M, norm2, greedy)
+        if cost == 0.0:
             chosen = (greedy, B, 0.0)
 
     if chosen is None:
         method = "sweep"
-        q_guess = _gap_estimate(S, trunc_tol, gap_ratio)
-        # k-means runs on the classes ranked by S_aa, largest first, so its
-        # ties go to the larger S_aa and not to the earlier node
-        rank = np.argsort(-diag[act], kind="stable")
-        K_rank = K[np.ix_(rank, rank)]
-        weights = quotient.sizes[act][rank].astype(float)
+        q_guess = _gap_estimate(w, quotient.c, trunc_tol, gap_ratio)
+        # k-means runs on the classes ranked by S_aa = |X_a|^2, largest
+        # first, so its ties go to the larger S_aa and not to the earlier node
+        order = np.argsort(-np.einsum("ij,ij->i", X[act], X[act]), kind="stable")
+        rows_ranked = rows[order]
+        weights = quotient.sizes[act][order].astype(float)
         labels = np.empty(act.size, dtype=int)
         candidates = []
         for q in range(max(1, q_guess - 2), min(act.size, q_guess + 2) + 1):
             best = None
             for start in range(min(_SWEEP_STARTS, act.size)):   # the first wins ties
-                labels[rank] = _kernel_kmeans(K_rank, weights, q, start)
+                labels[order] = _spherical_kmeans(rows_ranked, weights, q, start)
                 asg = lift(labels)
-                B = reconstruct_B(work, asg)
-                cost = extraction_cost(work, asg, B)
+                B, cost = _role_model(M, norm2, asg)
                 if best is None or cost < best[2]:
                     best = (asg, B, cost)
             candidates.append(best)

@@ -1,23 +1,19 @@
-"""Factored similarity S_k = U U^T, computed once from the dense recurrence.
+"""Factored similarity S_k = U U^T: exact once from the dense recurrence, or thin.
 
 Since ``S_k = G[X]`` with ``X = I + beta^2 S_{k-1}`` (``X = I`` at k = 1) and
 ``G[X] = A X A^T + A^T X A``, a Cholesky factor ``X = L L^T`` gives
 
     S_k = F F^T,   F = [ A L   A^T L ],
 
-so the thin factor U is the compression of the stack F: orthogonalization
-followed by an SVD, discarding singular values below ``trunc_tol`` times the
-largest.  The truncation is applied once, to this final stack.  The factor
-is taken from ``[A L, A^T L]`` and not from an eigendecomposition of S_k,
-whose small eigenvalues are the squares of the factor's singular values and
-lose half their digits.
-
-The factor is a library output: role extraction
-(:func:`rolekit.extract.extract_roles`) groups nodes on S_k itself and does
-not call :func:`lowrank_iterate`, but both take S_k from the same solve,
-with one beta^2 rule, one tolerance and one non-convergence state.
-:func:`rolekit.extract.cluster_rows` groups the rows of a factor by the
-same greedy scan.  :func:`estimate_rank` reads a role count off a
+so the thin factor U of :func:`lowrank_iterate` is the compression of the
+stack F: orthogonalization followed by an SVD, discarding singular values
+below ``trunc_tol`` times the largest.  The truncation is applied once, to
+this final stack.  The factor is taken from ``[A L, A^T L]`` and not from
+an eigendecomposition of S_k, whose small eigenvalues are the squares of the
+factor's singular values and lose half their digits.  It is a library
+output, with the same beta^2 rule, tolerance and non-convergence state as
+every command; :func:`rolekit.extract.cluster_rows` groups its rows by the
+greedy scan of extraction.  :func:`estimate_rank` reads a role count off a
 descending spectrum and serves both extraction and the spectrum report.
 
 Structurally equivalent nodes are collapsed first: with c classes,
@@ -30,6 +26,13 @@ one O(c^3) compression.  On an ideal graph c is the number of roles; on a
 graph with no equivalent nodes (c = n, as on noisy graphs) the costs are
 O(n^3).  On an ideal graph the kept rank never exceeds rank([A A^T]), and
 the singular values of U are exactly those of S_k^(1/2).
+
+Role extraction at a finite depth on more than 32 classes uses the thin
+similarity instead (:func:`_thin_similarity`): the recurrence itself runs
+on a factor of fixed rank r, ``S_k ~= X X^T``, by subspace iteration at
+O(c^2 (r + 8)) a product, so no c x c iterate is formed.  On noisy graphs
+only the dominant eigenspace of S_k carries the roles, and the rank follows
+the gap estimate (see :func:`rolekit.extract.extract_roles`).
 """
 
 from __future__ import annotations
@@ -39,11 +42,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import as_adjacency
-from .similarity import DEFAULT_MAX_K, _check_beta2, _compress, _quotient_similarity
+from .similarity import (
+    DEFAULT_MAX_K,
+    _check_beta2,
+    _compress,
+    _quotient_similarity,
+    _ritz,
+    _sym,
+)
 
 #: the ratio of consecutive singular values below which :func:`estimate_rank`
 #: declares a gap: extraction's default and the spectrum report's constant
 DEFAULT_GAP_RATIO = 0.5
+
+#: the thin similarity keeps a block this many columns wider than its rank,
+#: and takes this many power steps per depth
+_OVERSAMPLE = 8
+_POWER_STEPS = 2
+#: a start column left with at most this fraction of its norm once the
+#: columns before it are projected out makes the start block rank-deficient
+_DEPENDENT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,3 +150,71 @@ def estimate_rank(sigma, gap_ratio: float) -> int:
         if ratio < gap_ratio:
             best = r
     return best if best is not None else sig.size
+
+
+def _start_block(M: np.ndarray, v: np.ndarray, width: int) -> np.ndarray | None:
+    """An orthonormal c x ``width`` basis of the block Krylov space of
+    ``G[I] = M M^T + M^T M`` grown from ``[M v, M^T v]``, or None when that
+    space has a lower dimension (numerically: a column keeps at most
+    ``_DEPENDENT_TOL`` of its norm after Gram-Schmidt against the ones
+    before it, run twice).  With v the square roots of the class sizes,
+    ``M v`` and ``M^T v`` are the out- and in-degrees of the classes
+    scaled to the quotient, so the block depends on no node order."""
+    basis = np.empty((M.shape[0], width))
+    front = np.column_stack([M @ v, M.T @ v])
+    j = 0
+    while True:
+        for y in front.T:
+            size = np.linalg.norm(y)
+            Q = basis[:, :j]
+            y = y - Q @ (Q.T @ y)
+            y -= Q @ (Q.T @ y)
+            norm = np.linalg.norm(y)
+            if not norm > _DEPENDENT_TOL * size:
+                return None
+            basis[:, j] = y / norm
+            j += 1
+            if j == width:
+                return basis
+        P = basis[:, j - 2:j]
+        front = M @ (M.T @ P) + M.T @ (M @ P)
+
+
+def _thin_similarity(M: np.ndarray, sizes: np.ndarray, beta2: float, k: int,
+                     rank: int):
+    """A thin factor X with ``S_hat_k ~= X X^T`` at the given rank, and the
+    Ritz values of the whole block, descending (the first ``rank`` are the
+    eigenvalues of ``X X^T``); None when the start block is rank-deficient
+    (see :func:`_start_block`).
+
+    The recurrence runs on the factor (Browet & Van Dooren, MTNS 2014):
+    with ``S_j ~= X X^T``, the next iterate acts on a block V as
+
+        S_(j+1) V = M (M^T V) + M^T (M V) + beta^2 F (F^T V),
+        F = [M X, M^T X],
+
+    at O(c^2 b) for a block of b = rank + ``_OVERSAMPLE`` columns, and X
+    of ``S_(j+1)`` comes from subspace iteration (Halko, Martinsson &
+    Tropp, SIAM Rev. 2011): ``_POWER_STEPS`` orthonormalized products,
+    started from the last Ritz vectors (from :func:`_start_block` at depth
+    1), then Rayleigh-Ritz on the block, keeping the top ``rank`` Ritz
+    pairs.  The part of each iterate past the kept rank is dropped before
+    the next depth, so X is the fixed-rank similarity, not a truncation of
+    the exact one.
+    """
+    V = _start_block(M, np.sqrt(sizes), rank + _OVERSAMPLE)
+    if V is None:
+        return None
+
+    def apply(V):   # the next iterate on V, with F from the last factor
+        return M @ (M.T @ V) + M.T @ (M @ V) + beta2 * (F @ (F.T @ V))
+
+    X = np.zeros((M.shape[0], 0))   # S_0 = 0, so S_1 = G[I]
+    for _ in range(k):
+        F = np.hstack([M @ X, M.T @ X])
+        for _ in range(_POWER_STEPS):
+            V = np.linalg.qr(apply(V))[0]
+        theta, V = _ritz(V, _sym(V.T @ apply(V)))
+        theta = np.maximum(theta, 0.0)
+        X = V[:, :rank] * np.sqrt(theta[:rank])
+    return X, theta

@@ -15,8 +15,8 @@ spectral radius is exposed as :func:`beta_bound`.  It is found by a power
 iteration on ``G``, which maps positive semi-definite matrices to positive
 semi-definite ones.  Where the dominant eigenvector is numerically low-rank
 (as on noisy block cycles) the iterate is kept as a thin factor ``V V^T`` of
-rank r, at O(n^2 r) a step; otherwise the iteration runs on dense n x n
-iterates at O(n^3) a step.
+rank r, at O(n^2 r) a step, its eigenvalues read off a 2r x 2r Gram matrix;
+otherwise the iteration runs on dense n x n iterates at O(n^3) a step.
 
 Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
 The limit (:func:`fixed_point`) is found instead by solving the linear system
@@ -130,8 +130,8 @@ def _compress(F: np.ndarray, trunc_tol: float):
     F is reduced to L = R^T from the QR factorization F^T = Q R, since
     F F^T = L L^T: the left singular factor and singular values of F are
     those of L, and no Q is formed.  For a wide m x w stack, as
-    ``lowrank_iterate`` builds, L is an m x m triangle; for a tall one, as
-    :func:`beta_bound` builds, it is m x w and the compression costs
+    ``lowrank_iterate`` and the start of :func:`beta_bound` build, L is an
+    m x m triangle; for a tall one it is m x w and the compression costs
     O(m w^2).
     """
     L = np.linalg.qr(F.T, mode="r").T
@@ -140,6 +140,20 @@ def _compress(F: np.ndarray, trunc_tol: float):
         return np.zeros((F.shape[0], 0)), s[:0]
     keep = s >= trunc_tol * s[0]
     return W[:, keep] * s[keep], s[keep]
+
+
+def _ritz(V: np.ndarray, T: np.ndarray):
+    """The eigenvalues of the small symmetric matrix T, largest first, and
+    ``V W`` for its eigenvectors W in the same order.
+
+    With ``T = V^T V`` the values are those of ``V V^T`` and the columns of
+    ``V W`` are its orthogonal eigenvectors, of norms the square roots of
+    the values: a thin factor of ``V V^T``, from an eigenproblem as wide as
+    V.  With orthonormal V and ``T = V^T S V`` they are the Ritz values
+    and vectors of S on the range of V (Rayleigh-Ritz).
+    """
+    w, W = np.linalg.eigh(T)
+    return w[::-1], V @ W[:, ::-1]
 
 
 def beta_bound(A) -> float:
@@ -158,8 +172,11 @@ def beta_bound(A) -> float:
 
     - Factored, while 2r < c for a rank r that starts at 8: the iterate is
       a thin factor ``X = V V^T``.  Since ``G[V V^T] = F F^T`` for
-      ``F = [A_hat V, A_hat^T V]``, a step costs O(c^2 r): form F, compress
-      it (:func:`_compress`) and keep its top r.  The start is the rank-r
+      ``F = [A_hat V, A_hat^T V]``, a step costs O(c^2 r): form F, take the
+      eigenvalues of ``F F^T`` and its eigenvectors ``F W`` from the
+      2r x 2r Gram matrix ``F^T F = W diag(w) W^T`` (:func:`_ritz`, the
+      small eigenproblem of the thin similarity as well), and keep the top
+      r.  The start is the rank-r
       projection of ``G[I]`` on the range of ``G[I] Omega`` for a fixed
       Gaussian c x r matrix Omega (a randomized range finder).  G maps
       positive semi-definite matrices to positive semi-definite ones, so
@@ -198,8 +215,8 @@ def beta_bound(A) -> float:
         last_discarded = np.inf
         while 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
             steps += 1
-            U, s = _compress(np.hstack([M @ V, M.T @ V]), 0.0)
-            power = s**2   # the eigenvalues of G[V V^T]
+            F = np.hstack([M @ V, M.T @ V])   # G[V V^T] = F F^T
+            power, U = _ritz(F, F.T @ F)
             norm = float(np.linalg.norm(power))
             if estimate > 0.0:
                 history.append(abs(norm - estimate) / estimate)
@@ -303,29 +320,41 @@ def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
     return _fixed_point(A, resolve_beta2(A, beta2)[0], tol, max_k)
 
 
+def _check_depth(k: int | None, max_k: int) -> None:
+    """Reject a depth ``k`` (None for the fixed point) or a cap below 1."""
+    if k is not None and not k >= 1:
+        raise ValueError("iteration depth k must be at least 1")
+    if not max_k >= 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k!r}")
+
+
+def _quotient_graph(A: Adjacency) -> Adjacency:
+    """The quotient of A by structural equivalence as a graph: A itself
+    when no two nodes are equivalent."""
+    return A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
+
+
 def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
                          max_k: int = DEFAULT_MAX_K) -> SimilarityState:
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
     :class:`rolekit.graphcore.Quotient`).  This is the one route from a
-    command to the similarity, so every command sees the same S_hat at a
-    given depth.  A depth ``k`` below 1 and a ``max_k`` below 1 are
-    rejected before anything is computed, at every depth.  ``beta2`` (None
-    for the default 0.81 / rho) is resolved and checked against the
-    admissible bound at every depth: by :func:`resolve_beta2` on A at a
-    finite k, by :func:`fixed_point` on A_hat at ``k=None``, which solves
-    to the one tolerance ``DEFAULT_TOL``.  Past ``max_k``,
+    command to the dense similarity, so every command sees the same S_hat
+    at a given depth; ``extract_roles`` at a finite depth makes the same
+    checks and the same ``iterate`` call on the same quotient graph, or
+    keeps a thin factor instead.  A depth ``k`` below 1 and a ``max_k``
+    below 1 are rejected before anything is computed, at every depth.
+    ``beta2`` (None for the default 0.81 / rho) is resolved and checked
+    against the admissible bound at every depth: by :func:`resolve_beta2`
+    on A at a finite k, by :func:`fixed_point` on A_hat at ``k=None``,
+    which solves to the one tolerance ``DEFAULT_TOL``.  Past ``max_k``,
     :class:`NonConvergenceError` carries the last iterate lifted to the
     n x n similarity ``Q S_hat Q^T``, with the solve's history."""
-    if k is not None and not k >= 1:
-        raise ValueError("iteration depth k must be at least 1")
-    if not max_k >= 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k!r}")
-    small = A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
+    _check_depth(k, max_k)
     if k is not None:
-        return iterate(small, resolve_beta2(A, beta2)[0], k)
+        return iterate(_quotient_graph(A), resolve_beta2(A, beta2)[0], k)
     try:
-        return fixed_point(small, beta2, DEFAULT_TOL, max_k)
+        return fixed_point(_quotient_graph(A), beta2, DEFAULT_TOL, max_k)
     except NonConvergenceError as exc:
         lift = A.quotient.lift
         state = replace(exc.state, S=lift(lift(exc.state.S).T))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -31,11 +33,12 @@ from rolekit import (
 )
 from rolekit.extract import (
     _ZERO_ROW_RTOL,
+    _eigen_factor,
     _gap_estimate,
-    _kernel_kmeans,
     _normalized_rows,
+    _spherical_kmeans,
 )
-from rolekit import extract
+from rolekit import extract, lowrank
 from rolekit.graphcore import _merge_equivalent_roles
 from rolekit.similarity import _quotient_similarity
 
@@ -493,12 +496,12 @@ def test_cluster_rows_stops_past_max_q():
 
 
 # ---------------------------------------------------------------------------
-# the kernel sweep and the gap estimate read S alone
+# the sweep and the gap estimate read S alone, whatever its factor
 # ---------------------------------------------------------------------------
 
 def _spherical_kmeans_on_rows(U, q):
-    """Spherical k-means on the unit rows of a factor U, run as the kernel
-    sweep runs on K: seeds farthest-first from the row of largest norm,
+    """Spherical k-means on the unit rows of a factor U, run row by row as
+    the sweep runs it: seeds farthest-first from the row of largest norm,
     centers the normalized sums of their members, a cluster left empty
     reseeded with the row its old center serves worst."""
     norms = np.linalg.norm(U, axis=1)
@@ -542,20 +545,21 @@ def test_the_kernel_sweep_equals_spherical_kmeans_on_any_factor():
         w, V = np.linalg.eigh(S)
         U = V * np.sqrt(np.clip(w, 0.0, None))            # S = U U^T
         Q = np.linalg.qr(rng.standard_normal((A.n, A.n)))[0]   # a random rotation
-        root = np.sqrt(np.diag(S))
-        K = S / np.outer(root, root)
+        rows = _normalized_rows(U @ Q)[0]
         for q in range(1, 7):
             got = canonicalize(Assignment(
-                _kernel_kmeans(K, np.ones(A.n), q, int(np.argmax(np.diag(S))))))[0]
+                _spherical_kmeans(rows, np.ones(A.n), q, int(np.argmax(np.diag(S))))))[0]
             assert np.array_equal(got, _spherical_kmeans_on_rows(U, q))
             assert np.array_equal(got, _spherical_kmeans_on_rows(U @ Q, q))
 
 
 def test_the_sweep_recovers_most_planted_roles_at_20_percent_flips():
-    # 48 graphs: 4 generators x n in {40, 80, 160} x 4 seeds, 4 equal roles.
-    # Seeding k-means from the four classes of largest S_aa recovers 40;
-    # from that class alone it recovered 35, and the factor-row sweep that
-    # seeded from the first node 36.
+    # 48 graphs: 4 generators x n in {40, 80, 160} x 4 seeds, 4 equal roles,
+    # all with more than 32 classes, so extraction runs on the thin
+    # similarity of rank 8.  It recovers 42.  On the exact similarity,
+    # seeding k-means from the four classes of largest S_aa recovered 40;
+    # from that class alone 35, and the factor-row sweep that seeded from
+    # the first node 36.
     recovered = 0
     for kind in ("block_cycle", "community", "overlapping", "bipartite_communities"):
         for n in (40, 80, 160):
@@ -566,16 +570,17 @@ def test_the_sweep_recovers_most_planted_roles_at_20_percent_flips():
                 noisy = perturb(A, PerturbationModel(0.2, 0.2, seed=seed))
                 result = extract_roles(noisy, trunc_tol=1e-3)
                 recovered += same_partition_and_B(result, B, truth)
-    assert recovered >= 39
+    assert recovered >= 42
 
 
 def test_a_recovered_planted_graph_has_the_flip_count_as_residual():
     # the ideal matrix of the planted partition and B is the unflipped
     # graph, so the residual of a recovered graph counts the flips exactly.
-    # 87 of 96 were recovered when this test was written: 48 of 48 at 10%
-    # flips and 39 of 48 at 5%, where 9 of the n = 40 graphs come out with
-    # q = 40 and residual 0, their gap estimate set by a drop between the
-    # two smallest eigenvalues of S
+    # All 96 are recovered on the thin similarity (every graph has more
+    # than 32 classes).  On the exact similarity 87 were: at 5% flips 9 of
+    # the n = 40 graphs came out with q = 40 and residual 0, their gap
+    # estimate set by a drop between the two smallest of the 40 eigenvalues
+    # of S, a drop the 16 Ritz values of the thin route do not reach
     recovered = 0
     for p in (0.05, 0.1):
         for kind in ("block_cycle", "community", "overlapping", "bipartite_communities"):
@@ -589,7 +594,71 @@ def test_a_recovered_planted_graph_has_the_flip_count_as_residual():
                     if same_partition_and_B(result, B, truth):
                         recovered += 1
                         assert result.residual == (noisy.entries != A.entries).sum()
-    assert recovered >= 87
+    assert recovered == 96
+
+
+# ---------------------------------------------------------------------------
+# the thin route: S_k ~= X X^T at a fixed rank, above 2 (8 + 8) = 32 classes
+# ---------------------------------------------------------------------------
+
+def _result_json(result):
+    return json.dumps(result.to_json_dict(), sort_keys=True)
+
+
+def _dense_route(monkeypatch, A, **kwargs):
+    """What extract_roles returns with the thin route switched off, so that
+    it takes the exact factor of the dense iterate."""
+    with monkeypatch.context() as patch:
+        patch.setattr(extract, "_thin_similarity", lambda *args: None)
+        return extract_roles(A, **kwargs)
+
+
+def test_equal_degrees_leave_the_thin_route_for_the_dense_one(monkeypatch):
+    # a 4-role block cycle of 10 nodes a role, plus a cyclic derangement
+    # within each role: every node has in- and out-degree 11, so the start
+    # block [A 1, A^T 1, ...] has rank 1, though no two nodes are
+    # equivalent (c = n = 40 > 32)
+    m, q = 10, 4
+    M = np.zeros((m * q, m * q))
+    for r in range(q):
+        role, target = np.arange(r * m, (r + 1) * m), np.arange(m) + (r + 1) % q * m
+        M[np.ix_(role, target)] = 1.0
+        M[role, np.roll(role, 1)] = 1.0
+    A = Adjacency.from_matrix(M)
+    assert A.quotient.c == 40
+    assert (M.sum(axis=0) == m + 1).all() and (M.sum(axis=1) == m + 1).all()
+    assert lowrank._start_block(M, np.ones(m * q), 16) is None
+    returned = []
+    thin = extract._thin_similarity
+    monkeypatch.setattr(extract, "_thin_similarity",
+                        lambda *args: returned.append(thin(*args)) or returned[-1])
+    result = extract_roles(A)
+    assert returned == [None]
+    assert _result_json(result) == _result_json(_dense_route(monkeypatch, A))
+    # the derangements are a 1/m-dense diagonal block, so they count as noise
+    assert result.q_est == q and result.residual == m * q
+
+
+def test_the_thin_rank_doubles_until_the_gap_fits(monkeypatch):
+    # 8 roles of 8 nodes: the 8 Ritz values of the planted roles fill the
+    # rank-8 factor, and the drop after them lies in the oversampled block,
+    # so the rank doubles once; the result is the dense route's, and it is
+    # the planted model
+    A, B, truth = generate_structure("block_cycle", (8,) * 8,
+                                     perm=np.random.default_rng(64).permutation(64))
+    noisy = perturb(A, PerturbationModel(p_in=0.03, p_out=0.03, seed=3))
+    assert noisy.quotient.c == 64
+    ranks = []
+    thin = extract._thin_similarity
+    monkeypatch.setattr(extract, "_thin_similarity",
+                        lambda M, sizes, beta2, k, rank: ranks.append(rank)
+                        or thin(M, sizes, beta2, k, rank))
+    result = extract_roles(noisy, trunc_tol=1e-3)
+    assert ranks == [8, 16]
+    assert _result_json(result) == _result_json(
+        _dense_route(monkeypatch, noisy, trunc_tol=1e-3))
+    assert same_partition_and_B(result, B, truth)
+    assert result.residual == (noisy.entries != A.entries).sum()
 
 
 def test_the_fixed_point_extraction_groups_on_meets_the_one_tolerance(monkeypatch):
@@ -667,5 +736,5 @@ def test_the_gap_estimate_equals_the_one_from_the_factor(k):
         S = _quotient_similarity(A, beta2, k).S
         sigma = lowrank_iterate(A, beta2, k=k, trunc_tol=trunc_tol).sigma
         for gap_ratio in (0.3, 0.5, 0.8):
-            assert (_gap_estimate(S, trunc_tol, gap_ratio)
+            assert (_gap_estimate(_eigen_factor(S)[1], S.shape[0], trunc_tol, gap_ratio)
                     == estimate_rank(sigma**2, gap_ratio))

@@ -277,6 +277,23 @@ def test_the_sweep_is_equivariant_under_node_permutation(kind, sizes, p, seed):
     assert result.params["method"] == "sweep"
 
 
+# from n = 40 on, every noisy draw here has more than 2 (8 + 8) = 32
+# classes, so extraction runs on the thin similarity, whose start block is
+# grown from the degrees and whose subspace iteration is basis-free
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       sizes=st.lists(st.integers(10, 30), min_size=4, max_size=4),
+       p=st.sampled_from((0.05, 0.1, 0.2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_thin_route_is_equivariant_under_node_permutation(kind, sizes, p, seed):
+    A, _, _ = generate_structure(kind, sizes)
+    noisy = perturb(A, PerturbationModel(p_in=p, p_out=p, seed=seed % 1000))
+    assert noisy.quotient.c > 32
+    perm = np.random.default_rng(seed).permutation(A.n)
+    result = assert_equivariant(noisy.entries, perm, trunc_tol=1e-3)
+    assert result.params["method"] == "sweep"
+
+
 @pytest.mark.parametrize("A", [A for _, A in GRAPHS], ids=IDS)
 def test_lifted_quotient_similarity_equals_the_dense_iterates(A):
     beta2 = default_beta2(A)

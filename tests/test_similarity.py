@@ -187,13 +187,15 @@ def test_beta_bound_keeps_a_thin_factor_on_noisy_block_cycles(monkeypatch):
     noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=7))
     assert noisy.quotient.c == 200
     widths = []
-    compress = similarity._compress
+    # the start is compressed by _compress, each step by _ritz on its stack
+    for name in ("_compress", "_ritz"):
+        original = getattr(similarity, name)
 
-    def spy(F, trunc_tol):
-        widths.append(F.shape[1])
-        return compress(F, trunc_tol)
+        def spy(F, *rest, _original=original):
+            widths.append(F.shape[1])
+            return _original(F, *rest)
 
-    monkeypatch.setattr(similarity, "_compress", spy)
+        monkeypatch.setattr(similarity, name, spy)
     rho = beta_bound(noisy)
     # the start compresses one 2c-wide stack; every step after it is thin
     assert widths[0] == 400 and max(widths[1:]) <= 32
