@@ -411,7 +411,8 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     the first group whose first node lies within ``angle_tol`` of their
     line.  Its result is kept when it reproduces the graph exactly with a
     compressive role count (q at most half the assigned nodes), as on
-    ideal graphs; the scan stops as soon as it would exceed that count.
+    ideal graphs; the scan stops as soon as it would exceed that count,
+    and does not run when the classes with an edge alone exceed it.
     Otherwise the sweep runs: spherical k-means on the rows for role
     counts within 2 of the spectral-gap estimate, each count seeded
     farthest-first from each of the four classes with the largest
@@ -470,14 +471,19 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
 
     M = work.entries
     norm2 = np.vdot(M, M)
-    # greedy is kept only when exact with at most n_active // 2 roles
+    # greedy is kept only when exact with at most n_active // 2 roles.  An
+    # exact model (cost 0) gives the nodes of one role equal rows and
+    # columns of A, so they share a class: each of its roles is one class,
+    # and q = act.size.  With more active classes than the cap, no result
+    # of the scan can be kept, and it does not run
     chosen, method = None, "greedy"
-    labels = _greedy_scan(act.size, _chunked_cosines(rows), angle_tol, n_active // 2)
-    if labels is not None:
-        greedy = lift(labels)
-        B, cost = _role_model(M, norm2, greedy)
-        if cost == 0.0:
-            chosen = (greedy, B, 0.0)
+    if act.size <= n_active // 2:
+        labels = _greedy_scan(act.size, _chunked_cosines(rows), angle_tol, n_active // 2)
+        if labels is not None:
+            greedy = lift(labels)
+            B, cost = _role_model(M, norm2, greedy)
+            if cost == 0.0:
+                chosen = (greedy, B, 0.0)
 
     if chosen is None:
         method = "sweep"

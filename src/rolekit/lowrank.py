@@ -47,7 +47,6 @@ from .similarity import (
     _check_beta2,
     _compress,
     _quotient_similarity,
-    _ritz,
     _sym,
 )
 
@@ -55,10 +54,8 @@ from .similarity import (
 #: declares a gap: extraction's default and the spectrum report's constant
 DEFAULT_GAP_RATIO = 0.5
 
-#: the thin similarity keeps a block this many columns wider than its rank,
-#: and takes this many power steps per depth
+#: the thin similarity keeps a block this many columns wider than its rank
 _OVERSAMPLE = 8
-_POWER_STEPS = 2
 #: a start column left with at most this fraction of its norm once the
 #: columns before it are projected out makes the start block rank-deficient
 _DEPENDENT_TOL = 1e-8
@@ -188,33 +185,39 @@ def _thin_similarity(M: np.ndarray, sizes: np.ndarray, beta2: float, k: int,
     (see :func:`_start_block`).
 
     The recurrence runs on the factor (Browet & Van Dooren, MTNS 2014):
-    with ``S_j ~= X X^T``, the next iterate acts on a block V as
+    with ``S_(j-1) ~= X X^T``, the iterate of depth j acts on a block V as
 
-        S_(j+1) V = M (M^T V) + M^T (M V) + beta^2 F (F^T V),
+        S_j V = M (M^T V) + M^T (M V) + beta^2 F (F^T V),
         F = [M X, M^T X],
 
     at O(c^2 b) for a block of b = rank + ``_OVERSAMPLE`` columns, and X
-    of ``S_(j+1)`` comes from subspace iteration (Halko, Martinsson &
-    Tropp, SIAM Rev. 2011): ``_POWER_STEPS`` orthonormalized products,
-    started from the last Ritz vectors (from :func:`_start_block` at depth
-    1), then Rayleigh-Ritz on the block, keeping the top ``rank`` Ritz
-    pairs.  The part of each iterate past the kept rank is dropped before
-    the next depth, so X is the fixed-rank similarity, not a truncation of
-    the exact one.
+    of ``S_j`` comes from subspace iteration (Halko, Martinsson & Tropp,
+    SIAM Rev. 2011).  Each depth orthonormalizes the block, takes one
+    power step ``V <- qr(S_j V)``, and then the Rayleigh-Ritz product
+    ``Y = S_j V`` from ``M V`` and ``M^T V``; the top ``rank`` Ritz pairs
+    ``(theta, V W)`` of ``V^T Y`` give X.  Three things are read off Y
+    without another product with M: the Ritz pairs, the next
+    ``F = [(M V) W_r sqrt(theta_r), (M^T V) W_r sqrt(theta_r)]``, and the
+    next depth's block, ``Y`` itself, a power step already taken.  So a
+    depth costs two block products, eight products with M.  Depth 1 starts
+    from :func:`_start_block`.  The part of each iterate past the kept rank
+    is dropped before the next depth, so X is the fixed-rank similarity,
+    not a truncation of the exact one.
     """
-    V = _start_block(M, np.sqrt(sizes), rank + _OVERSAMPLE)
-    if V is None:
+    Y = _start_block(M, np.sqrt(sizes), rank + _OVERSAMPLE)
+    if Y is None:
         return None
 
-    def apply(V):   # the next iterate on V, with F from the last factor
-        return M @ (M.T @ V) + M.T @ (M @ V) + beta2 * (F @ (F.T @ V))
+    def apply(V):   # S_j V, with F from the last factor, and M V and M^T V
+        MV, MtV = M @ V, M.T @ V
+        return M @ MtV + M.T @ MV + beta2 * (F @ (F.T @ V)), MV, MtV
 
-    X = np.zeros((M.shape[0], 0))   # S_0 = 0, so S_1 = G[I]
+    F = np.zeros((M.shape[0], 0))   # S_0 = 0, so S_1 = G[I]
     for _ in range(k):
-        F = np.hstack([M @ X, M.T @ X])
-        for _ in range(_POWER_STEPS):
-            V = np.linalg.qr(apply(V))[0]
-        theta, V = _ritz(V, _sym(V.T @ apply(V)))
-        theta = np.maximum(theta, 0.0)
-        X = V[:, :rank] * np.sqrt(theta[:rank])
-    return X, theta
+        V = np.linalg.qr(apply(np.linalg.qr(Y)[0])[0])[0]
+        Y, MV, MtV = apply(V)
+        theta, W = np.linalg.eigh(_sym(V.T @ Y))
+        theta = np.maximum(theta[::-1], 0.0)
+        W = W[:, ::-1][:, :rank] * np.sqrt(theta[:rank])
+        F = np.hstack([MV @ W, MtV @ W])
+    return V @ W, theta

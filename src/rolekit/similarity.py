@@ -27,6 +27,11 @@ eigenvalues in ``[1 - beta^2 rho, 1 + beta^2 rho]``, and CG needs a few
 operator applications where the recurrence needs one per factor of
 ``beta^2 rho`` in the error.
 
+Every application of G in :func:`gamma`, the recurrence and the solve goes
+through one kernel, :func:`_gamma_into`: four matrix products written into
+n x n buffers the caller holds.  The solve allocates its six n x n arrays
+once and updates them in place.
+
 All matrices ``S_k`` are symmetric positive semi-definite, non-negative for
 unsigned graphs, and share the column space of ``[A A^T]`` for every k.
 """
@@ -103,11 +108,32 @@ def gamma(A, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape != M.shape:
         raise ValueError(f"operand shape {X.shape} does not match graph {M.shape}")
-    return M @ X @ M.T + M.T @ X @ M
+    return _gamma_into(M, X, np.empty(M.shape), np.empty((2, *M.shape)), sym=False)
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2
+
+
+def _gamma_into(M: np.ndarray, X: np.ndarray, out: np.ndarray, work: np.ndarray,
+                sym: bool = True) -> np.ndarray:
+    """``out = _sym(M X M^T + M^T X M)`` (without ``_sym`` when ``sym`` is
+    false), written into caller-held memory: ``out`` and the two n x n
+    buffers of ``work``.  ``out`` may be X itself, which is last read
+    before ``out`` is first written.  The four products, their sum and the
+    average with the transpose are those of ``_sym(gamma(A, X))``, in the
+    same order, so the result equals it bit for bit, and no array is
+    allocated."""
+    a, b = work
+    np.matmul(M, X, out=a)
+    np.matmul(a, M.T, out=b)
+    np.matmul(M.T, X, out=a)
+    np.matmul(a, M, out=out)
+    out += b
+    if sym:
+        np.add(out, out.T, out=a)
+        np.divide(a, 2, out=out)
+    return out
 
 
 def _gamma_of_identity(A: Adjacency) -> np.ndarray:
@@ -149,8 +175,7 @@ def _ritz(V: np.ndarray, T: np.ndarray):
     With ``T = V^T V`` the values are those of ``V V^T`` and the columns of
     ``V W`` are its orthogonal eigenvectors, of norms the square roots of
     the values: a thin factor of ``V V^T``, from an eigenproblem as wide as
-    V.  With orthonormal V and ``T = V^T S V`` they are the Ritz values
-    and vectors of S on the range of V (Rayleigh-Ritz).
+    V.
     """
     w, W = np.linalg.eigh(T)
     return w[::-1], V @ W[:, ::-1]
@@ -174,9 +199,8 @@ def beta_bound(A) -> float:
       a thin factor ``X = V V^T``.  Since ``G[V V^T] = F F^T`` for
       ``F = [A_hat V, A_hat^T V]``, a step costs O(c^2 r): form F, take the
       eigenvalues of ``F F^T`` and its eigenvectors ``F W`` from the
-      2r x 2r Gram matrix ``F^T F = W diag(w) W^T`` (:func:`_ritz`, the
-      small eigenproblem of the thin similarity as well), and keep the top
-      r.  The start is the rank-r
+      2r x 2r Gram matrix ``F^T F = W diag(w) W^T`` (:func:`_ritz`), and
+      keep the top r.  The start is the rank-r
       projection of ``G[I]`` on the range of ``G[I] Omega`` for a fixed
       Gaussian c x r matrix Omega (a randomized range finder).  G maps
       positive semi-definite matrices to positive semi-definite ones, so
@@ -295,10 +319,12 @@ def iterate(A, beta2: float, k: int) -> SimilarityState:
     _check_beta2(beta2)
     if k < 1:
         raise ValueError("iteration depth k must be at least 1")
-    eye = np.eye(A.n)
     S = _gamma_of_identity(A)
+    work = np.empty((2, A.n, A.n))
     for _ in range(k - 1):
-        S = _sym(gamma(A, eye + beta2 * S))
+        S *= beta2
+        S.flat[::A.n + 1] += 1.0
+        _gamma_into(A.entries, S, S, work)
     return SimilarityState(S=S, k=k, beta2=beta2, converged=False)
 
 
@@ -361,45 +387,53 @@ def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
         raise NonConvergenceError(str(exc), state=state, history=exc.history) from None
 
 
-def _residual(A: Adjacency, beta2: float, S: np.ndarray) -> np.ndarray:
-    """G[I + beta^2 S] - S, the fixed-point residual computed from S itself."""
-    X = beta2 * S
-    X.flat[::A.n + 1] += 1.0
-    R = _sym(gamma(A, X))
-    R -= S
-    return R
+def _residual(M: np.ndarray, beta2: float, S: np.ndarray, out: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """G[I + beta^2 S] - S, the fixed-point residual computed from S itself,
+    written into ``out`` with the buffers of :func:`_gamma_into`."""
+    np.multiply(S, beta2, out=out)
+    out.flat[::M.shape[0] + 1] += 1.0
+    _gamma_into(M, out, out, work)
+    out -= S
+    return out
 
 
 def _fixed_point(A: Adjacency, beta2: float, tol: float, max_k: int) -> SimilarityState:
     """CG on (I - beta^2 G) S = G[I] from S = 0, for an admissible beta2.
 
     Every iterate is symmetric, and every application of G to an iterate
-    goes through :func:`gamma`.
+    goes through :func:`_gamma_into`.  The solve holds six n x n arrays,
+    allocated once: S, the residual R, the direction P, its image Q and
+    the two buffers of :func:`_gamma_into`, which also hold ``alpha P`` and
+    ``alpha Q``; S, R and P are updated in place, and the true-residual
+    check reuses R.
     """
+    M = A.entries
     S = np.zeros((A.n, A.n))
     R = _gamma_of_identity(A)   # the right-hand side, and the residual at S = 0
     P = R.copy()
+    Q = np.empty_like(R)
+    work = np.empty((2, A.n, A.n))
+    step = work[0]   # alpha P, then alpha Q
     rr = np.vdot(R, R)
     history = []
     for k in range(1, max_k + 1):
-        Q = _sym(gamma(A, P))
+        _gamma_into(M, P, Q, work)
         Q *= -beta2
         Q += P
         alpha = rr / np.vdot(P, Q)
-        S += alpha * P
-        R -= alpha * Q
-        del Q   # hold at most S, R and P across an application of G
+        S += np.multiply(P, alpha, out=step)
+        R -= np.multiply(Q, alpha, out=step)
         size = np.linalg.norm(S)
         history.append(np.linalg.norm(R) / size)
         if history[-1] <= tol:
             # the updated residual drifts from the true one by rounding:
             # accept only on the true residual, else restart from it
-            del P
-            R = _residual(A, beta2, S)
+            _residual(M, beta2, S, R, work)
             history[-1] = np.linalg.norm(R) / size
             if history[-1] <= tol:
                 return SimilarityState(S=S, k=k, beta2=beta2, converged=True)
-            P = R.copy()
+            np.copyto(P, R)
             rr = np.vdot(R, R)
             continue
         rr_next = np.vdot(R, R)
@@ -420,8 +454,9 @@ def pattern_counts(A, ell_max: int) -> list[PatternCount]:
     out = []
     N = _gamma_of_identity(A)
     out.append(PatternCount(N=N, ell=1))
+    work = np.empty((2, A.n, A.n))
     for ell in range(2, ell_max + 1):
-        N = _sym(gamma(A, N))
+        N = _gamma_into(A.entries, N, np.empty_like(N), work)
         out.append(PatternCount(N=N, ell=ell))
     return out
 

@@ -362,9 +362,10 @@ def test_generate_then_extract_round_trip(tmp_path, capsys, kind, sizes):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Record every call of beta_bound and of the similarity operator."""
+    """Record every call of beta_bound and of the similarity operator,
+    public or through the kernel the solves share with it."""
     calls = []
-    for name in ("beta_bound", "gamma"):
+    for name in ("beta_bound", "gamma", "_gamma_into"):
         original = getattr(similarity, name)
         monkeypatch.setattr(similarity, name,
                             lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
@@ -423,7 +424,7 @@ def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, so
     for argv in (("extract",), ("extract", "--fixed-point"),
                  ("spectrum", "--k", "3"), ("spectrum",)):
         assert_config_error(capsys, argv[0], path, "--beta2", "1", *argv[1:])
-    assert "gamma" not in solver_calls
+    assert "gamma" not in solver_calls and "_gamma_into" not in solver_calls
 
 
 def test_one_tolerance_for_the_fixed_point_in_every_command(small_graph, capsys,

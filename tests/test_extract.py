@@ -487,6 +487,28 @@ def test_auto_returns_what_it_returned_without_the_greedy_early_stop():
     assert set(methods) == {"greedy", "sweep"}
 
 
+def test_the_greedy_scan_runs_only_where_its_result_can_be_kept(monkeypatch):
+    # an exact model has one class per role; on a graph with no equivalent
+    # nodes that is n roles, past the cap of n // 2, so the scan is skipped
+    scans = []
+    scan = extract._greedy_scan
+    monkeypatch.setattr(extract, "_greedy_scan",
+                        lambda m, *args: scans.append(m) or scan(m, *args))
+    rng = np.random.default_rng(13)
+    for n, seed in [(40, 1), (200, 4)]:
+        A, _, _ = generate_structure("block_cycle", (n // 4,) * 4, perm=rng.permutation(n))
+        noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=seed))
+        assert noisy.quotient.c == n
+        assert extract_roles(noisy, trunc_tol=1e-3).params["method"] == "sweep"
+        assert scans == []
+    for kind, sizes in [("community", (5, 6, 4)), ("block_cycle", (20, 10, 10, 20)),
+                        ("bipartite_communities", (4, 6, 5, 3))]:
+        A, _, _ = generate_structure(kind, sizes, perm=rng.permutation(sum(sizes)))
+        assert extract_roles(A).params["method"] == "greedy"
+        assert scans == [A.quotient.c]
+        scans.clear()
+
+
 def test_cluster_rows_stops_past_max_q():
     A, _, _ = generate_structure("community", (3, 4, 5))
     U = lowrank_iterate(A, default_beta2(A), k=3).U

@@ -5,6 +5,7 @@ from conftest import RANK_DEFICIENT, random_digraph, sin_max_angle
 from rolekit import (
     Adjacency,
     NonConvergenceError,
+    PerturbationModel,
     SimilarityState,
     apply_rank_one_weights,
     beta_bound,
@@ -14,9 +15,10 @@ from rolekit import (
     generate_structure,
     iterate,
     lowrank_iterate,
+    perturb,
 )
 from rolekit import similarity
-from rolekit.lowrank import _compress
+from rolekit.lowrank import _compress, _thin_similarity
 from rolekit.similarity import DEFAULT_TOL
 
 # the published 10-value spectra of the ideal and perturbed block cycles,
@@ -207,7 +209,7 @@ def test_lowrank_nonconvergence_carries_the_fixed_point_state():
 def test_lowrank_rejects_bad_fixed_point_settings_before_any_solve(monkeypatch, bad):
     def boom(*args, **kwargs):
         raise AssertionError("a solve ran before the settings were checked")
-    for name in ("beta_bound", "gamma"):
+    for name in ("beta_bound", "gamma", "_gamma_into"):
         monkeypatch.setattr(similarity, name, boom)
     A = Adjacency.from_matrix([[0, 1], [1, 0]])
     for k in (None, 3):
@@ -288,3 +290,28 @@ def test_compress_of_a_zero_stack_is_empty():
     for shape in [(4, 9), (9, 4)]:
         U, sigma = _compress(np.zeros(shape), 1e-3)
         assert U.shape == (shape[0], 0) and sigma.size == 0
+
+
+# ---------------------------------------------------------------------------
+# the thin similarity: S_k ~= X X^T at a fixed rank, by subspace iteration
+# ---------------------------------------------------------------------------
+
+def test_the_thin_ritz_values_match_the_dense_similarity():
+    # 10%-flipped 4-role block cycles of 200 nodes, depth 6, rank 8: the
+    # role eigenvalues of S_6 lead its spectrum, and the fixed-rank
+    # similarity keeps them to about 4e-5 relative (the dropped tail of
+    # each iterate moves them a little); X X^T has the kept Ritz values as
+    # its eigenvalues
+    rng = np.random.default_rng(200)
+    for seed in range(4):
+        A, _, _ = generate_structure("block_cycle", (50,) * 4, perm=rng.permutation(200))
+        A = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=seed))
+        quotient = A.quotient
+        assert quotient.c == 200
+        beta2 = default_beta2(A)
+        X, theta = _thin_similarity(quotient.entries, quotient.sizes, beta2, 6, 8)
+        assert X.shape == (200, 8) and theta.size == 16
+        want = np.linalg.eigvalsh(iterate(A, beta2, 6).S)[::-1]
+        np.testing.assert_allclose(theta[:4], want[:4], rtol=1e-4, atol=0)
+        np.testing.assert_allclose(np.linalg.eigvalsh(X.T @ X)[::-1], theta[:8],
+                                   rtol=1e-10, atol=0)

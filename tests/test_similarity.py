@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -374,6 +376,111 @@ def test_fixed_point_two_cycle_near_the_bound_is_one_iteration():
     assert state.converged
     assert state.k == 1
     assert np.allclose(state.S, 100.0 * np.eye(2), rtol=1e-12, atol=0)
+
+
+def _reference_cg(A, beta2, tol, max_k):
+    """The CG loop of the fixed point written plainly, every application
+    of G through gamma and _sym and a fresh array for every update:
+    (S, k, history, restarts), with k None past max_k and restarts the
+    number of true-residual checks that failed."""
+    S = np.zeros((A.n, A.n))
+    R = similarity._gamma_of_identity(A)
+    P = R.copy()
+    rr = np.vdot(R, R)
+    history, restarts = [], 0
+    for k in range(1, max_k + 1):
+        Q = similarity._sym(gamma(A, P)) * -beta2 + P
+        alpha = rr / np.vdot(P, Q)
+        S = S + alpha * P
+        R = R - alpha * Q
+        size = np.linalg.norm(S)
+        history.append(np.linalg.norm(R) / size)
+        if history[-1] <= tol:
+            R = similarity._sym(gamma(A, np.eye(A.n) + beta2 * S)) - S
+            history[-1] = np.linalg.norm(R) / size
+            if history[-1] <= tol:
+                return S, k, history, restarts
+            restarts += 1
+            P = R.copy()
+            rr = np.vdot(R, R)
+            continue
+        rr_next = np.vdot(R, R)
+        P = P * (rr_next / rr) + R
+        rr = rr_next
+    return S, None, history, restarts
+
+
+def _oracle_graphs():
+    """(graph, tol): a noisy block cycle with no equivalent nodes (c = 60)
+    and the quotient graph of one with two flipped edges (c = 8) at the
+    default tolerance, and a weighted graph whose first true-residual check
+    fails at 1e-15, so that the solve restarts from the true residual."""
+    A, _, _ = generate_structure("block_cycle", (15,) * 4,
+                                 perm=np.random.default_rng(31).permutation(60))
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=31))
+    assert noisy.quotient.c == 60
+    yield noisy, similarity.DEFAULT_TOL
+    A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
+    M = A.entries.copy()
+    M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
+    quotient = similarity._quotient_graph(Adjacency.from_matrix(M))
+    assert quotient.n == 8
+    yield quotient, similarity.DEFAULT_TOL
+    rng = np.random.default_rng(121)
+    M = (rng.random((12, 12)) < 0.3) * rng.lognormal(0.0, 1.0, (12, 12))
+    A = Adjacency.from_matrix(M)
+    assert _reference_cg(A, default_beta2(A), 1e-15, 100)[3] == 1
+    yield A, 1e-15
+
+
+def test_the_fixed_point_solve_equals_the_plain_cg_loop_bit_for_bit():
+    for A, tol in _oracle_graphs():
+        beta2 = default_beta2(A)
+        state = fixed_point(A, beta2, tol)
+        S, k, history, _ = _reference_cg(A, beta2, tol, 100)
+        assert np.array_equal(state.S, S)
+        assert (state.k, state.converged) == (k, True)
+        for max_k in (3, k - 1):
+            with pytest.raises(NonConvergenceError) as info:
+                fixed_point(A, beta2, tol, max_k=max_k)
+            S, k_ref, history, _ = _reference_cg(A, beta2, tol, max_k)
+            assert k_ref is None
+            assert np.array_equal(info.value.state.S, S)
+            assert (info.value.state.k, info.value.state.converged) == (max_k, False)
+            assert info.value.history == tuple(history)
+
+
+def test_iterate_and_pattern_counts_equal_their_plain_loops_bit_for_bit():
+    for A, _ in _oracle_graphs():
+        beta2 = default_beta2(A)
+        S = N = similarity._gamma_of_identity(A)
+        counts = [N]
+        for k in range(2, 7):
+            S = similarity._sym(gamma(A, np.eye(A.n) + beta2 * S))
+            N = similarity._sym(gamma(A, N))
+            counts.append(N)
+            assert np.array_equal(iterate(A, beta2, k).S, S)
+        got = pattern_counts(A, 6)
+        assert all(np.array_equal(c.N, want) for c, want in zip(got, counts, strict=True))
+
+
+def test_the_fixed_point_solve_holds_at_most_six_and_a_half_arrays():
+    # S, R, P, Q and the two buffers of the operator, allocated once; a
+    # solve that allocates its updates or its true-residual check afresh
+    # peaks at 10 arrays of 8 c^2 bytes
+    A, _, _ = generate_structure("block_cycle", (50,) * 4,
+                                 perm=np.random.default_rng(5).permutation(200))
+    A = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=5))
+    c = A.quotient.c
+    assert c == 200
+    beta2 = default_beta2(A)
+    tracemalloc.start()
+    try:
+        fixed_point(A, beta2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * c * c
 
 
 def test_fixed_point_matches_kronecker_solve():

@@ -256,14 +256,15 @@ def test_sigma_S_are_the_singular_values_of_S_hat(k):
 
 @pytest.mark.parametrize("k", [None, 3])
 def test_spectrum_report_applies_the_operator_on_the_quotient_only(monkeypatch, k):
+    # every application of G goes through gamma or the kernel it shares
+    # with the solves
     shapes = []
-    original = similarity.gamma
+    for name in ("gamma", "_gamma_into"):
+        def recording(A, X, *rest, _f=getattr(similarity, name)):
+            shapes.append(np.shape(X))
+            return _f(A, X, *rest)
 
-    def recording(A, X):
-        shapes.append(np.shape(X))
-        return original(A, X)
-
-    monkeypatch.setattr(similarity, "gamma", recording)
+        monkeypatch.setattr(similarity, name, recording)
     A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
     report = spectrum_report(A, k=k)
     assert shapes and set(shapes) == {(4, 4)}
