@@ -12,7 +12,13 @@ S_k is computed on the quotient by structural equivalence
 (:class:`rolekit.graphcore.Quotient`), where it is the c x c matrix
 ``S_hat = Q^T S_k Q`` with the factor ``Q^T X``: the nodes of one class
 have parallel rows, so they always share a label, and each class counts
-with its size.
+with its size.  The block densities and the cost are read off the quotient
+too: the nodes of one class have equal rows and columns of A, so the block
+sums are ``W_c^T A[first, first] W_c``, with ``W_c[a, role]`` the size of
+class a, and ``||A||^2`` sums ``s_a s_b A[first_a, first_b]^2``.  Once the
+quotient is built, extraction reads only the c x c entries ``A[first, first]``
+of the n x n matrix; the residual of a checkerboard signed graph is the one
+cost taken on the node graph.
 
 The factor comes by one of two routes, and its rows are grouped by the
 same code whichever it is.  At a finite depth, on a quotient of more than
@@ -248,13 +254,36 @@ def _cost(norm2: float, block_sums: np.ndarray, B: RoleMatrix,
     return max(float(cost), 0.0)
 
 
-def _role_model(M: np.ndarray, norm2: float, assignment: Assignment):
-    """``reconstruct_B`` and ``extraction_cost`` of an unsigned assignment
-    whose every role owns a node, on the graph M with ``norm2 = ||M||^2``,
-    from one block-sum product."""
-    W = assignment.membership()
-    sizes = assignment.sizes()
-    block_sums = W.T @ M @ W
+def _class_graph(A):
+    """``A[first, first]``, the graph on the first node of each class of the
+    quotient of A, and ``||A||^2 = sum_ab s_a s_b A[first_a, first_b]^2``
+    for the class sizes s: O(c^2), and exact on an integer-valued graph.
+    When no two nodes are equivalent, they are A itself, read in place,
+    and ``np.vdot(A, A)``."""
+    quotient = A.quotient
+    M = A.entries
+    if quotient.c == A.n:
+        return M, np.vdot(M, M)
+    base = M[np.ix_(quotient.first, quotient.first)]
+    return base, quotient.sizes @ (base * base) @ quotient.sizes
+
+
+def _role_model(base: np.ndarray, norm2: float, class_sizes: np.ndarray,
+                roles: np.ndarray):
+    """``reconstruct_B`` and ``extraction_cost`` of the unsigned assignment
+    that puts the nodes of class a in role ``roles[a]`` (-1: unassigned),
+    every role owning a class, from one block-sum product on the classes.
+
+    ``base`` and ``norm2 = ||A||^2`` come from :func:`_class_graph`.  The
+    block sums ``W^T A W`` are ``W_c^T base W_c`` with
+    ``W_c[a, roles[a]] = class_sizes[a]``; when no two nodes are
+    equivalent, ``base`` is A and ``W_c`` the node indicator W.
+    """
+    W = np.zeros((roles.size, int(roles.max()) + 1))
+    assigned = np.flatnonzero(roles >= 0)
+    W[assigned, roles[assigned]] = class_sizes[assigned]
+    sizes = W.sum(axis=0)
+    block_sums = W.T @ base @ W
     B = _densest(block_sums, sizes)
     return B, _cost(norm2, block_sums, B, sizes)
 
@@ -431,7 +460,14 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     computed against the signed graph.
     """
     A = as_adjacency(A)
-    if not A.entries.any():
+    signature = None
+    work = A
+    if A.kind == SIGNED:
+        signature = checkerboard_signature(A)
+        if signature is not None:
+            work = abs(A)
+    quotient = work.quotient
+    if not quotient.entries.any():
         raise ValueError("cannot extract roles from an empty graph")
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
@@ -440,14 +476,6 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     if not 0.0 < gap_ratio <= 1.0:
         raise ValueError("gap_ratio must lie in (0, 1]")
 
-    signature = None
-    work = A
-    if A.kind == SIGNED:
-        signature = checkerboard_signature(A)
-        if signature is not None:
-            work = abs(A)
-
-    quotient = work.quotient
     if k is None:
         state = _quotient_similarity(work, beta2, None, max_k)
         beta2 = state.beta2
@@ -463,14 +491,13 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     rows = _normalized_rows(X[act])[0]
     n_active = int(quotient.sizes[act].sum())
 
-    def lift(labels):   # labels of the active classes -> node assignment
+    def roles(labels):   # labels of the active classes -> role of each class
         _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
         sigma = -np.ones(quotient.c, dtype=int)
         sigma[act] = np.argsort(np.argsort(first))[inverse]   # by first node
-        return Assignment(sigma[quotient.labels])
+        return sigma
 
-    M = work.entries
-    norm2 = np.vdot(M, M)
+    base, norm2 = _class_graph(work)
     # greedy is kept only when exact with at most n_active // 2 roles.  An
     # exact model (cost 0) gives the nodes of one role equal rows and
     # columns of A, so they share a class: each of its roles is one class,
@@ -480,8 +507,8 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     if act.size <= n_active // 2:
         labels = _greedy_scan(act.size, _chunked_cosines(rows), angle_tol, n_active // 2)
         if labels is not None:
-            greedy = lift(labels)
-            B, cost = _role_model(M, norm2, greedy)
+            greedy = roles(labels)
+            B, cost = _role_model(base, norm2, quotient.sizes, greedy)
             if cost == 0.0:
                 chosen = (greedy, B, 0.0)
 
@@ -499,18 +526,18 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
             best = None
             for start in range(min(_SWEEP_STARTS, act.size)):   # the first wins ties
                 labels[order] = _spherical_kmeans(rows_ranked, weights, q, start)
-                asg = lift(labels)
-                B, cost = _role_model(M, norm2, asg)
+                trial = roles(labels)
+                B, cost = _role_model(base, norm2, quotient.sizes, trial)
                 if best is None or cost < best[2]:
-                    best = (asg, B, cost)
+                    best = (trial, B, cost)
             candidates.append(best)
         # extra roles can always soak up a little noise, so a pure argmin
         # drifts upward; keep the smallest q within 5% of the best cost
         least = min(c[2] for c in candidates)
         chosen = next(c for c in candidates if c[2] <= 1.05 * least)
 
-    assignment, B, residual = chosen
-    B, assignment = _merge_equivalent_roles(B, assignment)
+    sigma, B, residual = chosen
+    B, assignment = _merge_equivalent_roles(B, Assignment(sigma[quotient.labels]))
 
     if signature is not None:
         assignment = Assignment(assignment.sigma, signs=signature.diag.copy())

@@ -176,6 +176,21 @@ def _fingerprint_weights(n: int) -> np.ndarray:
                                              dtype=np.int64, endpoint=True)
 
 
+def _fingerprints(bits: np.ndarray) -> np.ndarray:
+    """Row and column hashes of a square int64 matrix, one row per node:
+    the wrapping products ``bits @ w`` and ``w @ bits`` with the multipliers
+    w of :func:`_fingerprint_weights`.
+
+    Both are taken by ``einsum``, which runs along the rows of the matrix:
+    numpy computes the integer ``w @ bits`` by a strided loop down its
+    columns, four times slower at n = 2000.  Wrapping integer sums are
+    exact in any order, so the hashes equal those products bit for bit.
+    """
+    w = _fingerprint_weights(bits.shape[0])
+    return np.stack([np.einsum("ij,j->i", bits, w), np.einsum("i,ij->j", w, bits)],
+                    axis=1)
+
+
 def _equivalence_classes(M: np.ndarray) -> np.ndarray:
     """Class label per node, equal labels iff equal rows and equal columns.
 
@@ -188,8 +203,7 @@ def _equivalence_classes(M: np.ndarray) -> np.ndarray:
     """
     n = M.shape[0]
     bits = M.view(np.int64)
-    w = _fingerprint_weights(n)
-    keys = np.stack([bits @ w, w @ bits], axis=1)
+    keys = _fingerprints(bits)
     _, first, labels = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     if first.size == n:
         return np.arange(n)
@@ -627,7 +641,7 @@ def _parse_edge_lines(path):
 
 
 #: one line of the three-column format
-_WEIGHTED_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
+_WEIGHTED_EDGE = np.dtype([("src", np.int32), ("dst", np.int32), ("w", np.float64)])
 
 
 #: suffixes that numpy's loadtxt decompresses when it opens a file by name
@@ -651,11 +665,16 @@ def _parse_edges_vectorized(path):
     Python's ``int`` and ``float`` accept, such as ``1_0``),
     whitespace-only lines, no lines, or an edge the per-line parser would
     reject.  Fields it parses get the values ``int`` and ``float`` give.
+
+    Ids are read as int32, half the bytes of int64: every id the reader
+    accepts lies below :data:`MAX_NODES`.  An id outside the int32 range
+    is a field ``loadtxt`` cannot parse, so its file goes to the per-line
+    parser, which names the id and its line.
     """
     name = os.path.abspath(os.fsdecode(path))
     if not os.path.isfile(name) or os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES:
         return None
-    for dtype in (np.int64, _WEIGHTED_EDGE):
+    for dtype in (np.int32, _WEIGHTED_EDGE):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # a file without lines warns

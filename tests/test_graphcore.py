@@ -567,6 +567,35 @@ def test_vectorized_reader_agrees_with_the_per_line_reference(tmp_path):
     assert min(outcomes.values()) >= 50, outcomes
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["two columns", "three columns"])
+@pytest.mark.parametrize("node_id", [-1, MAX_NODES - 1, MAX_NODES, 2**31, 2**63])
+def test_ids_at_the_int32_and_node_limits_read_as_per_line(tmp_path, weighted, node_id):
+    # the vectorized pass reads ids as int32: one outside that range is a
+    # field loadtxt cannot parse, and its file goes to the per-line parser
+    edges = [(0, 1, "2.5"), (node_id, 0, "-1"), (1, node_id, "0.5")]
+    path = tmp_path / "g.tsv"
+    path.write_text("".join("\t".join(map(str, e if weighted else e[:2])) + "\n"
+                            for e in edges))
+    if node_id == MAX_NODES - 1:
+        # the largest matrix the reader builds; its edges are checked
+        # directly, as the reference would build a second one
+        assert _parse_edges_vectorized(path) is not None
+        A = read_edge_list(path)
+        assert A.kind == ("weighted" if weighted else "unweighted")
+        assert A.n == MAX_NODES
+        assert np.count_nonzero(A.entries) == 3
+        want = [2.5, -1.0, 0.5] if weighted else [1.0, 1.0, 1.0]
+        assert A.entries[[0, node_id, 1], [1, 0, node_id]].tolist() == want
+        return
+    assert _parse_edges_vectorized(path) is None
+    with pytest.raises(EdgeListFormatError) as want:
+        reference_read_edge_list(path)
+    with pytest.raises(EdgeListFormatError) as got:
+        read_edge_list(path)
+    assert got.value.line_no == want.value.line_no == 2
+    assert str(got.value) == str(want.value)
+
+
 def test_ground_truth_round_trip(tmp_path):
     _, B, asg = generate_structure("signed_example")
     path = tmp_path / "truth.json"

@@ -20,14 +20,16 @@ from rolekit import (
     beta_bound,
     default_beta2,
     extract_roles,
+    extraction_cost,
     fixed_point,
     generate_structure,
     iterate,
     lowrank_iterate,
     perturb,
     PerturbationModel,
+    reconstruct_B,
 )
-from rolekit import graphcore
+from rolekit import extract, graphcore
 from rolekit.graphcore import Quotient
 from rolekit.similarity import _quotient_similarity
 
@@ -161,6 +163,21 @@ def test_colliding_hashes_are_split_exactly(monkeypatch):
         assert np.array_equal(labels, brute_force_classes(A.entries))
 
 
+def test_einsum_fingerprints_equal_the_matrix_products():
+    # wrapping int64 sums are exact in any order, so the einsum hashes are
+    # those of bits @ w and w @ bits bit for bit, whatever the bit patterns
+    rng = np.random.default_rng(14)
+    values = np.array([0.0, 1.0, -1.0, -0.0, np.inf, -np.inf, 1e300, -1e300])
+    for n in range(1, 301):
+        M = rng.choice(values, size=(n, n), p=[0.5, 0.2, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03])
+        if n % 2:
+            M = M * rng.lognormal(0.0, 2.0, (n, n))   # weights; +-0, +-inf stay
+        bits = M.view(np.int64)
+        w = graphcore._fingerprint_weights(n)
+        want = np.stack([bits @ w, w @ bits], axis=1)
+        assert np.array_equal(graphcore._fingerprints(bits), want)
+
+
 def test_negative_zero_is_its_own_entry():
     # classes compare bit patterns, so -0.0 and 0.0 differ; the quotient is
     # still exact
@@ -168,6 +185,86 @@ def test_negative_zero_is_its_own_entry():
     M[1, 0] = -0.0
     quotient = Quotient.of(M)
     assert np.array_equal(quotient.labels, [0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# role models scored on the classes
+# ---------------------------------------------------------------------------
+
+def _class_level_graph(rng, kind: str):
+    """A blown-up graph of the given kind with 0-2 disconnected nodes."""
+    m = int(rng.integers(2, 7))
+    if kind == "unweighted":
+        base = (rng.random((m, m)) < 0.5).astype(float)
+        base[0, m - 1] = 1.0
+    elif kind == "signed":
+        base = rng.choice([-1.0, 0.0, 1.0], size=(m, m))
+        base[0, m - 1] = -1.0
+    else:
+        base = rng.lognormal(0.0, 1.0, (m, m)) * (rng.random((m, m)) < 0.6)
+        base[0, m - 1] = 0.5
+    M, _ = blown_up(rng, base, int(rng.integers(m + 2, 4 * m + 1)),
+                    zeros=int(rng.integers(0, 3)))
+    A = Adjacency.from_matrix(M)
+    assert A.kind == kind and A.quotient.c < A.n
+    return A
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "signed", "weighted"])
+def test_class_block_sums_equal_the_node_level_model(monkeypatch, kind):
+    # the block sums, B and cost read off the c x c class graph equal those
+    # reconstruct_B and extraction_cost read off the n x n graph: bit for
+    # bit on integer graphs, whose sums are exact in any order, and to
+    # rounding on weighted ones (the cost relative to ||A||^2, as it is a
+    # difference of terms of that size)
+    seen = []
+    original = extract._densest
+    monkeypatch.setattr(extract, "_densest",
+                        lambda sums, sizes: seen.append((sums, sizes)) or original(sums, sizes))
+    rng = np.random.default_rng(["unweighted", "signed", "weighted"].index(kind))
+    for _ in range(40):
+        A = _class_level_graph(rng, kind)
+        quotient = A.quotient
+        c = quotient.c
+        q = int(rng.integers(1, c + 1))
+        roles = np.where(rng.random(c) < 0.2, -1, rng.integers(0, q, c))
+        roles[rng.permutation(c)[:q]] = np.arange(q)      # every role owns a class
+        base, norm2 = extract._class_graph(A)
+        assert base.shape == (c, c)
+        seen.clear()
+        B, cost = extract._role_model(base, norm2, quotient.sizes, roles)
+        assignment = Assignment(roles[quotient.labels])
+        want_B = reconstruct_B(A, assignment)
+        want_cost = extraction_cost(A, assignment, B)
+        (sums, sizes), (want_sums, want_sizes) = seen
+        assert np.array_equal(sizes, want_sizes)
+        assert np.array_equal(B.entries, want_B.entries)
+        if kind == "weighted":
+            assert norm2 == pytest.approx(np.vdot(A.entries, A.entries), rel=1e-12)
+            assert np.allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+            assert abs(cost - want_cost) <= 1e-12 * norm2
+        else:
+            assert norm2 == np.vdot(A.entries, A.entries)
+            assert np.array_equal(sums, want_sums)
+            assert cost == want_cost
+
+
+def test_extraction_scores_its_models_on_the_class_graph(monkeypatch):
+    # with equivalent nodes every model is scored on the c x c class graph;
+    # without them on A itself, read in place
+    seen = []
+    original = extract._role_model
+    monkeypatch.setattr(extract, "_role_model",
+                        lambda base, *args: seen.append(base) or original(base, *args))
+    A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20),
+                                 perm=np.random.default_rng(3).permutation(60))
+    assert extract_roles(A).residual == 0.0
+    assert seen and all(base.shape == (4, 4) for base in seen)
+    seen.clear()
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=4))
+    assert noisy.quotient.c == noisy.n
+    assert extract_roles(noisy, trunc_tol=1e-3).params["method"] == "sweep"
+    assert seen and all(base is noisy.entries for base in seen)
 
 
 # ---------------------------------------------------------------------------
