@@ -110,8 +110,6 @@ def cmd_extract(args) -> int:
         beta2=beta2,
         k=_depth(args),
         trunc_tol=args.trunc_tol,
-        angle_tol=args.angle_tol,
-        gap_ratio=args.gap_ratio,
         max_k=args.max_k,
     )
     text = json.dumps(_round_floats(result.to_json_dict()), sort_keys=True) + "\n"
@@ -251,13 +249,10 @@ def build_parser() -> _Parser:
     e = sub.add_parser("extract", help="recover the role structure")
     e.add_argument("graph", help="edge-list input file")
     _add_beta2_flag(e)
-    e.add_argument("--gap-ratio", type=float, default=0.5,
-                   help="singular-value ratio below which a gap is declared")
     _add_depth_flags(e, default_k=6)
     e.add_argument("--trunc-tol", type=float, default=1e-10,
                    help="floor of the role-count estimate: eigenvalues of S "
                         "below trunc-tol^2 times the largest are left out")
-    e.add_argument("--angle-tol", type=float, default=1e-6)
     e.add_argument("--out", help="write the result JSON here instead of stdout")
     e.set_defaults(func=cmd_extract)
 

@@ -26,8 +26,9 @@ same code whichever it is.  At a finite depth, on a quotient of more than
 thin similarity ``S_hat_k ~= X X^T`` of rank r
 (:func:`rolekit.lowrank._thin_similarity`), at O(c^2 b) a product, and no
 c x c matrix is formed.  Otherwise (fewer classes, a start block of lower
-rank, or the fixed point) it is the exact factor of ``S_hat`` from its
-eigendecomposition.
+rank, or the fixed point) it is the stack ``F = [A_hat L, A_hat^T L]``,
+``S_hat_k = F F^T``, that :func:`rolekit.lowrank.lowrank_iterate`
+compresses, and no eigensolver runs unless the sweep does.
 
 For graphs that are not exactly ideal the parallel groups blur; extraction
 then sweeps candidate role counts around the gap in the spectrum of S_k with
@@ -57,18 +58,11 @@ from .lowrank import (
     _OVERSAMPLE,
     DEFAULT_GAP_RATIO,
     LowRankState,
+    _similarity_stack,
     _thin_similarity,
     estimate_rank,
 )
-from .similarity import (
-    _START_RANK,
-    DEFAULT_MAX_K,
-    _check_depth,
-    _quotient_graph,
-    _quotient_similarity,
-    iterate,
-    resolve_beta2,
-)
+from .similarity import _START_RANK, DEFAULT_MAX_K, _check_depth, resolve_beta2
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_DEPTH = 6
@@ -364,63 +358,54 @@ def _spherical_kmeans(R: np.ndarray, weights: np.ndarray, q: int, start: int,
     return labels
 
 
-def _gap_estimate(w: np.ndarray, c: int, trunc_tol: float, gap_ratio: float) -> int:
-    """The role count the descending eigenvalues w of the c x c similarity
-    suggest: :func:`estimate_rank` of those at least ``trunc_tol**2`` times
-    the largest, the squares of the singular values that
-    ``lowrank_iterate`` keeps at ``trunc_tol``.  Eigenvalues computed from
-    a c x c matrix carry rounding errors of about c * eps times the largest
-    (a factor's singular values carry them only squared), so values below
-    that floor are left out as well: they are zero to working precision,
-    and would otherwise set the estimate by rounding alone."""
+def _gap_estimate(w: np.ndarray, c: int, trunc_tol: float) -> int:
+    """The role count the descending spectrum w of the c x c similarity
+    suggests (sigma(F)^2 on the exact route, the Ritz values of the block on
+    the thin one): :func:`estimate_rank` of the values at least
+    ``trunc_tol**2`` times the largest, the squares of the singular values
+    that ``lowrank_iterate`` keeps at ``trunc_tol``.  Eigenvalues computed
+    from a c x c matrix carry rounding errors of about c * eps times the
+    largest, so values below that floor are left out as well: they are
+    zero to working precision, and would otherwise set the estimate."""
     floor = max(trunc_tol**2, c * np.finfo(float).eps) * w[0]
-    return estimate_rank(w[w >= floor], gap_ratio)
+    return estimate_rank(w[w >= floor], DEFAULT_GAP_RATIO)
 
 
-def _eigen_factor(S: np.ndarray):
-    """The factor ``X = V diag(sqrt(w))`` of ``S = V diag(w) V^T`` over the
-    eigenvalues above the rounding floor of :func:`_gap_estimate` (those
-    below it are zero to working precision, and their eigenvectors are
-    arbitrary within the null space), and all eigenvalues w, largest
-    first."""
-    w, V = np.linalg.eigh(S)
-    w, V = w[::-1], V[:, ::-1]
-    keep = w > S.shape[0] * np.finfo(float).eps * w[0]
-    return V[:, keep] * np.sqrt(w[keep]), w
+def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float,
+                       max_k: int):
+    """The damping used, a factor X of ``S_hat_k ~= X X^T`` on the quotient
+    of A, and the spectrum the gap estimate reads (None on the exact route,
+    whose sigma(X)^2 only the sweep computes).
 
-
-def _finite_depth_factor(A, beta2: float, k: int, trunc_tol: float,
-                         gap_ratio: float):
-    """A factor X of ``S_hat_k ~= X X^T`` on the quotient of A, and the
-    descending eigenvalues of ``S_hat_k`` that the gap estimate reads.
-
-    While the quotient has more than 2b classes, b = r + 8 for a rank r
-    from 8, it is the thin similarity of rank r
-    (:func:`rolekit.lowrank._thin_similarity`), with the b Ritz values of
-    its block in place of the eigenvalues.  r doubles while the gap
-    estimate q on those b values satisfies q + 2 > r, so that the sweep's
-    role counts up to q + 2 fit in the factor.  The estimate reads all b
-    values, not the top r, because the largest eigenvalue of an unsigned
-    S stands far above the rest: among r values that all belong to roles,
-    the only drop is the first, and q would read 1.  Otherwise, or when
-    the thin start block is rank-deficient, the factor is the exact one
-    of the dense iterate.
+    At a finite depth, while the quotient has more than 2b classes,
+    b = r + 8 for a rank r from 8, X is the thin similarity of rank r
+    (:func:`rolekit.lowrank._thin_similarity`) and the spectrum the b Ritz
+    values of its block.  r doubles while the gap estimate q on those b
+    values satisfies q + 2 > r, so that the sweep's role counts up to
+    q + 2 fit in the factor.  The estimate reads all b values, not the top
+    r: the largest eigenvalue of an unsigned S stands far above the rest,
+    so among r role values the only drop is the first, and q would read 1.
+    Otherwise, on a rank-deficient thin start block and at the fixed
+    point, X is the stack of :func:`rolekit.lowrank._similarity_stack`.
     """
     quotient = A.quotient
-    rank = _START_RANK
-    while quotient.c > 2 * (rank + _OVERSAMPLE):
-        thin = _thin_similarity(quotient.entries, quotient.sizes, beta2, k, rank)
-        if thin is None:
-            break
-        if _gap_estimate(thin[1], quotient.c, trunc_tol, gap_ratio) + 2 <= rank:
-            return thin
-        rank *= 2
-    return _eigen_factor(iterate(_quotient_graph(A), beta2, k).S)
+    if k is not None:
+        _check_depth(k, max_k)
+        beta2 = resolve_beta2(A, beta2)[0]
+        rank = _START_RANK
+        while quotient.c > 2 * (rank + _OVERSAMPLE):
+            thin = _thin_similarity(quotient.entries, quotient.sizes, beta2, k, rank)
+            if thin is None:
+                break
+            if _gap_estimate(thin[1], quotient.c, trunc_tol) + 2 <= rank:
+                return (beta2, *thin)
+            rank *= 2
+    F, state = _similarity_stack(A, beta2, k, max_k)
+    return (beta2 if state is None else state.beta2), F, None
 
 
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
-                  trunc_tol: float = 1e-10, angle_tol: float = DEFAULT_ANGLE_TOL,
-                  gap_ratio: float = DEFAULT_GAP_RATIO,
+                  trunc_tol: float = 1e-10,
                   max_k: int = DEFAULT_MAX_K) -> ExtractionResult:
     """Full pipeline: compute the similarity, group nodes, rebuild B, score.
 
@@ -434,26 +419,24 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     rejected before anything is computed.  At every depth ``beta2`` (None
     for 0.81 / rho) is rejected at or above the admissible bound
     ``1 / rho``.  Nodes are grouped on the unit rows of a factor X of S_k
-    (see the module docstring: the thin similarity at a finite depth above
-    32 classes, else the exact factor), with nodes that have no edge left
-    unassigned, by one rule.  First the greedy scan: nodes in order join
-    the first group whose first node lies within ``angle_tol`` of their
-    line.  Its result is kept when it reproduces the graph exactly with a
-    compressive role count (q at most half the assigned nodes), as on
-    ideal graphs; the scan stops as soon as it would exceed that count,
-    and does not run when the classes with an edge alone exceed it.
+    (:func:`_similarity_factor`, one route at every depth), with nodes that
+    have no edge left unassigned, by one rule.  First the greedy scan:
+    nodes in order join the first group whose first node lies within
+    ``DEFAULT_ANGLE_TOL`` of their line.  Its result is kept when it
+    reproduces the graph exactly with a compressive role count (q at most
+    half the assigned nodes), as on ideal graphs; the scan stops as soon
+    as it would exceed that count, and does not run when the classes with
+    an edge alone exceed it.
     Otherwise the sweep runs: spherical k-means on the rows for role
     counts within 2 of the spectral-gap estimate, each count seeded
     farthest-first from each of the four classes with the largest
     diagonal entries ``|X_a|^2`` of S_k and scored by its cheapest model,
     keeping the smallest count within 5% of the least cost.
-    ``params["method"]`` records which of the two gave the result.  The
-    gap estimate is :func:`rolekit.lowrank.estimate_rank` with
-    ``gap_ratio`` on the eigenvalues of S_k: all c of them on the exact
-    route, the b Ritz values of the block on the thin one; ``trunc_tol``
-    sets its floor, as eigenvalues below ``trunc_tol**2`` times the
-    largest are left out (and so are those below the rounding floor of
-    the eigensolver, see :func:`_gap_estimate`).
+    ``params`` records which of the two gave the result (``method``) and
+    the two constants ``angle_tol`` and ``gap_ratio``.  The gap estimate
+    is :func:`rolekit.lowrank.estimate_rank` with ``DEFAULT_GAP_RATIO`` on
+    the spectrum of S_k (see :func:`_gap_estimate`), which leaves out the
+    values below ``trunc_tol**2`` times the largest.
 
     Signed graphs with a checkerboard signature are extracted through |A|;
     the signs are reattached to the indicator matrix and the residual is
@@ -471,24 +454,11 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         raise ValueError("cannot extract roles from an empty graph")
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
-    if not angle_tol >= 0.0:
-        raise ValueError("angle_tol must be non-negative")
-    if not 0.0 < gap_ratio <= 1.0:
-        raise ValueError("gap_ratio must lie in (0, 1]")
-
-    if k is None:
-        state = _quotient_similarity(work, beta2, None, max_k)
-        beta2 = state.beta2
-        X, w = _eigen_factor(state.S)
-    else:
-        _check_depth(k, max_k)
-        beta2 = resolve_beta2(work, beta2)[0]
-        X, w = _finite_depth_factor(work, beta2, k, trunc_tol, gap_ratio)
+    beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol, max_k)
     # the classes with an edge: S_aa = 0 only on the others, whose nodes
     # are left unassigned
     edges = quotient.entries != 0.0
     act = np.flatnonzero(edges.any(axis=0) | edges.any(axis=1))
-    rows = _normalized_rows(X[act])[0]
     n_active = int(quotient.sizes[act].sum())
 
     def roles(labels):   # labels of the active classes -> role of each class
@@ -505,7 +475,9 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     # of the scan can be kept, and it does not run
     chosen, method = None, "greedy"
     if act.size <= n_active // 2:
-        labels = _greedy_scan(act.size, _chunked_cosines(rows), angle_tol, n_active // 2)
+        rows = _normalized_rows(X[act])[0]
+        labels = _greedy_scan(act.size, _chunked_cosines(rows), DEFAULT_ANGLE_TOL,
+                              n_active // 2)
         if labels is not None:
             greedy = roles(labels)
             B, cost = _role_model(base, norm2, quotient.sizes, greedy)
@@ -514,11 +486,16 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
 
     if chosen is None:
         method = "sweep"
-        q_guess = _gap_estimate(w, quotient.c, trunc_tol, gap_ratio)
+        if w is None:
+            # the exact route's F is c x 2c; the triangle R of F^T = Q R has
+            # R^T R = F F^T, so R^T has F's row inner products at half the width
+            X = np.linalg.qr(X.T, mode="r").T
+            w = np.linalg.eigvalsh(X @ X.T)[::-1]
+        q_guess = _gap_estimate(w, quotient.c, trunc_tol)
         # k-means runs on the classes ranked by S_aa = |X_a|^2, largest
         # first, so its ties go to the larger S_aa and not to the earlier node
         order = np.argsort(-np.einsum("ij,ij->i", X[act], X[act]), kind="stable")
-        rows_ranked = rows[order]
+        rows_ranked = _normalized_rows(X[act])[0][order]
         weights = quotient.sizes[act][order].astype(float)
         labels = np.empty(act.size, dtype=int)
         candidates = []
@@ -547,8 +524,8 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         "beta2": float(beta2),
         "k": "fixed-point" if k is None else int(k),
         "trunc_tol": float(trunc_tol),
-        "angle_tol": float(angle_tol),
-        "gap_ratio": float(gap_ratio),
+        "angle_tol": DEFAULT_ANGLE_TOL,
+        "gap_ratio": DEFAULT_GAP_RATIO,
         "method": method,
     }
     return ExtractionResult(

@@ -3,18 +3,19 @@
 Since ``S_k = G[X]`` with ``X = I + beta^2 S_{k-1}`` (``X = I`` at k = 1) and
 ``G[X] = A X A^T + A^T X A``, a Cholesky factor ``X = L L^T`` gives
 
-    S_k = F F^T,   F = [ A L   A^T L ],
+    S_k = F F^T,   F = [ A L   A^T L ].
 
-so the thin factor U of :func:`lowrank_iterate` is the compression of the
-stack F: orthogonalization followed by an SVD, discarding singular values
-below ``trunc_tol`` times the largest.  The truncation is applied once, to
-this final stack.  The factor is taken from ``[A L, A^T L]`` and not from
-an eigendecomposition of S_k, whose small eigenvalues are the squares of the
-factor's singular values and lose half their digits.  It is a library
-output, with the same beta^2 rule, tolerance and non-convergence state as
-every command; :func:`rolekit.extract.cluster_rows` groups its rows by the
-greedy scan of extraction.  :func:`estimate_rank` reads a role count off a
-descending spectrum and serves both extraction and the spectrum report.
+:func:`_similarity_stack` builds F on the quotient, for
+:func:`lowrank_iterate` and for extraction's exact route, which groups the
+rows of F itself.  The thin factor U of :func:`lowrank_iterate` is the
+compression of F: orthogonalization followed by an SVD, discarding singular
+values below ``trunc_tol`` times the largest, once.  F is factored, not
+S_k, whose small eigenvalues are the squares of F's singular values and
+lose half their digits.  U is a library output, with the same beta^2 rule,
+tolerance and non-convergence state as every command;
+:func:`rolekit.extract.cluster_rows` groups its rows by the greedy scan of
+extraction.  :func:`estimate_rank` reads a role count off a descending
+spectrum and serves both extraction and the spectrum report.
 
 Structurally equivalent nodes are collapsed first: with c classes,
 A = Q A_hat Q^T for the c x c quotient matrix A_hat and orthonormal Q
@@ -45,13 +46,17 @@ from .graphcore import as_adjacency
 from .similarity import (
     DEFAULT_MAX_K,
     _check_beta2,
+    _check_depth,
     _compress,
+    _quotient_graph,
     _quotient_similarity,
     _sym,
+    iterate,
+    resolve_beta2,
 )
 
 #: the ratio of consecutive singular values below which :func:`estimate_rank`
-#: declares a gap: extraction's default and the spectrum report's constant
+#: declares a gap: the one ratio of extraction and the spectrum report
 DEFAULT_GAP_RATIO = 0.5
 
 #: the thin similarity keeps a block this many columns wider than its rank
@@ -84,42 +89,59 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
                     max_k: int = DEFAULT_MAX_K) -> LowRankState:
     """The thin factor U of the similarity S_k = U U^T at depth k.
 
-    ``S_{k-1}`` comes from the quotient by structural equivalence by the
-    same route as in ``extract_roles`` and ``spectrum_report``: k - 1 steps
-    of :func:`rolekit.similarity.iterate`, or with ``k=None`` the
-    conjugate-gradient solve of :func:`rolekit.similarity.fixed_point`,
-    which stops once the true residual is at most
-    :data:`rolekit.similarity.DEFAULT_TOL` relative to S, the one tolerance
-    of every command (``k`` is then its iteration count, capped by
-    ``max_k``, which must be at least 1 wherever S is used).  The stack
-    ``[A L, A^T L]`` with ``L L^T = I + beta^2 S_{k-1}`` is then compressed
-    once (see the module docstring); k = 1 factors ``G[I]``.  Wherever S is
-    used, a ``beta2`` at or above the admissible bound is rejected, and past
-    ``max_k`` :class:`rolekit.similarity.NonConvergenceError` carries the
-    n x n similarity state of the last CG iterate and its residual history,
-    as from ``fixed_point``.  ``trunc_tol`` is a relative cutoff on the
-    factor's singular values, applied once at the end: it keeps those at
-    least ``trunc_tol`` times the largest.  Around 1e-10 it reproduces the
-    exact rank on ideal graphs.  It is no rank cap: on 10%-flipped block
-    cycles (measured from n = 40 to 2000) even 1e-3 keeps every rank.
+    The stack ``[A L, A^T L]`` of :func:`_similarity_stack`, with
+    ``L L^T = I + beta^2 S_{k-1}`` on the quotient by structural
+    equivalence, is compressed once (see the module docstring); k = 1
+    factors ``G[I]``.  With ``k=None``, S is the conjugate-gradient solve
+    of :func:`rolekit.similarity.fixed_point` to the one tolerance of every
+    command, :data:`rolekit.similarity.DEFAULT_TOL`, and ``k`` its
+    iteration count, capped by ``max_k`` (at least 1 wherever S is used).
+    Wherever S is used, a ``beta2`` at or above the admissible bound is
+    rejected, and past ``max_k`` :class:`rolekit.similarity.NonConvergenceError`
+    carries the n x n similarity state of the last CG iterate and its
+    residual history, as from ``fixed_point``.  ``trunc_tol`` is a relative
+    cutoff on the factor's singular values, applied once at the end: it
+    keeps those at least ``trunc_tol`` times the largest.  Around 1e-10 it
+    reproduces the exact rank on ideal graphs.  It is no rank cap: on
+    10%-flipped block cycles (measured from n = 40 to 2000) even 1e-3
+    keeps every rank.
     """
     A = as_adjacency(A)
     _check_beta2(beta2)
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
-    if k is not None and k < 1:
-        raise ValueError("iteration depth k must be at least 1")
+    if k != 1:   # S_{k-1} is used
+        _check_depth(k, max_k)
+    if not A.quotient.entries.any():
+        raise ValueError("low-rank iteration requires a nonzero adjacency matrix")
+    if k is not None and k > 1:
+        resolve_beta2(A, beta2)   # the fixed point's solve checks it itself
+    F, state = _similarity_stack(A, beta2, k, max_k)
+    U, sigma = _compress(F, trunc_tol)
+    return LowRankState(U=A.quotient.lift(U), k=state.k if k is None else k,
+                        sigma=sigma, trunc_tol=trunc_tol)
+
+
+def _similarity_stack(A, beta2: float | None, k: int | None, max_k: int):
+    """``F = [A_hat L, A_hat^T L]`` with ``F F^T = S_hat_k`` on the quotient of
+    A, ``L L^T = I + beta^2 S_hat_(k-1)`` by Cholesky, and the state of
+    ``S_hat_(k-1)`` (None at k = 1, where L = I).  At a finite depth that
+    is k - 1 steps of :func:`rolekit.similarity.iterate`, for a ``beta2``
+    the caller has checked against the admissible bound.  With ``k=None``
+    it is the solve of :func:`rolekit.similarity._quotient_similarity`,
+    which resolves and checks ``beta2`` itself, and
+    ``F F^T = G[I + beta^2 S_hat]`` lies within its true residual,
+    ``DEFAULT_TOL`` relative, of the fixed point ``S_hat``."""
     quotient = A.quotient
     M = quotient.entries
-    if not M.any():
-        raise ValueError("low-rank iteration requires a nonzero adjacency matrix")
-    L = np.eye(quotient.c)   # L L^T = I + beta^2 S_{k-1}, with S_0 = 0
-    if k != 1:
-        state = _quotient_similarity(A, beta2, None if k is None else k - 1, max_k)
-        L = np.linalg.cholesky(L + beta2 * state.S)
-    U, sigma = _compress(np.hstack([M @ L, M.T @ L]), trunc_tol)
-    return LowRankState(U=quotient.lift(U), k=state.k if k is None else k,
-                        sigma=sigma, trunc_tol=trunc_tol)
+    L, state = np.eye(quotient.c), None
+    if k is None:
+        state = _quotient_similarity(A, beta2, None, max_k)
+    elif k > 1:
+        state = iterate(_quotient_graph(A), beta2, k - 1)
+    if state is not None:
+        L = np.linalg.cholesky(L + state.beta2 * state.S)
+    return np.hstack([M @ L, M.T @ L]), state
 
 
 def estimate_rank(sigma, gap_ratio: float) -> int:

@@ -156,9 +156,9 @@ def _compress(F: np.ndarray, trunc_tol: float):
     F is reduced to L = R^T from the QR factorization F^T = Q R, since
     F F^T = L L^T: the left singular factor and singular values of F are
     those of L, and no Q is formed.  For a wide m x w stack, as
-    ``lowrank_iterate`` and the start of :func:`beta_bound` build, L is an
-    m x m triangle; for a tall one it is m x w and the compression costs
-    O(m w^2).
+    ``lowrank_iterate`` (from ``lowrank._similarity_stack``) and the start
+    of :func:`beta_bound` compress, L is an m x m triangle; for a tall one
+    it is m x w and the compression costs O(m w^2).
     """
     L = np.linalg.qr(F.T, mode="r").T
     W, s, _ = np.linalg.svd(L, full_matrices=False)
@@ -366,9 +366,11 @@ def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
     :class:`rolekit.graphcore.Quotient`).  This is the one route from a
     command to the dense similarity, so every command sees the same S_hat
-    at a given depth; ``extract_roles`` at a finite depth makes the same
-    checks and the same ``iterate`` call on the same quotient graph, or
-    keeps a thin factor instead.  A depth ``k`` below 1 and a ``max_k``
+    at a given depth; at a finite depth ``extract_roles`` and
+    ``lowrank_iterate`` make the same checks and run ``iterate`` on the same
+    quotient graph to depth k - 1, then take ``S_hat_k = F F^T`` from the
+    stack of ``lowrank._similarity_stack`` (or extraction keeps a thin
+    factor instead).  A depth ``k`` below 1 and a ``max_k``
     below 1 are rejected before anything is computed, at every depth.
     ``beta2`` (None for the default 0.81 / rho) is resolved and checked
     against the admissible bound at every depth: by :func:`resolve_beta2`

@@ -447,26 +447,10 @@ def test_one_tolerance_for_the_fixed_point_in_every_command(small_graph, capsys,
     assert tols == [similarity.DEFAULT_TOL] * 5
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
-def test_angle_tol_must_be_non_negative(value, small_graph, capsys, solver_calls):
-    A, path = small_graph
-    with pytest.raises(ValueError, match="angle_tol"):
-        extract_roles(A, angle_tol=float(value))
-    assert_config_error(capsys, "extract", path, f"--angle-tol={value}")
-    assert solver_calls == []
-
-
-@pytest.mark.parametrize("value", ["nan", "0", "-0.5", "1.5", "inf"])
-def test_gap_ratio_must_lie_in_the_unit_interval(value, small_graph, capsys, solver_calls):
-    A, path = small_graph
-    with pytest.raises(ValueError, match="gap_ratio"):
-        extract_roles(A, gap_ratio=float(value))
-    assert_config_error(capsys, "extract", path, f"--gap-ratio={value}")
-    assert solver_calls == []
-
-
 @pytest.mark.parametrize("argv", [("extract", "--method", "greedy"),
-                                  ("spectrum", "--gap-ratio", "0.5")])
+                                  ("spectrum", "--gap-ratio", "0.5"),
+                                  ("extract", "--gap-ratio", "0.5"),
+                                  ("extract", "--angle-tol", "1e-6")])
 def test_extraction_rule_and_spectrum_gap_ratio_are_not_flags(argv, small_graph, capsys,
                                                               solver_calls):
     _, path = small_graph

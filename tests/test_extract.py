@@ -33,13 +33,13 @@ from rolekit import (
 )
 from rolekit.extract import (
     _ZERO_ROW_RTOL,
-    _eigen_factor,
     _gap_estimate,
     _normalized_rows,
     _spherical_kmeans,
 )
 from rolekit import extract, lowrank
 from rolekit.graphcore import _merge_equivalent_roles
+from rolekit.lowrank import DEFAULT_GAP_RATIO, _similarity_stack
 from rolekit.similarity import _quotient_similarity
 
 # the 5-role signed generalized role matrix of the 6-node checkerboard example
@@ -629,7 +629,7 @@ def _result_json(result):
 
 def _dense_route(monkeypatch, A, **kwargs):
     """What extract_roles returns with the thin route switched off, so that
-    it takes the exact factor of the dense iterate."""
+    it takes the exact stack [A_hat L, A_hat^T L]."""
     with monkeypatch.context() as patch:
         patch.setattr(extract, "_thin_similarity", lambda *args: None)
         return extract_roles(A, **kwargs)
@@ -684,16 +684,17 @@ def test_the_thin_rank_doubles_until_the_gap_fits(monkeypatch):
 
 
 def test_the_fixed_point_extraction_groups_on_meets_the_one_tolerance(monkeypatch):
-    # ||S - G[I + beta^2 S]||_F <= 1e-13 ||S||_F for the S extraction
-    # groups nodes on, lifted to the nodes: on a noisy block cycle (no
-    # equivalent nodes) and on one with two flipped edges (8 classes)
+    # ||S - G[I + beta^2 S]||_F <= 1e-13 ||S||_F for the solve's S, lifted
+    # to the nodes, and extraction groups the rows of the stack F with
+    # F F^T = G[I + beta^2 S]: on a noisy block cycle (no equivalent nodes)
+    # and on one with two flipped edges (8 classes)
     seen = []
 
-    def recording(*args, **kwargs):
-        seen.append(_quotient_similarity(*args, **kwargs))
+    def recording(*args):
+        seen.append(_similarity_stack(*args))
         return seen[-1]
 
-    monkeypatch.setattr(extract, "_quotient_similarity", recording)
+    monkeypatch.setattr(extract, "_similarity_stack", recording)
     A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
     M = A.entries.copy()
     M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
@@ -701,12 +702,14 @@ def test_the_fixed_point_extraction_groups_on_meets_the_one_tolerance(monkeypatc
     noisy = perturb(noisy, PerturbationModel(p_in=0.1, p_out=0.1, seed=3))
     for A in (noisy, Adjacency.from_matrix(M)):
         extract_roles(A, k=None)
+        F, state = seen[-1]
         lift = A.quotient.lift
-        S = lift(lift(seen[-1].S).T)
-        X = np.eye(A.n) + seen[-1].beta2 * S
+        S = lift(lift(state.S).T)
+        X = np.eye(A.n) + state.beta2 * S
         M = A.entries
-        residual = M @ X @ M.T + M.T @ X @ M - S
-        assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(S)
+        image = M @ X @ M.T + M.T @ X @ M
+        assert np.linalg.norm(image - S) <= 1e-13 * np.linalg.norm(S)
+        assert np.linalg.norm(lift(lift(F @ F.T).T) - image) <= 1e-12 * np.linalg.norm(image)
 
 
 def test_nonconvergence_carries_the_last_iterate_on_the_nodes():
@@ -751,12 +754,68 @@ def _gap_graphs():
         yield abs(A), 1e-10
 
 
+def _eigen_factor(S):
+    """The exact route's factor before extraction took the stack
+    ``[A_hat L, A_hat^T L]``, kept as a reference: ``V diag(sqrt(w))`` of
+    ``S = V diag(w) V^T`` over the eigenvalues above the rounding floor
+    c eps w[0], and all eigenvalues w, largest first."""
+    w, V = np.linalg.eigh(S)
+    w, V = w[::-1], V[:, ::-1]
+    keep = w > S.shape[0] * np.finfo(float).eps * w[0]
+    return V[:, keep] * np.sqrt(w[keep]), w
+
+
 @pytest.mark.parametrize("k", [6, None])
-def test_the_gap_estimate_equals_the_one_from_the_factor(k):
+def test_the_gap_estimate_equals_the_one_from_the_factor(k, monkeypatch):
+    # every extraction here takes the exact route's sweep: no thin factor,
+    # and no greedy model.  The sweep's estimate, on sigma(F)^2, equals the
+    # one on the eigenvalues of S_hat_k and the one on lowrank_iterate's
+    # kept singular values
+    estimates = []
+
+    def recording(w, c, trunc_tol):
+        estimates.append(original(w, c, trunc_tol))
+        return estimates[-1]
+
+    original = extract._gap_estimate
+    monkeypatch.setattr(extract, "_gap_estimate", recording)
+    monkeypatch.setattr(extract, "_thin_similarity", lambda *args: None)
+    monkeypatch.setattr(extract, "_greedy_scan", lambda *args: None)
     for A, trunc_tol in _gap_graphs():
         beta2 = default_beta2(A)
         S = _quotient_similarity(A, beta2, k).S
         sigma = lowrank_iterate(A, beta2, k=k, trunc_tol=trunc_tol).sigma
-        for gap_ratio in (0.3, 0.5, 0.8):
-            assert (_gap_estimate(_eigen_factor(S)[1], S.shape[0], trunc_tol, gap_ratio)
-                    == estimate_rank(sigma**2, gap_ratio))
+        want = _gap_estimate(_eigen_factor(S)[1], S.shape[0], trunc_tol)
+        assert want == estimate_rank(sigma**2, DEFAULT_GAP_RATIO)
+        estimates.clear()
+        extract_roles(A, beta2=beta2, k=k, trunc_tol=trunc_tol)
+        assert estimates == [want]
+
+
+def test_ideal_extraction_calls_no_eigensolver(monkeypatch):
+    # on ideal graphs the greedy model is kept, so the exact route groups
+    # the rows of [A_hat L, A_hat^T L] and reads no spectrum
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigensolver ran on an ideal graph")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for kind, sizes in [("block_cycle", (20, 10, 10, 20)), ("community", (5, 6, 4)),
+                        ("bipartite_communities", (4, 6, 5, 3))]:
+        A, B, truth = generate_structure(kind, sizes)
+        for k in (1, 6, None):
+            result = extract_roles(A, k=k)
+            assert result.params["method"] == "greedy"
+            assert result.residual == 0.0
+            assert same_partition_and_B(result, B, truth)
+
+
+def test_params_record_the_two_constants_that_are_no_arguments():
+    A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
+    params = dict(extract_roles(A).params)
+    assert params.pop("beta2") == default_beta2(A)
+    assert params == {"angle_tol": 1e-6, "gap_ratio": 0.5, "k": 6, "method": "greedy",
+                      "trunc_tol": 1e-10}
+    for name in ("angle_tol", "gap_ratio"):
+        with pytest.raises(TypeError, match=name):
+            extract_roles(A, **{name: params[name]})

@@ -18,8 +18,8 @@ from rolekit import (
     perturb,
 )
 from rolekit import similarity
-from rolekit.lowrank import _compress, _thin_similarity
-from rolekit.similarity import DEFAULT_TOL
+from rolekit.lowrank import _compress, _similarity_stack, _thin_similarity
+from rolekit.similarity import DEFAULT_MAX_K, DEFAULT_TOL, _quotient_graph
 
 # the published 10-value spectra of the ideal and perturbed block cycles,
 # used as realistic inputs to the gap-based rank estimate
@@ -145,6 +145,42 @@ def test_weighted_factor_keeps_the_exact_rank():
             S = iterate(W, beta2, k).S
         assert state.r == 4
         assert np.linalg.norm(state.U @ state.U.T - S) <= 1e-12 * np.linalg.norm(S)
+
+
+def _stack_graphs():
+    """An ideal graph (4 classes), a noisy one and a rank-one weighted one
+    (no two nodes equivalent in either)."""
+    ideal, _, _ = generate_structure("block_cycle", (6, 5, 7, 4))
+    noisy, _, _ = generate_structure("block_cycle", (10, 10, 10, 10))
+    noisy = perturb(noisy, PerturbationModel(p_in=0.1, p_out=0.1, seed=3))
+    d = np.random.default_rng(0).uniform(0.5, 2.0, ideal.n)
+    weighted = apply_rank_one_weights(ideal, d)
+    assert (ideal.quotient.c, noisy.quotient.c, weighted.quotient.c) == (4, 40, 22)
+    return ideal, noisy, weighted
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_the_stack_factors_the_iterate_at_a_finite_depth(k):
+    for A in _stack_graphs():
+        beta2 = default_beta2(A)
+        F, state = _similarity_stack(A, beta2, k, DEFAULT_MAX_K)
+        S = iterate(_quotient_graph(A), beta2, k).S
+        assert F.shape == (A.quotient.c, 2 * A.quotient.c)
+        assert (state is None) == (k == 1)
+        assert np.linalg.norm(F @ F.T - S) <= 1e-12 * np.linalg.norm(S)
+
+
+def test_the_stack_at_the_fixed_point_lies_within_the_solve_residual():
+    # F F^T = G[I + beta^2 S] for the solve's S, whose true residual is at
+    # most DEFAULT_TOL ||S||; forming F F^T adds rounding of about c eps
+    for A in _stack_graphs():
+        F, state = _similarity_stack(A, None, None, DEFAULT_MAX_K)
+        want = fixed_point(_quotient_graph(A))
+        assert (state.k, state.beta2, state.converged) == (want.k, want.beta2, True)
+        assert np.array_equal(state.S, want.S)
+        c = A.quotient.c
+        bound = DEFAULT_TOL + 4 * c * np.finfo(float).eps
+        assert np.linalg.norm(F @ F.T - state.S) <= bound * np.linalg.norm(state.S)
 
 
 def test_estimate_rank_on_ideal_spectrum():
