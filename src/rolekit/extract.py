@@ -62,7 +62,7 @@ from .lowrank import (
     _thin_similarity,
     estimate_rank,
 )
-from .similarity import _START_RANK, DEFAULT_MAX_K, _check_depth, resolve_beta2
+from .similarity import _START_RANK, DEFAULT_MAX_K, _check_request, resolve_beta2
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_DEPTH = 6
@@ -387,10 +387,11 @@ def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float,
     so among r role values the only drop is the first, and q would read 1.
     Otherwise, on a rank-deficient thin start block and at the fixed
     point, X is the stack of :func:`rolekit.lowrank._similarity_stack`.
+    ``beta2`` is resolved here on A at a finite depth, by the solve at the
+    fixed point.
     """
     quotient = A.quotient
     if k is not None:
-        _check_depth(k, max_k)
         beta2 = resolve_beta2(A, beta2)[0]
         rank = _START_RANK
         while quotient.c > 2 * (rank + _OVERSAMPLE):
@@ -415,10 +416,11 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     :data:`rolekit.similarity.DEFAULT_TOL`, as ``spectrum_report`` does,
     with ``max_k`` capping the iterations; past the cap,
     :class:`rolekit.similarity.NonConvergenceError` carries the last
-    iterate as an n x n similarity state.  A ``k`` or ``max_k`` below 1 is
-    rejected before anything is computed.  At every depth ``beta2`` (None
-    for 0.81 / rho) is rejected at or above the admissible bound
-    ``1 / rho``.  Nodes are grouped on the unit rows of a factor X of S_k
+    iterate as an n x n similarity state.  The request is checked
+    (:func:`rolekit.similarity._check_request`) before the graph is read,
+    and at every depth ``beta2`` (None for 0.81 / rho) is rejected at or
+    above the admissible bound ``1 / rho`` before the first step.  Nodes
+    are grouped on the unit rows of a factor X of S_k
     (:func:`_similarity_factor`, one route at every depth), with nodes that
     have no edge left unassigned, by one rule.  First the greedy scan:
     nodes in order join the first group whose first node lies within
@@ -442,6 +444,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     the signs are reattached to the indicator matrix and the residual is
     computed against the signed graph.
     """
+    _check_request(beta2, k, max_k, trunc_tol=trunc_tol)
     A = as_adjacency(A)
     signature = None
     work = A
@@ -452,8 +455,6 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     quotient = work.quotient
     if not quotient.entries.any():
         raise ValueError("cannot extract roles from an empty graph")
-    if not 0.0 < trunc_tol < 1.0:
-        raise ValueError("trunc_tol must lie strictly between 0 and 1")
     beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol, max_k)
     # the classes with an edge: S_aa = 0 only on the others, whose nodes
     # are left unassigned

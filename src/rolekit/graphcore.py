@@ -62,44 +62,46 @@ class EdgeListFormatError(ValueError):
         super().__init__(message)
 
 
+#: the kinds from narrowest to widest, and the values of each but the last
+_KINDS = (UNWEIGHTED, SIGNED, WEIGHTED)
+_KIND_VALUES = ((0.0, 1.0), (-1.0, 0.0, 1.0))
+
+
 @dataclass(frozen=True, eq=False)
 class Adjacency:
     """Square real matrix of a directed graph plus a value-range tag.
 
     ``kind`` is one of ``"unweighted"`` (entries in {0,1}), ``"signed"``
-    (entries in {-1,0,1}) or ``"weighted"`` (arbitrary reals).  The kind is
-    validated at construction; use :meth:`from_matrix` to infer the narrowest
-    kind that fits the values.
+    (entries in {-1,0,1}) or ``"weighted"`` (arbitrary reals).  It defaults
+    to the narrowest kind that fits the values, found in one pass over
+    blocks of 256 rows; an explicit kind is checked with that same pass.
     """
 
     entries: np.ndarray
-    kind: str
+    kind: str | None = None
 
     def __post_init__(self):
         M = np.asarray(self.entries, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("adjacency matrix must be square")
         object.__setattr__(self, "entries", M)
-        if self.kind == UNWEIGHTED:
-            if not np.isin(M, (0.0, 1.0)).all():
-                raise ValueError("unweighted adjacency entries must be 0 or 1")
-        elif self.kind == SIGNED:
-            if not np.isin(M, (-1.0, 0.0, 1.0)).all():
-                raise ValueError("signed adjacency entries must be -1, 0 or 1")
-        elif self.kind != WEIGHTED:
+        if self.kind not in (None, *_KINDS):
             raise ValueError(f"unknown adjacency kind: {self.kind!r}")
+        # no temporary is larger than a block of 256 rows of M
+        narrowest = 0
+        for lo in range(0, M.shape[0], 256):
+            while narrowest < 2 and not np.isin(M[lo:lo + 256], _KIND_VALUES[narrowest]).all():
+                narrowest += 1
+        if self.kind is None:
+            object.__setattr__(self, "kind", _KINDS[narrowest])
+        elif _KINDS.index(self.kind) < narrowest:
+            values = ", ".join(f"{v:g}" for v in _KIND_VALUES[_KINDS.index(self.kind)])
+            raise ValueError(f"{self.kind} adjacency entries must lie in {{{values}}}")
 
     @classmethod
     def from_matrix(cls, M) -> "Adjacency":
         """Wrap a matrix, inferring the narrowest kind that fits its values."""
-        M = np.asarray(M, dtype=float)
-        if np.isin(M, (0.0, 1.0)).all():
-            kind = UNWEIGHTED
-        elif np.isin(M, (-1.0, 0.0, 1.0)).all():
-            kind = SIGNED
-        else:
-            kind = WEIGHTED
-        return cls(M, kind)
+        return cls(M)
 
     @property
     def n(self) -> int:

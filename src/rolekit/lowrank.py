@@ -45,13 +45,10 @@ import numpy as np
 from .graphcore import as_adjacency
 from .similarity import (
     DEFAULT_MAX_K,
-    _check_beta2,
-    _check_depth,
+    _check_request,
     _compress,
-    _quotient_graph,
     _quotient_similarity,
     _sym,
-    iterate,
     resolve_beta2,
 )
 
@@ -84,7 +81,7 @@ class LowRankState:
         return self.U.shape[1]
 
 
-def lowrank_iterate(A, beta2: float, k: int | None = None,
+def lowrank_iterate(A, beta2: float | None = None, k: int | None = None,
                     trunc_tol: float = 1e-10,
                     max_k: int = DEFAULT_MAX_K) -> LowRankState:
     """The thin factor U of the similarity S_k = U U^T at depth k.
@@ -95,27 +92,23 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
     factors ``G[I]``.  With ``k=None``, S is the conjugate-gradient solve
     of :func:`rolekit.similarity.fixed_point` to the one tolerance of every
     command, :data:`rolekit.similarity.DEFAULT_TOL`, and ``k`` its
-    iteration count, capped by ``max_k`` (at least 1 wherever S is used).
-    Wherever S is used, a ``beta2`` at or above the admissible bound is
-    rejected, and past ``max_k`` :class:`rolekit.similarity.NonConvergenceError`
-    carries the n x n similarity state of the last CG iterate and its
-    residual history, as from ``fixed_point``.  ``trunc_tol`` is a relative
+    iteration count, capped by ``max_k``; past the cap
+    :class:`rolekit.similarity.NonConvergenceError` carries the n x n
+    similarity state of the last CG iterate and its residual history, as
+    from ``fixed_point``.  The rules are those of ``extract_roles`` at every
+    depth, k = 1 included: the request is checked before A is read, and
+    ``beta2`` (None for the default 0.81 / rho) is rejected at or above the
+    admissible bound before any step.  ``trunc_tol`` is a relative
     cutoff on the factor's singular values, applied once at the end: it
     keeps those at least ``trunc_tol`` times the largest.  Around 1e-10 it
     reproduces the exact rank on ideal graphs.  It is no rank cap: on
     10%-flipped block cycles (measured from n = 40 to 2000) even 1e-3
     keeps every rank.
     """
+    _check_request(beta2, k, max_k, trunc_tol=trunc_tol)
     A = as_adjacency(A)
-    _check_beta2(beta2)
-    if not 0.0 < trunc_tol < 1.0:
-        raise ValueError("trunc_tol must lie strictly between 0 and 1")
-    if k != 1:   # S_{k-1} is used
-        _check_depth(k, max_k)
-    if not A.quotient.entries.any():
-        raise ValueError("low-rank iteration requires a nonzero adjacency matrix")
-    if k is not None and k > 1:
-        resolve_beta2(A, beta2)   # the fixed point's solve checks it itself
+    if k is not None:
+        beta2 = resolve_beta2(A, beta2)[0]
     F, state = _similarity_stack(A, beta2, k, max_k)
     U, sigma = _compress(F, trunc_tol)
     return LowRankState(U=A.quotient.lift(U), k=state.k if k is None else k,
@@ -125,21 +118,15 @@ def lowrank_iterate(A, beta2: float, k: int | None = None,
 def _similarity_stack(A, beta2: float | None, k: int | None, max_k: int):
     """``F = [A_hat L, A_hat^T L]`` with ``F F^T = S_hat_k`` on the quotient of
     A, ``L L^T = I + beta^2 S_hat_(k-1)`` by Cholesky, and the state of
-    ``S_hat_(k-1)`` (None at k = 1, where L = I).  At a finite depth that
-    is k - 1 steps of :func:`rolekit.similarity.iterate`, for a ``beta2``
-    the caller has checked against the admissible bound.  With ``k=None``
-    it is the solve of :func:`rolekit.similarity._quotient_similarity`,
-    which resolves and checks ``beta2`` itself, and
-    ``F F^T = G[I + beta^2 S_hat]`` lies within its true residual,
-    ``DEFAULT_TOL`` relative, of the fixed point ``S_hat``."""
+    ``S_hat_(k-1)`` from :func:`rolekit.similarity._quotient_similarity`
+    (None at k = 1, where L = I), whose contract ``beta2`` follows.  With
+    ``k=None``, ``F F^T = G[I + beta^2 S_hat]`` lies within the solve's
+    true residual, ``DEFAULT_TOL`` relative, of the fixed point ``S_hat``."""
     quotient = A.quotient
     M = quotient.entries
     L, state = np.eye(quotient.c), None
-    if k is None:
-        state = _quotient_similarity(A, beta2, None, max_k)
-    elif k > 1:
-        state = iterate(_quotient_graph(A), beta2, k - 1)
-    if state is not None:
+    if k != 1:
+        state = _quotient_similarity(A, beta2, None if k is None else k - 1, max_k)
         L = np.linalg.cholesky(L + state.beta2 * state.S)
     return np.hstack([M @ L, M.T @ L]), state
 

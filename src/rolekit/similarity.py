@@ -27,10 +27,17 @@ eigenvalues in ``[1 - beta^2 rho, 1 + beta^2 rho]``, and CG needs a few
 operator applications where the recurrence needs one per factor of
 ``beta^2 rho`` in the error.
 
-Every application of G in :func:`gamma`, the recurrence and the solve goes
-through one kernel, :func:`_gamma_into`: four matrix products written into
-n x n buffers the caller holds.  The solve allocates its six n x n arrays
-once and updates them in place.
+Every application of G in :func:`gamma`, the recurrence, the solve and the
+exact regime of :func:`beta_bound` goes through one kernel,
+:func:`_gamma_into`: four matrix products written into n x n buffers the
+caller holds.  The solve allocates its six n x n arrays once and updates
+them in place.
+
+A request (a damping, a depth, a cap and a tolerance) is checked by one
+function, :func:`_check_request`, which :func:`fixed_point` and the
+commands' entry points call before they touch the graph.  The commands
+reach the similarity on the quotient by one route,
+:func:`_quotient_similarity`.
 
 All matrices ``S_k`` are symmetric positive semi-definite, non-negative for
 unsigned graphs, and share the column space of ``[A A^T]`` for every k.
@@ -212,8 +219,9 @@ def beta_bound(A) -> float:
       it exceeds 1e-6 and has not halved since the step before, r doubles.
     - Exact, once 2r >= c (from the start when c <= 16): the dense c x c
       iterate from ``I_c / sqrt(n)``, the projection of ``I / sqrt(n)``,
-      at O(c^3) a step.  With no equivalent nodes (c = n) it is the power
-      iteration on the n x n operator.
+      at O(c^3) a step, updated in place by :func:`_gamma_into` with two
+      c x c buffers allocated once.  With no equivalent nodes (c = n) it
+      is the power iteration on the n x n operator.
 
     After ``DEFAULT_MAX_K`` steps in all (read at call time),
     :class:`NonConvergenceError` carries the last estimate and, from the
@@ -252,36 +260,42 @@ def beta_bound(A) -> float:
             V = U[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
             estimate, last_discarded = norm, discarded
     X = np.eye(quotient.c) / np.sqrt(A.n)
+    work = np.empty((2, quotient.c, quotient.c))
     last = 0.0
     while steps < DEFAULT_MAX_K:
         steps += 1
-        Y = _sym(M @ X @ M.T + M.T @ X @ M)
-        norm = float(np.linalg.norm(Y))
+        norm = float(np.linalg.norm(_gamma_into(M, X, X, work)))
         if norm == 0.0:
             raise ValueError("similarity operator annihilated the power iterate")
         if estimate > 0.0:
             history.append(abs(norm - estimate) / estimate)
         if abs(norm - last) <= _TOL * last:
             return norm
-        X = Y / norm
+        X /= norm
         last = estimate = norm
     raise NonConvergenceError(
         f"power iteration for the spectral radius did not settle "
         f"(last estimate {estimate})", state=estimate, history=history)
 
 
-def _check_beta2(beta2: float) -> None:
-    """Reject a damping that is negative, infinite or NaN."""
-    if not 0.0 <= beta2 < np.inf:
+def _check_request(beta2: float | None, k: int | None = 1, max_k: int = 1,
+                   tol: float = DEFAULT_TOL, trunc_tol: float | None = None) -> None:
+    """Reject a request that no graph could make valid: a ``beta2`` (None
+    for the default) that is negative, infinite or NaN, a depth ``k`` (None
+    for the fixed point) or a cap ``max_k`` below 1, a ``tol`` that is not
+    positive, and a ``trunc_tol`` (None where it is not used) outside
+    (0, 1).  NaN fails every test.  It reads no graph, so each entry point
+    calls it first."""
+    if beta2 is not None and not 0.0 <= beta2 < np.inf:
         raise ValueError(f"beta2 must be finite and non-negative, got {beta2!r}")
-
-
-def _check_solve(tol: float, max_k: int) -> None:
-    """Reject a tolerance that is not positive (NaN included) and a cap below 1."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if k is not None and not k >= 1:
+        raise ValueError("iteration depth k must be at least 1")
     if not max_k >= 1:
         raise ValueError(f"max_k must be at least 1, got {max_k!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if trunc_tol is not None and not 0.0 < trunc_tol < 1.0:
+        raise ValueError("trunc_tol must lie strictly between 0 and 1")
 
 
 def resolve_beta2(A, beta2: float | None) -> tuple[float, float]:
@@ -292,8 +306,7 @@ def resolve_beta2(A, beta2: float | None) -> tuple[float, float]:
     infinite or NaN is rejected before ``rho`` is computed, and one at or
     above the admissible bound ``1 / rho`` after.
     """
-    if beta2 is not None:
-        _check_beta2(beta2)
+    _check_request(beta2)
     rho = beta_bound(A)
     if beta2 is None:
         return DEFAULT_BETA2_FRACTION / rho, rho
@@ -315,10 +328,10 @@ def iterate(A, beta2: float, k: int) -> SimilarityState:
     check is made, so this can be used to observe divergence for damping
     above the bound.
     """
+    if beta2 is None:
+        raise TypeError("iterate needs a damping beta2; see resolve_beta2")
+    _check_request(beta2, k)
     A = as_adjacency(A)
-    _check_beta2(beta2)
-    if k < 1:
-        raise ValueError("iteration depth k must be at least 1")
     S = _gamma_of_identity(A)
     work = np.empty((2, A.n, A.n))
     for _ in range(k - 1):
@@ -332,8 +345,9 @@ def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
                 max_k: int = DEFAULT_MAX_K) -> SimilarityState:
     """The fixed point S = G[I + beta^2 S], solved by conjugate gradients.
 
-    ``beta2`` defaults to 0.81 / beta_bound(A) and is rejected at or above
-    the admissible bound before any iteration.  CG on
+    The request is checked before A is read.  ``beta2`` defaults to
+    0.81 / beta_bound(A) and is rejected at or above the admissible bound
+    before any iteration.  CG on
     ``(I - beta^2 G) S = G[I]`` stops once its residual is at most
     ``tol * ||S||_F``; that residual is then recomputed from S directly, so
     the result satisfies ``||S - G[I + beta^2 S]||_F <= tol ||S||_F``.
@@ -341,17 +355,9 @@ def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
     ``max_k`` caps it: reaching the cap raises :class:`NonConvergenceError`
     carrying the last state and the relative residual after each iteration.
     """
+    _check_request(beta2, None, max_k, tol)
     A = as_adjacency(A)
-    _check_solve(tol, max_k)
     return _fixed_point(A, resolve_beta2(A, beta2)[0], tol, max_k)
-
-
-def _check_depth(k: int | None, max_k: int) -> None:
-    """Reject a depth ``k`` (None for the fixed point) or a cap below 1."""
-    if k is not None and not k >= 1:
-        raise ValueError("iteration depth k must be at least 1")
-    if not max_k >= 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k!r}")
 
 
 def _quotient_graph(A: Adjacency) -> Adjacency:
@@ -365,22 +371,17 @@ def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
     :class:`rolekit.graphcore.Quotient`).  This is the one route from a
-    command to the dense similarity, so every command sees the same S_hat
-    at a given depth; at a finite depth ``extract_roles`` and
-    ``lowrank_iterate`` make the same checks and run ``iterate`` on the same
-    quotient graph to depth k - 1, then take ``S_hat_k = F F^T`` from the
-    stack of ``lowrank._similarity_stack`` (or extraction keeps a thin
-    factor instead).  A depth ``k`` below 1 and a ``max_k``
-    below 1 are rejected before anything is computed, at every depth.
-    ``beta2`` (None for the default 0.81 / rho) is resolved and checked
-    against the admissible bound at every depth: by :func:`resolve_beta2`
-    on A at a finite k, by :func:`fixed_point` on A_hat at ``k=None``,
-    which solves to the one tolerance ``DEFAULT_TOL``.  Past ``max_k``,
-    :class:`NonConvergenceError` carries the last iterate lifted to the
-    n x n similarity ``Q S_hat Q^T``, with the solve's history."""
-    _check_depth(k, max_k)
+    command to S_hat, and the one caller of :func:`iterate` and
+    :func:`fixed_point` on the quotient graph, so every command sees the
+    same S_hat at a given depth.  The caller has checked the request.  At
+    a finite k, ``beta2`` is the damping :func:`resolve_beta2` returned on
+    A.  At ``k=None`` it is the request's (None for the default), which
+    :func:`fixed_point` resolves on A_hat and solves to ``DEFAULT_TOL``;
+    past ``max_k``, :class:`NonConvergenceError` carries the last iterate
+    lifted to the n x n similarity ``Q S_hat Q^T``, with the solve's
+    history."""
     if k is not None:
-        return iterate(_quotient_graph(A), resolve_beta2(A, beta2)[0], k)
+        return iterate(_quotient_graph(A), beta2, k)
     try:
         return fixed_point(_quotient_graph(A), beta2, DEFAULT_TOL, max_k)
     except NonConvergenceError as exc:

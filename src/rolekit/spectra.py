@@ -29,7 +29,7 @@ import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
 from .lowrank import DEFAULT_GAP_RATIO, estimate_rank
-from .similarity import DEFAULT_MAX_K, _quotient_similarity
+from .similarity import DEFAULT_MAX_K, _check_request, _quotient_similarity, resolve_beta2
 
 CONVENTIONS = ("occupancy", "flip")
 
@@ -140,20 +140,20 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     ``max_k`` capping the solver's iterations; past the cap,
     :class:`rolekit.similarity.NonConvergenceError` carries the last
     iterate as an n x n similarity state.  Otherwise the recurrence runs
-    ``k`` steps.  A ``k`` or ``max_k`` below 1 is rejected before anything
-    is computed.  At every depth ``beta2`` (None for 0.81 / rho) is
-    rejected at or above the admissible bound ``1 / rho`` before any step,
-    as in ``extract_roles``.  S_hat is symmetric positive semi-definite,
+    ``k`` steps.  The request and ``beta2`` follow the rules of
+    ``extract_roles``.  S_hat is symmetric positive semi-definite,
     so ``sigma_S`` is taken as the moduli of its eigenvalues
     (``eigvalsh``; rounding can leave some slightly below 0), and
     ``sigma_S_half`` as ``sqrt(sigma_S)``.  ``gap_index`` is the role count
     :func:`rolekit.lowrank.estimate_rank` reads off ``sigma_S`` at the gap
     ratio 0.5.
     """
-    A = as_adjacency(A)
+    _check_request(beta2, k, max_k)
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
-    state = _quotient_similarity(A, beta2, k, max_k)
+    A = as_adjacency(A)
+    resolved = beta2 if k is None else resolve_beta2(A, beta2)[0]
+    state = _quotient_similarity(A, resolved, k, max_k)
     m = min(top_m, A.n)
     sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th
     top = min(m, A.quotient.c)

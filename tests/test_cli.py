@@ -1,3 +1,4 @@
+import functools
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import SIGNED_EXAMPLE, SLOW_CG
-from rolekit import (Adjacency, extract_roles, fixed_point, generate_structure,
-                     iterate, lowrank_iterate, read_edge_list, read_ground_truth,
-                     similarity, spectrum_report, write_edge_list)
+from rolekit import (Adjacency, PerturbationModel, extract_roles, fixed_point,
+                     generate_structure, graphcore, iterate, lowrank_iterate, perturb,
+                     read_edge_list, read_ground_truth, similarity, spectrum_report,
+                     write_edge_list)
 from rolekit.cli import main
 from rolekit.similarity import resolve_beta2
 
@@ -363,12 +365,23 @@ def test_generate_then_extract_round_trip(tmp_path, capsys, kind, sizes):
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Record every call of beta_bound and of the similarity operator,
-    public or through the kernel the solves share with it."""
-    calls = []
+    public or through the kernel the solves share with it.  beta_bound's
+    exact regime applies the operator through that kernel too; those calls
+    are part of the beta_bound call, and only it is recorded."""
+    calls, inside = [], []
+
+    def record(*args, _f, _n, **kwargs):
+        if not any(inside):
+            calls.append(_n)
+        inside.append(_n == "beta_bound")
+        try:
+            return _f(*args, **kwargs)
+        finally:
+            inside.pop()
+
     for name in ("beta_bound", "gamma", "_gamma_into"):
-        original = getattr(similarity, name)
         monkeypatch.setattr(similarity, name,
-                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+                            functools.partial(record, _f=getattr(similarity, name), _n=name))
     return calls
 
 
@@ -407,16 +420,19 @@ def test_beta2_must_be_finite_and_non_negative(value, small_graph, capsys, solve
 
 def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, solver_calls):
     # beta2 = 2 / rho is past the bound 1 / rho: every command that uses the
-    # similarity rejects it before the first step, at a finite depth and at
-    # the fixed point, on the 6-cycle (rho = 2, no equivalent nodes) and on
-    # a block cycle of 3 classes
+    # similarity rejects it before the first step, at every finite depth,
+    # k = 1 included, and at the fixed point, on the 6-cycle (rho = 2, no
+    # equivalent nodes) and on a block cycle of 3 classes
     A, path = small_graph
     for G in (A, generate_structure("block_cycle", (5, 5, 5))[0]):
         beta2 = 2.0 / similarity.beta_bound(G)
         for call in (lambda: extract_roles(G, beta2=beta2),
+                     lambda: extract_roles(G, beta2=beta2, k=1),
                      lambda: extract_roles(G, beta2=beta2, k=None),
+                     lambda: spectrum_report(G, beta2=beta2, k=1),
                      lambda: spectrum_report(G, beta2=beta2, k=3),
                      lambda: spectrum_report(G, beta2=beta2),
+                     lambda: lowrank_iterate(G, beta2, k=1),
                      lambda: lowrank_iterate(G, beta2, k=3),
                      lambda: lowrank_iterate(G, beta2)):
             with pytest.raises(ValueError, match="admissible bound"):
@@ -425,6 +441,22 @@ def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, so
                  ("spectrum", "--k", "3"), ("spectrum",)):
         assert_config_error(capsys, argv[0], path, "--beta2", "1", *argv[1:])
     assert "gamma" not in solver_calls and "_gamma_into" not in solver_calls
+
+
+def test_beta2_is_resolved_once_per_call_at_every_depth(small_graph, solver_calls):
+    # one beta_bound per call: on A at a finite depth, k = 1 included, and by
+    # the solve on A_hat at the fixed point.  The noisy cycle has c = 48, so
+    # extraction takes the thin route at a finite depth
+    A, _ = small_graph
+    ideal = generate_structure("block_cycle", (12, 12, 12, 12))[0]
+    noisy = perturb(ideal, PerturbationModel(p_in=0.1, p_out=0.1, seed=2))
+    assert noisy.quotient.c == 48
+    for G in (A, ideal, noisy):
+        for call in (extract_roles, spectrum_report, lowrank_iterate):
+            for k in (1, 3, None):
+                solver_calls.clear()
+                call(G, k=k)
+                assert solver_calls.count("beta_bound") == 1, (call.__name__, k)
 
 
 def test_one_tolerance_for_the_fixed_point_in_every_command(small_graph, capsys,
@@ -458,6 +490,39 @@ def test_extraction_rule_and_spectrum_gap_ratio_are_not_flags(argv, small_graph,
     assert (code, out) == (3, "")
     assert "unrecognized arguments" in err
     assert solver_calls == []
+
+
+#: requests no graph can make valid, the message each is rejected with, and
+#: the entry points that take it
+BAD_REQUESTS = [
+    ({"k": 0}, "depth k", (extract_roles, spectrum_report, lowrank_iterate)),
+    ({"max_k": 0}, "max_k", (extract_roles, spectrum_report, lowrank_iterate, fixed_point)),
+    ({"beta2": float("nan")}, "beta2",
+     (extract_roles, spectrum_report, lowrank_iterate, fixed_point)),
+    ({"beta2": -0.1}, "beta2", (extract_roles, spectrum_report, lowrank_iterate, fixed_point)),
+    ({"trunc_tol": 0.0}, "trunc_tol", (extract_roles, lowrank_iterate)),
+    ({"tol": float("nan")}, "tol", (fixed_point,)),
+]
+
+
+@pytest.mark.parametrize("bad, match, entry_points", BAD_REQUESTS,
+                         ids=["k=0", "max_k=0", "beta2=nan", "beta2=-0.1",
+                              "trunc_tol=0", "tol=nan"])
+def test_a_bad_request_is_rejected_before_the_graph_is_read(bad, match, entry_points,
+                                                           monkeypatch):
+    # no quotient may be built: each entry point checks the request before it
+    # reads the graph, at a finite depth, at k = 1 and at the fixed point, on
+    # an unsigned graph and on a checkerboard signed one
+    def forbidden(M):
+        raise AssertionError("the quotient was built for a bad request")
+
+    monkeypatch.setattr(graphcore, "_equivalence_classes", forbidden)
+    for entry in entry_points:
+        depths = [{}] if "k" in bad or entry is fixed_point else [{}, {"k": 1}, {"k": None}]
+        for depth in depths:
+            for M in (np.roll(np.eye(6), 1, axis=1), SIGNED_EXAMPLE):
+                with pytest.raises(ValueError, match=match):
+                    entry(Adjacency.from_matrix(M), **depth, **bad)
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

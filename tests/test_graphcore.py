@@ -390,6 +390,23 @@ def test_edge_list_huge_node_id_is_rejected_before_allocating(tmp_path):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("weight", ["", "\t1"], ids=["two_columns", "three_columns"])
+def test_a_file_at_the_node_limit_reads_without_matrix_sized_temporaries(tmp_path, weight):
+    # the kind is found in one pass over blocks of 256 rows: beyond the
+    # 2 GiB matrix itself, which stays untouched zero pages, the read holds
+    # less than 64 MB.  A whole-matrix isin holds n x n booleans, 256 MB
+    path = tmp_path / "corner.tsv"
+    path.write_text(f"0\t1{weight}\n1\t2{weight}\n{MAX_NODES - 1}\t0{weight}\n")
+    tracemalloc.start()
+    try:
+        A = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (A.n, A.kind, int(A.entries.sum())) == (MAX_NODES, "unweighted", 3)
+    assert peak - A.entries.nbytes < 64 * 2**20
+
+
 def test_edge_list_node_limit_applies_to_a_declared_count(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("0\t1\n")

@@ -127,6 +127,25 @@ def test_fixed_point_factor_matches_dense_fixed_point():
     assert np.allclose(state.U @ state.U.T, S, rtol=1e-6)
 
 
+def test_beta2_none_is_the_default_at_every_depth():
+    # None selects 0.81 / rho, as in every entry point.  At a finite depth it
+    # is resolved on A, as default_beta2 does, so the factors are equal bit
+    # for bit; at the fixed point the solve resolves it on A_hat, the same
+    # operator, so the two agree to rounding
+    ideal, _, _ = generate_structure("block_cycle", (6, 5, 7, 4))
+    noisy = perturb(ideal, PerturbationModel(p_in=0.1, p_out=0.1, seed=3))
+    for A in (ideal, noisy):
+        beta2 = default_beta2(A)
+        for k in (1, 3, None):
+            got, want = lowrank_iterate(A, None, k), lowrank_iterate(A, beta2, k)
+            if k is None:
+                S = want.U @ want.U.T
+                assert np.linalg.norm(got.U @ got.U.T - S) <= 1e-12 * np.linalg.norm(S)
+            else:
+                assert np.array_equal(got.U, want.U)
+                assert np.array_equal(got.sigma, want.sigma)
+
+
 def test_weighted_factor_keeps_the_exact_rank():
     # c = n here (the weights make no two nodes equivalent) while the rank
     # is 4; the small eigenvalues of S_k sit near eps * ||S_k|| and their

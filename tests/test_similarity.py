@@ -121,7 +121,9 @@ def test_beta_bound_matches_kronecker_oracle_random():
 
 def dense_beta_bound(A) -> float:
     """The dense power iteration beta_bound ran before its factored regime:
-    on the quotient, from I_c / sqrt(n), until the estimate settles."""
+    on the quotient, from I_c / sqrt(n), until the estimate settles.  It
+    is also the loop of beta_bound's exact regime before that regime
+    applied G through _gamma_into, written as that loop was."""
     quotient = A.quotient
     M = quotient.entries
     X = np.eye(quotient.c) / np.sqrt(A.n)
@@ -174,6 +176,28 @@ def _hard_graph(name):
 def test_beta_bound_agrees_with_the_dense_iteration(name):
     A = Adjacency.from_matrix(_hard_graph(name))
     assert beta_bound(A) == pytest.approx(dense_beta_bound(A), rel=1e-10)
+
+
+def test_beta_bound_exact_regime_is_the_old_loop_bit_for_bit(monkeypatch):
+    # the exact regime applies G through _gamma_into, in place, with two
+    # buffers allocated once; its estimate is that of the old loop, bit for
+    # bit, on a graph that starts there (c = 9) and on one whose factored
+    # rank doubles into it (c = 17)
+    applied = []
+    original = similarity._gamma_into
+
+    def spy(M, X, out, work, *rest):
+        applied.append((X.shape, out is X, work.shape))
+        return original(M, X, out, work, *rest)
+
+    monkeypatch.setattr(similarity, "_gamma_into", spy)
+    for A in (generate_structure("block_cycle", (3, 4, 2, 5, 3, 4, 2, 6, 3))[0],
+              Adjacency.from_matrix(_hard_graph("c17"))):
+        applied.clear()
+        c = A.quotient.c
+        assert beta_bound(A) == dense_beta_bound(A)
+        assert applied and set(applied) == {((c, c), True, (2, c, c))}
+    assert (c, len(applied)) == (17, 13)   # 2r = 16 < c at the start
 
 
 def test_beta_bound_matches_kronecker_oracle_past_the_exact_switch():

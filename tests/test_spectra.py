@@ -246,7 +246,10 @@ def test_sigma_S_are_the_singular_values_of_S_hat(k):
     weighted = M * rng.lognormal(0.0, 1.0, M.shape)
     for A in (*_ideal_graphs(), Adjacency.from_matrix(signed),
               Adjacency.from_matrix(weighted)):
-        S_hat = similarity._quotient_similarity(A, None, k).S
+        # at a finite depth the caller resolves beta2 on A; at the fixed
+        # point the solve resolves the request's beta2 on A_hat
+        beta2 = None if k is None else default_beta2(A)
+        S_hat = similarity._quotient_similarity(A, beta2, k).S
         want = np.linalg.svd(S_hat, compute_uv=False)
         got = spectrum_report(A, k=k, top_m=A.n).sigma_S
         # values that are rounding noise of an exact 0 compare against the largest
