@@ -67,6 +67,14 @@ _KINDS = (UNWEIGHTED, SIGNED, WEIGHTED)
 _KIND_VALUES = ((0.0, 1.0), (-1.0, 0.0, 1.0))
 
 
+def _narrowest_kind(values: np.ndarray, narrowest: int = 0) -> int:
+    """The index in ``_KINDS`` of the narrowest kind, from ``narrowest`` on,
+    whose values hold every entry of ``values``."""
+    while narrowest < 2 and not np.isin(values, _KIND_VALUES[narrowest]).all():
+        narrowest += 1
+    return narrowest
+
+
 @dataclass(frozen=True, eq=False)
 class Adjacency:
     """Square real matrix of a directed graph plus a value-range tag.
@@ -75,6 +83,8 @@ class Adjacency:
     (entries in {-1,0,1}) or ``"weighted"`` (arbitrary reals).  It defaults
     to the narrowest kind that fits the values, found in one pass over
     blocks of 256 rows; an explicit kind is checked with that same pass.
+    :func:`read_edge_list` skips the pass: it knows the kind from the
+    weights it parsed, and builds through :meth:`_of_kind`.
     """
 
     entries: np.ndarray
@@ -90,13 +100,21 @@ class Adjacency:
         # no temporary is larger than a block of 256 rows of M
         narrowest = 0
         for lo in range(0, M.shape[0], 256):
-            while narrowest < 2 and not np.isin(M[lo:lo + 256], _KIND_VALUES[narrowest]).all():
-                narrowest += 1
+            narrowest = _narrowest_kind(M[lo:lo + 256], narrowest)
         if self.kind is None:
             object.__setattr__(self, "kind", _KINDS[narrowest])
         elif _KINDS.index(self.kind) < narrowest:
             values = ", ".join(f"{v:g}" for v in _KIND_VALUES[_KINDS.index(self.kind)])
             raise ValueError(f"{self.kind} adjacency entries must lie in {{{values}}}")
+
+    @classmethod
+    def _of_kind(cls, M: np.ndarray, kind: str) -> "Adjacency":
+        """Wrap a square float64 matrix whose kind the caller knows to be
+        ``kind``, unchecked: no pass over its entries."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "entries", M)
+        object.__setattr__(A, "kind", kind)
+        return A
 
     @classmethod
     def from_matrix(cls, M) -> "Adjacency":
@@ -201,7 +219,9 @@ def _equivalence_classes(M: np.ndarray) -> np.ndarray:
     share; nodes with equal hashes are then checked entry by entry, and the
     rare class that fails the check is split by exact comparison.  Labels
     are numbered in order of first node.  Costs O(n^2), against O(n^3) for
-    the similarity work it saves.
+    the similarity work it saves.  The check compares blocks of 32 rows
+    with their class heads, so its gather holds 32 rows of M (0.5 MB at
+    n = 2000), not n.
     """
     n = M.shape[0]
     bits = M.view(np.int64)
@@ -217,8 +237,8 @@ def _equivalence_classes(M: np.ndarray) -> np.ndarray:
     # the columns of each class, iff rows and columns are equal in full
     heads = bits[first]
     exact = bool((heads == heads[:, first[labels]]).all())
-    for lo in range(0, n, 256):
-        exact = exact and bool((bits[lo:lo + 256] == heads[labels[lo:lo + 256]]).all())
+    for lo in range(0, n, 32):
+        exact = exact and bool((bits[lo:lo + 32] == heads[labels[lo:lo + 32]]).all())
     if exact:
         return labels
     groups: dict[bytes, int] = {}
@@ -583,6 +603,10 @@ def read_edge_list(path, n: int | None = None) -> Adjacency:
     for every file the vectorized pass accepts.  A two-column file has
     weight 1 on every edge, so a repeated edge cannot conflict: its weights
     are not read back, and it is built as ``"unweighted"`` directly.
+    Otherwise the kind is the narrowest that holds the parsed weights, an
+    O(E) check, since every entry off the edges is 0.  Either way the
+    :class:`Adjacency` is built without its pass over the n x n entries, so
+    a file of 3 edges reads in time that does not grow with n^2.
     """
     if n is not None and int(n) > MAX_NODES:
         raise EdgeListFormatError(
@@ -597,13 +621,14 @@ def read_edge_list(path, n: int | None = None) -> Adjacency:
     M = np.zeros((n, n))
     if w is None:
         M[src, dst] = 1.0
-        return Adjacency(M, UNWEIGHTED)
+        return Adjacency._of_kind(M, UNWEIGHTED)
     M[src, dst] = w
     # every edge reads back its own weight, bit for bit, iff no edge is
     # repeated with another weight; then the order of the writes is moot
     if (M[src, dst].view(np.int64) != w.view(np.int64)).any():
         _raise_conflicting_edge(path)
-    return Adjacency.from_matrix(M)
+    # every other entry is 0, which each kind holds
+    return Adjacency._of_kind(M, _KINDS[_narrowest_kind(w)])
 
 
 def _parse_edge_lines(path):
@@ -642,8 +667,10 @@ def _parse_edge_lines(path):
     return src, dst, E[:, 2], line
 
 
+#: the narrowest integer type that holds every id the reader accepts
+_ID = np.min_scalar_type(MAX_NODES - 1)
 #: one line of the three-column format
-_WEIGHTED_EDGE = np.dtype([("src", np.int32), ("dst", np.int32), ("w", np.float64)])
+_WEIGHTED_EDGE = np.dtype([("src", _ID), ("dst", _ID), ("w", np.float64)])
 
 
 #: suffixes that numpy's loadtxt decompresses when it opens a file by name
@@ -668,15 +695,19 @@ def _parse_edges_vectorized(path):
     whitespace-only lines, no lines, or an edge the per-line parser would
     reject.  Fields it parses get the values ``int`` and ``float`` give.
 
-    Ids are read as int32, half the bytes of int64: every id the reader
-    accepts lies below :data:`MAX_NODES`.  An id outside the int32 range
-    is a field ``loadtxt`` cannot parse, so its file goes to the per-line
-    parser, which names the id and its line.
+    Ids are read in the narrowest integer type that holds
+    ``MAX_NODES - 1`` (``uint16`` for 2^14 nodes), a quarter of the bytes
+    of int64: every id the reader accepts lies below :data:`MAX_NODES`, and
+    on a file of a million edges the ids are the largest array the read
+    holds besides the matrix.  A negative id, or one outside that type's
+    range, is a field ``loadtxt`` cannot parse, and an id in range but at
+    or above the limit fails the check here; either way the file goes to
+    the per-line parser, which names the id and its line.
     """
     name = os.path.abspath(os.fsdecode(path))
     if not os.path.isfile(name) or os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES:
         return None
-    for dtype in (np.int32, _WEIGHTED_EDGE):
+    for dtype in (_ID, _WEIGHTED_EDGE):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # a file without lines warns
@@ -691,7 +722,7 @@ def _parse_edges_vectorized(path):
             src, dst, w = E[:, 0], E[:, 1], None
         else:
             continue   # three integer columns: parse the weights as floats
-        if (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= MAX_NODES
+        if (max(src.max(), dst.max()) >= MAX_NODES
                 or (w is not None and not np.isfinite(w).all())):
             return None
         return src, dst, w

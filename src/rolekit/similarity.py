@@ -407,9 +407,16 @@ def _fixed_point(A: Adjacency, beta2: float, tol: float, max_k: int) -> Similari
     Every iterate is symmetric, and every application of G to an iterate
     goes through :func:`_gamma_into`.  The solve holds six n x n arrays,
     allocated once: S, the residual R, the direction P, its image Q and
-    the two buffers of :func:`_gamma_into`, which also hold ``alpha P`` and
-    ``alpha Q``; S, R and P are updated in place, and the true-residual
-    check reuses R.
+    the two buffers of :func:`_gamma_into`, which also hold ``Y + Y^T``,
+    ``alpha P`` and ``alpha Q``; S, R and P are updated in place, and the
+    true-residual check reuses R.
+
+    The image is formed from the unsymmetrized ``Y = M P M^T + M^T P M``
+    as ``Q = (Y + Y^T) (-beta^2 / 2) + P``, one pass fewer than halving
+    ``Y + Y^T`` first, and equal to it bit for bit: scaling by a power of
+    two is exact.  ``||R||`` is read as ``sqrt(R . R)``, the product the
+    next direction needs anyway, which is how ``np.linalg.norm`` computes
+    it.
     """
     M = A.entries
     S = np.zeros((A.n, A.n))
@@ -417,18 +424,20 @@ def _fixed_point(A: Adjacency, beta2: float, tol: float, max_k: int) -> Similari
     P = R.copy()
     Q = np.empty_like(R)
     work = np.empty((2, A.n, A.n))
-    step = work[0]   # alpha P, then alpha Q
+    step = work[0]   # Y + Y^T, then alpha P, then alpha Q
     rr = np.vdot(R, R)
     history = []
     for k in range(1, max_k + 1):
-        _gamma_into(M, P, Q, work)
-        Q *= -beta2
+        _gamma_into(M, P, Q, work, False)
+        np.add(Q, Q.T, out=step)
+        np.multiply(step, -beta2 / 2, out=Q)
         Q += P
         alpha = rr / np.vdot(P, Q)
         S += np.multiply(P, alpha, out=step)
         R -= np.multiply(Q, alpha, out=step)
         size = np.linalg.norm(S)
-        history.append(np.linalg.norm(R) / size)
+        rr_next = np.vdot(R, R)
+        history.append(np.sqrt(rr_next) / size)
         if history[-1] <= tol:
             # the updated residual drifts from the true one by rounding:
             # accept only on the true residual, else restart from it
@@ -439,7 +448,6 @@ def _fixed_point(A: Adjacency, beta2: float, tol: float, max_k: int) -> Similari
             np.copyto(P, R)
             rr = np.vdot(R, R)
             continue
-        rr_next = np.vdot(R, R)
         P *= rr_next / rr
         P += R
         rr = rr_next
@@ -487,8 +495,9 @@ def scaled_iterate(A_W, d, beta2: float, k: int) -> SimilarityState:
 
     For A_W = D A D the iterates satisfy S_k^D = D S_k D, where S_k is the
     plain recurrence on the binary A; this returns :func:`iterate` of A,
-    conjugated by D.
+    conjugated by D.  The request is checked before A_W is read.
     """
+    _check_request(beta2, k)
     d, base = _weighted_parts(A_W, d)
     return _conjugate(iterate(base, beta2, k), d)
 
@@ -499,7 +508,9 @@ def scaled_fixed_point(A_W, d, beta2: float | None = None, tol: float = DEFAULT_
 
     ``S_inf`` is :func:`fixed_point` of the binary base graph A, so ``beta2``
     is resolved against A, and ``tol`` and ``max_k`` apply to the solve on A.
+    The request is checked before A_W is read.
     """
+    _check_request(beta2, None, max_k, tol)
     d, base = _weighted_parts(A_W, d)
     try:
         state = fixed_point(base, beta2, tol, max_k)

@@ -11,7 +11,7 @@ from rolekit import (Adjacency, PerturbationModel, extract_roles, fixed_point,
                      read_edge_list, read_ground_truth, similarity, spectrum_report,
                      write_edge_list)
 from rolekit.cli import main
-from rolekit.similarity import resolve_beta2
+from rolekit.similarity import resolve_beta2, scaled_fixed_point, scaled_iterate
 
 
 def run(capsys, *argv):
@@ -492,17 +492,32 @@ def test_extraction_rule_and_spectrum_gap_ratio_are_not_flags(argv, small_graph,
     assert solver_calls == []
 
 
+def scaled_iterate_at(A, beta2=0.1, k=3):
+    """scaled_iterate on A as D A D, with the request as keywords."""
+    return scaled_iterate(A, np.linspace(1.0, 2.0, A.n), beta2, k)
+
+
+def scaled_fixed_point_at(A, **request):
+    """scaled_fixed_point on A as D A D."""
+    return scaled_fixed_point(A, np.linspace(1.0, 2.0, A.n), **request)
+
+
 #: requests no graph can make valid, the message each is rejected with, and
 #: the entry points that take it
 BAD_REQUESTS = [
-    ({"k": 0}, "depth k", (extract_roles, spectrum_report, lowrank_iterate)),
-    ({"max_k": 0}, "max_k", (extract_roles, spectrum_report, lowrank_iterate, fixed_point)),
+    ({"k": 0}, "depth k", (extract_roles, spectrum_report, lowrank_iterate, scaled_iterate_at)),
+    ({"max_k": 0}, "max_k", (extract_roles, spectrum_report, lowrank_iterate, fixed_point,
+                             scaled_fixed_point_at)),
     ({"beta2": float("nan")}, "beta2",
-     (extract_roles, spectrum_report, lowrank_iterate, fixed_point)),
-    ({"beta2": -0.1}, "beta2", (extract_roles, spectrum_report, lowrank_iterate, fixed_point)),
+     (extract_roles, spectrum_report, lowrank_iterate, fixed_point, scaled_iterate_at,
+      scaled_fixed_point_at)),
+    ({"beta2": -0.1}, "beta2", (extract_roles, spectrum_report, lowrank_iterate, fixed_point,
+                                scaled_iterate_at, scaled_fixed_point_at)),
     ({"trunc_tol": 0.0}, "trunc_tol", (extract_roles, lowrank_iterate)),
-    ({"tol": float("nan")}, "tol", (fixed_point,)),
+    ({"tol": float("nan")}, "tol", (fixed_point, scaled_fixed_point_at)),
 ]
+#: the depths an entry point takes, where it does not take all three
+DEPTHS = {fixed_point: [{}], scaled_fixed_point_at: [{}], scaled_iterate_at: [{}, {"k": 1}]}
 
 
 @pytest.mark.parametrize("bad, match, entry_points", BAD_REQUESTS,
@@ -510,15 +525,17 @@ BAD_REQUESTS = [
                               "trunc_tol=0", "tol=nan"])
 def test_a_bad_request_is_rejected_before_the_graph_is_read(bad, match, entry_points,
                                                            monkeypatch):
-    # no quotient may be built: each entry point checks the request before it
-    # reads the graph, at a finite depth, at k = 1 and at the fixed point, on
-    # an unsigned graph and on a checkerboard signed one
-    def forbidden(M):
-        raise AssertionError("the quotient was built for a bad request")
+    # no quotient may be built, and no weighted graph split into D and A:
+    # each entry point checks the request before it reads the graph, at a
+    # finite depth, at k = 1 and at the fixed point, on an unsigned graph and
+    # on a checkerboard signed one
+    def forbidden(*args):
+        raise AssertionError("the graph was read for a bad request")
 
     monkeypatch.setattr(graphcore, "_equivalence_classes", forbidden)
+    monkeypatch.setattr(similarity, "_weighted_parts", forbidden)
     for entry in entry_points:
-        depths = [{}] if "k" in bad or entry is fixed_point else [{}, {"k": 1}, {"k": None}]
+        depths = [{}] if "k" in bad else DEPTHS.get(entry, [{}, {"k": 1}, {"k": None}])
         for depth in depths:
             for M in (np.roll(np.eye(6), 1, axis=1), SIGNED_EXAMPLE):
                 with pytest.raises(ValueError, match=match):

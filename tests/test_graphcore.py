@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BIPARTITE_CLIQUE, SIGNED_EXAMPLE, SIGNED_EXAMPLE_Q
 from rolekit import (
@@ -392,9 +394,10 @@ def test_edge_list_huge_node_id_is_rejected_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("weight", ["", "\t1"], ids=["two_columns", "three_columns"])
 def test_a_file_at_the_node_limit_reads_without_matrix_sized_temporaries(tmp_path, weight):
-    # the kind is found in one pass over blocks of 256 rows: beyond the
-    # 2 GiB matrix itself, which stays untouched zero pages, the read holds
-    # less than 64 MB.  A whole-matrix isin holds n x n booleans, 256 MB
+    # the kind comes from the parsed weights, with no pass over the matrix:
+    # beyond the 2 GiB matrix itself, which stays untouched zero pages, the
+    # read holds less than 64 MB.  A whole-matrix isin holds n x n booleans,
+    # 256 MB
     path = tmp_path / "corner.tsv"
     path.write_text(f"0\t1{weight}\n1\t2{weight}\n{MAX_NODES - 1}\t0{weight}\n")
     tracemalloc.start()
@@ -405,6 +408,49 @@ def test_a_file_at_the_node_limit_reads_without_matrix_sized_temporaries(tmp_pat
         tracemalloc.stop()
     assert (A.n, A.kind, int(A.entries.sum())) == (MAX_NODES, "unweighted", 3)
     assert peak - A.entries.nbytes < 64 * 2**20
+
+
+@pytest.mark.parametrize("weight", ["", "\t0.5"], ids=["two_columns", "three_columns"])
+def test_the_reader_never_scans_the_matrix_for_its_kind(tmp_path, monkeypatch, weight):
+    # a two-column file is unweighted, and a three-column one has the kind
+    # of its parsed weights: np.isin reads the 3 weights, never a row of
+    # the 1000 x 1000 matrix
+    shapes = []
+    original = np.isin
+
+    def recording(element, *args, **kwargs):
+        shapes.append(np.shape(element))
+        return original(element, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isin", recording)
+    path = tmp_path / "g.tsv"
+    path.write_text(f"0\t1{weight}\n1\t2{weight}\n999\t0{weight}\n")
+    A = read_edge_list(path)
+    assert (A.n, A.kind) == (1000, "weighted" if weight else "unweighted")
+    assert set(shapes) == ({(3,)} if weight else set())
+
+
+#: the ids of small edge lists
+EDGE_IDS = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@pytest.mark.parametrize("weights", [None, st.just(1.0), st.sampled_from((0.0, 1.0)),
+                                     st.sampled_from((-1.0, 1.0)),
+                                     st.sampled_from((-1.0, 0.0, 1.0)),
+                                     st.floats(allow_nan=False, allow_infinity=False)],
+                         ids=["two_columns", "1", "0,1", "-1,1", "-1,0,1", "finite"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_reader_kind_is_the_kind_of_its_matrix(tmp_path_factory, weights, data):
+    # the reader takes the kind from what it parsed; it is the kind the
+    # scan over the matrix finds.  Each edge appears once
+    edges = data.draw(st.dictionaries(EDGE_IDS, st.just(1.0) if weights is None else weights,
+                                      min_size=1))
+    path = tmp_path_factory.mktemp("kind") / "g.tsv"
+    path.write_text("".join(f"{i}\t{j}" + ("" if weights is None else f"\t{w!r}") + "\n"
+                            for (i, j), w in edges.items()))
+    A = read_edge_list(path)
+    assert A.kind == Adjacency.from_matrix(A.entries).kind
 
 
 def test_edge_list_node_limit_applies_to_a_declared_count(tmp_path):
@@ -585,10 +631,12 @@ def test_vectorized_reader_agrees_with_the_per_line_reference(tmp_path):
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["two columns", "three columns"])
-@pytest.mark.parametrize("node_id", [-1, MAX_NODES - 1, MAX_NODES, 2**31, 2**63])
+@pytest.mark.parametrize("node_id", [-1, MAX_NODES - 1, MAX_NODES, 2**15 - 1, 2**15, 2**31,
+                                     2**63])
 def test_ids_at_the_int32_and_node_limits_read_as_per_line(tmp_path, weighted, node_id):
-    # the vectorized pass reads ids as int32: one outside that range is a
-    # field loadtxt cannot parse, and its file goes to the per-line parser
+    # the vectorized pass reads ids in 2 bytes: one outside that range is a
+    # field loadtxt cannot parse, one inside it but past the node limit
+    # fails its check, and either way the file goes to the per-line parser
     edges = [(0, 1, "2.5"), (node_id, 0, "-1"), (1, node_id, "0.5")]
     path = tmp_path / "g.tsv"
     path.write_text("".join("\t".join(map(str, e if weighted else e[:2])) + "\n"

@@ -6,6 +6,7 @@ of nodes with equal rows and equal columns.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ def test_quotient_is_computed_once_per_graph(monkeypatch):
                         lambda M: calls.append(1) or original(M))
     extract_roles(A)
     assert len(calls) == 1
+
+
+def test_the_exactness_check_holds_no_matrix_sized_gather():
+    # the check compares blocks of 32 rows with their class heads: at
+    # n = 2000 a block of 256 rows gathers 4 MB
+    A, _, _ = generate_structure("block_cycle", (500,) * 4,
+                                 perm=np.random.default_rng(2).permutation(2000))
+    tracemalloc.start()
+    try:
+        quotient = Quotient.of(A.entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quotient.c == 4
+    assert peak < 2**20
 
 
 def test_colliding_hashes_are_split_exactly(monkeypatch):
