@@ -1,15 +1,13 @@
-"""Role recovery: group nodes by the angles of their similarity rows, rebuild B.
+"""Role recovery: the classes of an ideal graph, or k-means on similarity rows.
 
 The similarity S_k is positive semi-definite, so S_k = X X^T for a factor X,
 and whatever the factor, the cosine between its rows i and j is
-``S_ij / sqrt(S_ii S_jj)``.  On an ideal graph the nodes form exactly q
-groups of pairwise-parallel rows, one per role, for every depth k.
-Extraction therefore groups the rows of a factor of S_k by angle, reads the
-role matrix off the block densities of the adjacency matrix, and scores the
-fit with the squared Frobenius cost ``||A - (PZ) B (PZ)^T||_F^2``.
+``S_ij / sqrt(S_ii S_jj)``.  Extraction reads the role matrix off the block
+densities of the adjacency matrix and scores a model with the squared
+Frobenius cost ``||A - (PZ) B (PZ)^T||_F^2``.
 
-S_k is computed on the quotient by structural equivalence
-(:class:`rolekit.graphcore.Quotient`), where it is the c x c matrix
+Everything runs on the quotient by structural equivalence
+(:class:`rolekit.graphcore.Quotient`), where S_k is the c x c matrix
 ``S_hat = Q^T S_k Q`` with the factor ``Q^T X``: the nodes of one class
 have parallel rows, so they always share a label, and each class counts
 with its size.  The block densities and the cost are read off the quotient
@@ -20,24 +18,27 @@ quotient is built, extraction reads only the c x c entries ``A[first, first]``
 of the n x n matrix; the residual of a checkerboard signed graph is the one
 cost taken on the node graph.
 
-The factor comes by one of two routes, and its rows are grouped by the
-same code whichever it is.  At a finite depth, on a quotient of more than
-2b classes (a block of b = r + 8 columns for a rank r from 8), it is the
-thin similarity ``S_hat_k ~= X X^T`` of rank r
+One rule picks the model.  A model of cost 0 gives the nodes of one role
+equal rows and columns of A, so each of its roles is one class: on an ideal
+graph the classes are the roles, and the class partition is kept when it
+is exact with a compressive role count, without reading a row of the
+factor.  Otherwise extraction sweeps candidate role counts around the gap
+in the spectrum of S_k with a deterministic spherical k-means on the unit
+rows of the factor (Dhillon, Guan & Kulis, KDD 2004), run from a few
+seeds, and keeps the smallest count whose cost is within 5% of the best.
+
+The factor comes by one of two routes.  At a finite depth, on a quotient
+of more than 2b classes (a block of b = r + 8 columns for a rank r from 8),
+it is the thin similarity ``S_hat_k ~= X X^T`` of rank r
 (:func:`rolekit.lowrank._thin_similarity`), at O(c^2 b) a product, and no
 c x c matrix is formed.  Otherwise (fewer classes, a start block of lower
 rank, or the fixed point) it is the stack ``F = [A_hat L, A_hat^T L]``,
 ``S_hat_k = F F^T``, that :func:`rolekit.lowrank.lowrank_iterate`
 compresses, and no eigensolver runs unless the sweep does.
-
-For graphs that are not exactly ideal the parallel groups blur; extraction
-then sweeps candidate role counts around the gap in the spectrum of S_k with
-a deterministic spherical k-means on the unit rows of the factor (Dhillon,
-Guan & Kulis, KDD 2004), run from a few seeds, and keeps the smallest count
-whose cost is within 5% of the best.
 Checkerboard signed graphs are extracted through |A|, with the signs
-reattached to the indicator matrix afterwards.  :func:`cluster_rows` runs
-the same greedy grouping on the rows of a factor on the nodes.
+reattached to the indicator matrix afterwards.  :func:`cluster_rows` groups
+the rows of a factor on the nodes greedily by angle; extraction reads no
+angle.
 """
 
 from __future__ import annotations
@@ -123,75 +124,30 @@ def _normalized_rows(U: np.ndarray):
     return rows, zero
 
 
-def _greedy_scan(m: int, cosines, angle_tol: float,
-                 max_q: int | None = None) -> np.ndarray | None:
-    """Group m items by line angle, scanning them in order.
-
-    ``cosines(i, reps)`` gives the cosines between item i and the items in
-    the index array ``reps``; the angle between two lines is the arccos of
-    the absolute cosine.  Each item joins the earliest-created group whose
-    first item lies within ``angle_tol`` of its line, else founds a new
-    group, so labels are ordered by first item.  With ``max_q`` the scan
-    stops, returning None, when an item would found group ``max_q + 1``.
-    """
-    labels = np.empty(m, dtype=int)
-    reps = np.empty(m, dtype=int)
-    q = 0
-    for i in range(m):
-        angles = np.arccos(np.clip(np.abs(cosines(i, reps[:q])), 0.0, 1.0))
-        hits = np.flatnonzero(angles <= angle_tol)
-        if hits.size:
-            labels[i] = hits[0]
-        elif q == max_q:
-            return None
-        else:
-            labels[i] = q
-            reps[q] = i
-            q += 1
-    return labels
-
-
-def _chunked_cosines(rows: np.ndarray, chunk: int = 256):
-    """``cosines(i, reps)`` of :func:`_greedy_scan` on the unit rows of a
-    factor.  The scan asks for items in order and its representatives are
-    earlier items, so the cosines of the next ``chunk`` items with all
-    items up to them come from one matrix product: O(m^2 r) in all for m
-    rows of length r, in blocks of ``chunk`` rows, and no m x m matrix is
-    formed."""
-    start, block = -chunk, None
-
-    def cosines(i, reps):
-        nonlocal start, block
-        if not start <= i < start + chunk:
-            start = i - i % chunk
-            block = rows[start:start + chunk] @ rows[:start + chunk].T
-        return block[i - start, reps]
-
-    return cosines
-
-
-def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL, *,
-                 max_q: int | None = None) -> Assignment | None:
+def cluster_rows(U, angle_tol: float = DEFAULT_ANGLE_TOL) -> Assignment:
     """Group the rows of a factor into clusters of nearly-parallel vectors.
 
     Rows are scanned in node order; each joins the earliest-created cluster
     whose representative lies within ``angle_tol`` of its line (the angle
     between lines is the smaller of the two angles between the vectors),
     else founds a new cluster.  Cluster labels are thus ordered by first
-    node index.  Zero rows (disconnected nodes) are left unassigned.  With
-    ``max_q`` the scan stops, returning None, when a row would found
-    cluster ``max_q + 1``.  :func:`extract_roles` runs the same scan on
-    the rows of a factor on the quotient, one row per class.
+    node index.  Zero rows (disconnected nodes) are left unassigned.  On
+    the factor of an ideal graph the clusters are its classes of
+    structurally equivalent nodes, the model :func:`extract_roles` keeps
+    there without reading a row.
     """
     U = U.U if isinstance(U, LowRankState) else np.asarray(U, dtype=float)
     rows, zero = _normalized_rows(U)
-    rows = rows[~zero]
-    labels = _greedy_scan(rows.shape[0], lambda i, reps: rows[reps] @ rows[i],
-                          angle_tol, max_q)
-    if labels is None:
-        return None
     sigma = -np.ones(U.shape[0], dtype=int)
-    sigma[~zero] = labels
+    reps = []
+    for i in np.flatnonzero(~zero):
+        angles = np.arccos(np.clip(np.abs(rows[reps] @ rows[i]), 0.0, 1.0))
+        hits = np.flatnonzero(angles <= angle_tol)
+        if hits.size:
+            sigma[i] = hits[0]
+        else:
+            sigma[i] = len(reps)
+            reps.append(i)
     return Assignment(sigma)
 
 
@@ -420,23 +376,25 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     (:func:`rolekit.similarity._check_request`) before the graph is read,
     and at every depth ``beta2`` (None for 0.81 / rho) is rejected at or
     above the admissible bound ``1 / rho`` before the first step.  Nodes
-    are grouped on the unit rows of a factor X of S_k
-    (:func:`_similarity_factor`, one route at every depth), with nodes that
-    have no edge left unassigned, by one rule.  First the greedy scan:
-    nodes in order join the first group whose first node lies within
-    ``DEFAULT_ANGLE_TOL`` of their line.  Its result is kept when it
-    reproduces the graph exactly with a compressive role count (q at most
-    half the assigned nodes), as on ideal graphs; the scan stops as soon
-    as it would exceed that count, and does not run when the classes with
-    an edge alone exceed it.
-    Otherwise the sweep runs: spherical k-means on the rows for role
-    counts within 2 of the spectral-gap estimate, each count seeded
-    farthest-first from each of the four classes with the largest
-    diagonal entries ``|X_a|^2`` of S_k and scored by its cheapest model,
-    keeping the smallest count within 5% of the least cost.
-    ``params`` records which of the two gave the result (``method``) and
-    the two constants ``angle_tol`` and ``gap_ratio``.  The gap estimate
-    is :func:`rolekit.lowrank.estimate_rank` with ``DEFAULT_GAP_RATIO`` on
+    are grouped by one rule, with nodes that have no edge left
+    unassigned.  The classes of structurally equivalent nodes are kept
+    when they reproduce the graph exactly with a compressive role count
+    (q at most half the assigned nodes), as on ideal graphs: an exact
+    model gives the nodes of one role equal rows and columns of A, so
+    no other model is exact.  Otherwise the sweep runs on the unit rows
+    of a factor X of S_k (:func:`_similarity_factor`, one route at every
+    depth): spherical k-means for role counts within 2 of the
+    spectral-gap estimate, each count seeded farthest-first from each of
+    the four classes with the largest diagonal entries ``|X_a|^2`` of S_k
+    and scored by its cheapest model, keeping the smallest count within
+    5% of the least cost.  The factor is computed before the rule, so
+    ``beta2`` and a :class:`rolekit.similarity.NonConvergenceError` do
+    not depend on which model is kept.
+    ``params`` records which of the two gave the result (``method``:
+    ``greedy`` for the classes, ``sweep``) and the two constants
+    ``angle_tol`` (the default tolerance of :func:`cluster_rows`) and
+    ``gap_ratio``.  The gap estimate is
+    :func:`rolekit.lowrank.estimate_rank` with ``DEFAULT_GAP_RATIO`` on
     the spectrum of S_k (see :func:`_gap_estimate`), which leaves out the
     values below ``trunc_tol**2`` times the largest.
 
@@ -469,21 +427,17 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         return sigma
 
     base, norm2 = _class_graph(work)
-    # greedy is kept only when exact with at most n_active // 2 roles.  An
-    # exact model (cost 0) gives the nodes of one role equal rows and
-    # columns of A, so they share a class: each of its roles is one class,
-    # and q = act.size.  With more active classes than the cap, no result
-    # of the scan can be kept, and it does not run
+    # an exact model (cost 0) gives the nodes of one role equal rows and
+    # columns of A, so each of its roles is one class: the only exact model
+    # is the class partition, kept when it is compressive (at most
+    # n_active // 2 roles).  ``method`` names it "greedy", as recorded
+    # outputs do
     chosen, method = None, "greedy"
     if act.size <= n_active // 2:
-        rows = _normalized_rows(X[act])[0]
-        labels = _greedy_scan(act.size, _chunked_cosines(rows), DEFAULT_ANGLE_TOL,
-                              n_active // 2)
-        if labels is not None:
-            greedy = roles(labels)
-            B, cost = _role_model(base, norm2, quotient.sizes, greedy)
-            if cost == 0.0:
-                chosen = (greedy, B, 0.0)
+        classes = roles(np.arange(act.size))
+        B, cost = _role_model(base, norm2, quotient.sizes, classes)
+        if cost == 0.0:
+            chosen = (classes, B, 0.0)
 
     if chosen is None:
         method = "sweep"

@@ -13,9 +13,9 @@ values below ``trunc_tol`` times the largest, once.  F is factored, not
 S_k, whose small eigenvalues are the squares of F's singular values and
 lose half their digits.  U is a library output, with the same beta^2 rule,
 tolerance and non-convergence state as every command;
-:func:`rolekit.extract.cluster_rows` groups its rows by the greedy scan of
-extraction.  :func:`estimate_rank` reads a role count off a descending
-spectrum and serves both extraction and the spectrum report.
+:func:`rolekit.extract.cluster_rows` groups its rows greedily by angle.
+:func:`estimate_rank` reads a role count off a descending spectrum and
+serves both extraction and the spectrum report.
 
 Structurally equivalent nodes are collapsed first: with c classes,
 A = Q A_hat Q^T for the c x c quotient matrix A_hat and orthonormal Q

@@ -379,12 +379,14 @@ def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
     :func:`fixed_point` resolves on A_hat and solves to ``DEFAULT_TOL``;
     past ``max_k``, :class:`NonConvergenceError` carries the last iterate
     lifted to the n x n similarity ``Q S_hat Q^T``, with the solve's
-    history."""
+    history; the one :func:`beta_bound` raises passes unchanged."""
     if k is not None:
         return iterate(_quotient_graph(A), beta2, k)
     try:
         return fixed_point(_quotient_graph(A), beta2, DEFAULT_TOL, max_k)
     except NonConvergenceError as exc:
+        if not isinstance(exc.state, SimilarityState):
+            raise   # beta_bound's, carrying its estimate of rho
         lift = A.quotient.lift
         state = replace(exc.state, S=lift(lift(exc.state.S).T))
         raise NonConvergenceError(str(exc), state=state, history=exc.history) from None
@@ -508,13 +510,17 @@ def scaled_fixed_point(A_W, d, beta2: float | None = None, tol: float = DEFAULT_
 
     ``S_inf`` is :func:`fixed_point` of the binary base graph A, so ``beta2``
     is resolved against A, and ``tol`` and ``max_k`` apply to the solve on A.
-    The request is checked before A_W is read.
+    The request is checked before A_W is read.  The solve's
+    :class:`NonConvergenceError` carries ``D S D`` of its last iterate;
+    the one :func:`beta_bound` raises passes unchanged.
     """
     _check_request(beta2, None, max_k, tol)
     d, base = _weighted_parts(A_W, d)
     try:
         state = fixed_point(base, beta2, tol, max_k)
     except NonConvergenceError as exc:
+        if not isinstance(exc.state, SimilarityState):
+            raise   # beta_bound's, carrying its estimate of rho
         raise NonConvergenceError(
             f"weighted {exc}", state=_conjugate(exc.state, d),
             history=exc.history) from None

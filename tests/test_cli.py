@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import SIGNED_EXAMPLE, SLOW_CG
-from rolekit import (Adjacency, PerturbationModel, extract_roles, fixed_point,
+from rolekit import (Adjacency, NonConvergenceError, PerturbationModel,
+                     apply_rank_one_weights, extract_roles, fixed_point,
                      generate_structure, graphcore, iterate, lowrank_iterate, perturb,
                      read_edge_list, read_ground_truth, similarity, spectrum_report,
                      write_edge_list)
@@ -173,6 +174,38 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "converge" in err
+
+
+def test_beta_bound_nonconvergence_passes_through_the_fixed_point(tmp_path, capsys,
+                                                                 monkeypatch):
+    # beta_bound cannot settle in one step.  Every fixed-point entry point
+    # resolves beta^2 through it (on the quotient graph, or on the binary
+    # base of a weighted one), and its error reaches the caller as
+    # beta_bound raised it: the state is the float estimate of rho, not a
+    # similarity state to lift, and the commands exit 2
+    A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
+    d = np.linspace(0.5, 2.0, A.n)
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 1)
+
+    def raised(call):
+        with pytest.raises(NonConvergenceError) as info:
+            call()
+        assert isinstance(info.value.state, float)
+        return str(info.value), info.value.state, info.value.history
+
+    on_quotient = raised(lambda: similarity.beta_bound(similarity._quotient_graph(A)))
+    assert raised(lambda: extract_roles(A, k=None)) == on_quotient
+    assert raised(lambda: spectrum_report(A, k=None)) == on_quotient
+    assert raised(lambda: lowrank_iterate(A, k=None)) == on_quotient
+    assert (raised(lambda: scaled_fixed_point(apply_rank_one_weights(A, d), d))
+            == raised(lambda: similarity.beta_bound(A)))
+    graph = tmp_path / "cycle.tsv"
+    write_edge_list(graph, A)
+    for argv in (("spectrum", str(graph)), ("extract", str(graph), "--fixed-point")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"rolekit: did not converge: {on_quotient[0]}\n"
 
 
 def test_extract_beta_above_bound_is_config_error(tmp_path, capsys):

@@ -471,6 +471,30 @@ def _auto_graphs():
         A, _, _ = generate_structure("block_cycle", (n // 4,) * 4,
                                      perm=rng.permutation(n))
         yield perturb(A, PerturbationModel(p_in=p, p_out=p, seed=seed)), {"trunc_tol": 1e-3}
+    # ideal graphs of random role matrices, duplicated roles (B not minimal)
+    # and a role with no edge (isolated nodes) among them
+    for q in (3, 4, 5, 6):
+        for _ in range(3):
+            B = (rng.random((q, q)) < 0.4).astype(float)
+            B[q - 1] = B[0]
+            B[:, q - 1] = B[:, 0]
+            if rng.random() < 0.5:
+                B[1] = B[:, 1] = 0.0
+            sizes = rng.integers(1, 6, size=q)
+            n = int(sizes.sum())
+            A = build_ideal(RoleMatrix(B), sizes, perm=rng.permutation(n))
+            if A.entries.any():
+                yield A, {}
+    # a few flips on ideal graphs: the flipped nodes become classes of their
+    # own, and the quotient stays compressive
+    for kind, sizes, seed in [("block_cycle", (10, 10, 10, 10), 5),
+                              ("community", (8, 12, 10), 6),
+                              ("bipartite_communities", (6, 8, 7, 9), 7)]:
+        n = sum(sizes)
+        A, _, _ = generate_structure(kind, sizes, perm=rng.permutation(n))
+        noisy = perturb(A, PerturbationModel(p_in=0.003, p_out=0.003, seed=seed))
+        assert 0 < np.abs(noisy.entries - A.entries).sum() and noisy.quotient.c <= n // 2
+        yield noisy, {}
 
 
 def test_auto_returns_what_it_returned_without_the_greedy_early_stop():
@@ -487,34 +511,25 @@ def test_auto_returns_what_it_returned_without_the_greedy_early_stop():
     assert set(methods) == {"greedy", "sweep"}
 
 
-def test_the_greedy_scan_runs_only_where_its_result_can_be_kept(monkeypatch):
-    # an exact model has one class per role; on a graph with no equivalent
-    # nodes that is n roles, past the cap of n // 2, so the scan is skipped
-    scans = []
-    scan = extract._greedy_scan
-    monkeypatch.setattr(extract, "_greedy_scan",
-                        lambda m, *args: scans.append(m) or scan(m, *args))
+def test_exact_extraction_reads_no_factor_rows(monkeypatch):
+    # the exact model is the class partition, scored without a look at the
+    # factor; only the sweep reads its unit rows
+    calls = []
+    rows = extract._normalized_rows
+    monkeypatch.setattr(extract, "_normalized_rows",
+                        lambda U: calls.append(U.shape) or rows(U))
     rng = np.random.default_rng(13)
-    for n, seed in [(40, 1), (200, 4)]:
-        A, _, _ = generate_structure("block_cycle", (n // 4,) * 4, perm=rng.permutation(n))
-        noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=seed))
-        assert noisy.quotient.c == n
-        assert extract_roles(noisy, trunc_tol=1e-3).params["method"] == "sweep"
-        assert scans == []
     for kind, sizes in [("community", (5, 6, 4)), ("block_cycle", (20, 10, 10, 20)),
-                        ("bipartite_communities", (4, 6, 5, 3))]:
+                        ("bipartite_communities", (4, 6, 5, 3)),
+                        ("overlapping", (6, 5, 7))]:
         A, _, _ = generate_structure(kind, sizes, perm=rng.permutation(sum(sizes)))
-        assert extract_roles(A).params["method"] == "greedy"
-        assert scans == [A.quotient.c]
-        scans.clear()
-
-
-def test_cluster_rows_stops_past_max_q():
-    A, _, _ = generate_structure("community", (3, 4, 5))
-    U = lowrank_iterate(A, default_beta2(A), k=3).U
-    assert cluster_rows(U, max_q=2) is None
-    full = cluster_rows(U)
-    assert np.array_equal(cluster_rows(U, max_q=3).sigma, full.sigma)
+        for k in (1, 6, None):
+            assert extract_roles(A, k=k).params["method"] == "greedy"
+            assert calls == []
+    A, _, _ = generate_structure("block_cycle", (10,) * 4, perm=rng.permutation(40))
+    noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=1))
+    assert extract_roles(noisy, trunc_tol=1e-3).params["method"] == "sweep"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +783,7 @@ def _eigen_factor(S):
 @pytest.mark.parametrize("k", [6, None])
 def test_the_gap_estimate_equals_the_one_from_the_factor(k, monkeypatch):
     # every extraction here takes the exact route's sweep: no thin factor,
-    # and no greedy model.  The sweep's estimate, on sigma(F)^2, equals the
+    # and no model is exact.  The sweep's estimate, on sigma(F)^2, equals the
     # one on the eigenvalues of S_hat_k and the one on lowrank_iterate's
     # kept singular values
     estimates = []
@@ -780,7 +795,13 @@ def test_the_gap_estimate_equals_the_one_from_the_factor(k, monkeypatch):
     original = extract._gap_estimate
     monkeypatch.setattr(extract, "_gap_estimate", recording)
     monkeypatch.setattr(extract, "_thin_similarity", lambda *args: None)
-    monkeypatch.setattr(extract, "_greedy_scan", lambda *args: None)
+    model = extract._role_model
+
+    def inexact(*args):
+        B, cost = model(*args)
+        return B, cost + 1.0
+
+    monkeypatch.setattr(extract, "_role_model", inexact)
     for A, trunc_tol in _gap_graphs():
         beta2 = default_beta2(A)
         S = _quotient_similarity(A, beta2, k).S
@@ -793,8 +814,8 @@ def test_the_gap_estimate_equals_the_one_from_the_factor(k, monkeypatch):
 
 
 def test_ideal_extraction_calls_no_eigensolver(monkeypatch):
-    # on ideal graphs the greedy model is kept, so the exact route groups
-    # the rows of [A_hat L, A_hat^T L] and reads no spectrum
+    # on ideal graphs the class partition is kept, so the exact route reads
+    # no spectrum of [A_hat L, A_hat^T L]
     def forbidden(*args, **kwargs):
         raise AssertionError("an eigensolver ran on an ideal graph")
 

@@ -349,8 +349,8 @@ def role_automorphisms(M: np.ndarray, B, truth) -> list[np.ndarray]:
     return out
 
 
-# Singleton roles make greedy non-compressive, so "auto" falls back to the
-# sweep on many of these ideal graphs.  Where the best model the sweep
+# Singleton roles make the class partition non-compressive, so "auto" falls
+# back to the sweep on many of these ideal graphs.  Where the best model the sweep
 # finds breaks a symmetry of the graph, as on community (1,1,1,2) (three
 # interchangeable singleton roles, two of which it merges), the partition
 # on the permuted graph can only be the same up to that symmetry; its role
@@ -380,7 +380,7 @@ def test_extract_roles_is_equivariant_under_node_permutation(kind, sizes, zeros,
 def test_the_sweep_is_equivariant_under_node_permutation(kind, sizes, p, seed):
     A, _, _ = generate_structure(kind, sizes)
     noisy = perturb(A, PerturbationModel(p_in=p, p_out=p, seed=seed % 1000))
-    # an exact greedy model has a role per class of structurally equivalent
+    # the exact model has a role per class of structurally equivalent
     # active nodes, so it is kept only when c <= n // 2 + 1 (counting the
     # class of isolated nodes); one or two flips on a community graph can
     # leave that few classes
