@@ -1,9 +1,11 @@
 """Command-line surface: generate graphs, extract roles, report spectra.
 
 Exit codes: 0 success, 1 input error (unreadable or malformed graph file),
-2 numerical non-convergence, 3 invalid configuration.  All floating-point
-output is printed with 9 significant digits; identical configuration and
-seed produce byte-identical output.
+2 numerical non-convergence (a solve past ``DEFAULT_MAX_K`` steps: every
+command stops by the one rule of :mod:`rolekit.similarity`, which no flag
+sets), 3 invalid configuration.  All floating-point output is printed with
+9 significant digits; identical configuration and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .graphcore import (
     write_edge_list,
     write_ground_truth,
 )
-from .similarity import DEFAULT_MAX_K, NonConvergenceError, beta_bound
+from .similarity import NonConvergenceError, beta_bound
 from .spectra import PerturbationModel, SpectrumReport, perturb, spectrum_report
 
 EXIT_OK = 0
@@ -110,7 +112,6 @@ def cmd_extract(args) -> int:
         beta2=beta2,
         k=_depth(args),
         trunc_tol=args.trunc_tol,
-        max_k=args.max_k,
     )
     text = json.dumps(_round_floats(result.to_json_dict()), sort_keys=True) + "\n"
     if args.out:
@@ -128,7 +129,6 @@ def cmd_spectrum(args) -> int:
         beta2=beta2,
         k=_depth(args),
         top_m=args.top,
-        max_k=args.max_k,
     )
     text = report.to_csv_text()
     if args.out:
@@ -216,9 +216,6 @@ def _add_depth_flags(p: _Parser, default_k: int | None):
                        help="iteration depth (default: %(default)s)")
     group.add_argument("--fixed-point", action="store_true",
                        help="use the similarity at its fixed point")
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K,
-                   help="cap on the conjugate-gradient iterations that solve "
-                        "for the fixed point (default: %(default)s)")
 
 
 def _add_beta2_flag(p: _Parser):

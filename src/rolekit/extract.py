@@ -63,7 +63,7 @@ from .lowrank import (
     _thin_similarity,
     estimate_rank,
 )
-from .similarity import _START_RANK, DEFAULT_MAX_K, _check_request, resolve_beta2
+from .similarity import _START_RANK, _check_request, resolve_beta2
 
 DEFAULT_ANGLE_TOL = 1e-6
 DEFAULT_DEPTH = 6
@@ -327,8 +327,7 @@ def _gap_estimate(w: np.ndarray, c: int, trunc_tol: float) -> int:
     return estimate_rank(w[w >= floor], DEFAULT_GAP_RATIO)
 
 
-def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float,
-                       max_k: int):
+def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float):
     """The damping used, a factor X of ``S_hat_k ~= X X^T`` on the quotient
     of A, and the spectrum the gap estimate reads (None on the exact route,
     whose sigma(X)^2 only the sweep computes).
@@ -357,21 +356,19 @@ def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float,
             if _gap_estimate(thin[1], quotient.c, trunc_tol) + 2 <= rank:
                 return (beta2, *thin)
             rank *= 2
-    F, state = _similarity_stack(A, beta2, k, max_k)
+    F, state = _similarity_stack(A, beta2, k)
     return (beta2 if state is None else state.beta2), F, None
 
 
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
-                  trunc_tol: float = 1e-10,
-                  max_k: int = DEFAULT_MAX_K) -> ExtractionResult:
+                  trunc_tol: float = 1e-10) -> ExtractionResult:
     """Full pipeline: compute the similarity, group nodes, rebuild B, score.
 
     The similarity S_k at depth ``k`` runs on the quotient by structural
     equivalence; ``k=None`` takes its fixed point, solved by conjugate
-    gradients to a relative residual of
-    :data:`rolekit.similarity.DEFAULT_TOL`, as ``spectrum_report`` does,
-    with ``max_k`` capping the iterations; past the cap,
-    :class:`rolekit.similarity.NonConvergenceError` carries the last
+    gradients by the one stopping rule of
+    :func:`rolekit.similarity.fixed_point`, as ``spectrum_report`` does;
+    its :class:`rolekit.similarity.NonConvergenceError` carries the last
     iterate as an n x n similarity state.  The request is checked
     (:func:`rolekit.similarity._check_request`) before the graph is read,
     and at every depth ``beta2`` (None for 0.81 / rho) is rejected at or
@@ -402,7 +399,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     the signs are reattached to the indicator matrix and the residual is
     computed against the signed graph.
     """
-    _check_request(beta2, k, max_k, trunc_tol=trunc_tol)
+    _check_request(beta2, k, trunc_tol)
     A = as_adjacency(A)
     signature = None
     work = A
@@ -413,7 +410,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     quotient = work.quotient
     if not quotient.entries.any():
         raise ValueError("cannot extract roles from an empty graph")
-    beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol, max_k)
+    beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol)
     # the classes with an edge: S_aa = 0 only on the others, whose nodes
     # are left unassigned
     edges = quotient.entries != 0.0

@@ -43,14 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import as_adjacency
-from .similarity import (
-    DEFAULT_MAX_K,
-    _check_request,
-    _compress,
-    _quotient_similarity,
-    _sym,
-    resolve_beta2,
-)
+from .similarity import _check_request, _compress, _quotient_similarity, _sym, resolve_beta2
 
 #: the ratio of consecutive singular values below which :func:`estimate_rank`
 #: declares a gap: the one ratio of extraction and the spectrum report
@@ -82,21 +75,19 @@ class LowRankState:
 
 
 def lowrank_iterate(A, beta2: float | None = None, k: int | None = None,
-                    trunc_tol: float = 1e-10,
-                    max_k: int = DEFAULT_MAX_K) -> LowRankState:
+                    trunc_tol: float = 1e-10) -> LowRankState:
     """The thin factor U of the similarity S_k = U U^T at depth k.
 
     The stack ``[A L, A^T L]`` of :func:`_similarity_stack`, with
     ``L L^T = I + beta^2 S_{k-1}`` on the quotient by structural
     equivalence, is compressed once (see the module docstring); k = 1
     factors ``G[I]``.  With ``k=None``, S is the conjugate-gradient solve
-    of :func:`rolekit.similarity.fixed_point` to the one tolerance of every
-    command, :data:`rolekit.similarity.DEFAULT_TOL`, and ``k`` its
-    iteration count, capped by ``max_k``; past the cap
+    of :func:`rolekit.similarity.fixed_point` by the one stopping rule of
+    every command, and ``k`` its iteration count; its
     :class:`rolekit.similarity.NonConvergenceError` carries the n x n
-    similarity state of the last CG iterate and its residual history, as
-    from ``fixed_point``.  The rules are those of ``extract_roles`` at every
-    depth, k = 1 included: the request is checked before A is read, and
+    similarity state of the last CG iterate and its residual history.  The
+    rules are those of ``extract_roles`` at every depth, k = 1 included:
+    the request is checked before A is read, and
     ``beta2`` (None for the default 0.81 / rho) is rejected at or above the
     admissible bound before any step.  ``trunc_tol`` is a relative
     cutoff on the factor's singular values, applied once at the end: it
@@ -105,17 +96,17 @@ def lowrank_iterate(A, beta2: float | None = None, k: int | None = None,
     10%-flipped block cycles (measured from n = 40 to 2000) even 1e-3
     keeps every rank.
     """
-    _check_request(beta2, k, max_k, trunc_tol=trunc_tol)
+    _check_request(beta2, k, trunc_tol)
     A = as_adjacency(A)
     if k is not None:
         beta2 = resolve_beta2(A, beta2)[0]
-    F, state = _similarity_stack(A, beta2, k, max_k)
+    F, state = _similarity_stack(A, beta2, k)
     U, sigma = _compress(F, trunc_tol)
     return LowRankState(U=A.quotient.lift(U), k=state.k if k is None else k,
                         sigma=sigma, trunc_tol=trunc_tol)
 
 
-def _similarity_stack(A, beta2: float | None, k: int | None, max_k: int):
+def _similarity_stack(A, beta2: float | None, k: int | None):
     """``F = [A_hat L, A_hat^T L]`` with ``F F^T = S_hat_k`` on the quotient of
     A, ``L L^T = I + beta^2 S_hat_(k-1)`` by Cholesky, and the state of
     ``S_hat_(k-1)`` from :func:`rolekit.similarity._quotient_similarity`
@@ -126,7 +117,7 @@ def _similarity_stack(A, beta2: float | None, k: int | None, max_k: int):
     M = quotient.entries
     L, state = np.eye(quotient.c), None
     if k != 1:
-        state = _quotient_similarity(A, beta2, None if k is None else k - 1, max_k)
+        state = _quotient_similarity(A, beta2, None if k is None else k - 1)
         L = np.linalg.cholesky(L + state.beta2 * state.S)
     return np.hstack([M @ L, M.T @ L]), state
 

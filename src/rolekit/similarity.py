@@ -11,12 +11,14 @@ the recurrence
 
 where ``G[X] = A X A^T + A^T X A``.  The recurrence converges if and only if
 ``beta^2`` is strictly below ``1 / rho(A (x) A + A^T (x) A^T)``; the operator
-spectral radius is exposed as :func:`beta_bound`.  It is found by a power
-iteration on ``G``, which maps positive semi-definite matrices to positive
-semi-definite ones.  Where the dominant eigenvector is numerically low-rank
-(as on noisy block cycles) the iterate is kept as a thin factor ``V V^T`` of
-rank r, at O(n^2 r) a step, its eigenvalues read off a 2r x 2r Gram matrix;
-otherwise the iteration runs on dense n x n iterates at O(n^3) a step.
+spectral radius is exposed as :func:`beta_bound`.  ``G`` maps positive
+semi-definite matrices to positive semi-definite ones, so the radius is its
+largest eigenvalue.  On at most 16 classes it is read off the Kronecker sum
+directly; otherwise it is found by a power iteration on ``G``.  Where the
+dominant eigenvector is numerically low-rank (as on noisy block cycles) the
+iterate is kept as a thin factor ``V V^T`` of rank r, at O(n^2 r) a step, its
+eigenvalues read off a 2r x 2r Gram matrix; otherwise the iteration runs on
+dense n x n iterates at O(n^3) a step.
 
 Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
 The limit (:func:`fixed_point`) is found instead by solving the linear system
@@ -28,16 +30,18 @@ operator applications where the recurrence needs one per factor of
 ``beta^2 rho`` in the error.
 
 Every application of G in :func:`gamma`, the recurrence, the solve and the
-exact regime of :func:`beta_bound` goes through one kernel,
+dense regime of :func:`beta_bound` goes through one kernel,
 :func:`_gamma_into`: four matrix products written into n x n buffers the
 caller holds.  The solve allocates its six n x n arrays once and updates
 them in place.
 
-A request (a damping, a depth, a cap and a tolerance) is checked by one
-function, :func:`_check_request`, which :func:`fixed_point` and the
-commands' entry points call before they touch the graph.  The commands
-reach the similarity on the quotient by one route,
-:func:`_quotient_similarity`.
+The similarity solve stops by one rule: :data:`DEFAULT_TOL`, capped at
+:data:`DEFAULT_MAX_K` steps (the cap of :func:`beta_bound`'s power iteration
+too).  Both are read at call time, and no entry point takes either as an
+argument.  A request (a damping and a depth) is checked by one function,
+:func:`_check_request`, which :func:`fixed_point` and the commands' entry
+points call before they touch the graph.  The commands reach the similarity
+on the quotient by one route, :func:`_quotient_similarity`.
 
 All matrices ``S_k`` are symmetric positive semi-definite, non-negative for
 unsigned graphs, and share the column space of ``[A A^T]`` for every k.
@@ -57,6 +61,7 @@ DEFAULT_BETA2_FRACTION = 0.81
 #: residual of at most DEFAULT_TOL * ||S||_F, far below the last of the 9
 #: significant digits the spectrum report prints of values spanning decades
 DEFAULT_TOL = 1e-13
+#: the step cap of the similarity solve and of beta_bound's power iteration
 DEFAULT_MAX_K = 10000
 
 # beta_bound: the relative change at which its estimate has settled, the
@@ -68,16 +73,18 @@ _START_RANK = 8
 
 
 class NonConvergenceError(RuntimeError):
-    """An iteration hit its step limit; ``state`` holds the last iterate.
+    """An iteration hit its step limit, :data:`DEFAULT_MAX_K` (read at call
+    time); ``state`` holds the last iterate.
 
-    There are two solves, and each gives ``state`` and ``history`` one
+    There are two iterations, and each gives ``state`` and ``history`` one
     meaning.  The similarity solve (:func:`fixed_point`,
     :func:`scaled_fixed_point`, and ``extract_roles``, ``spectrum_report``
     and ``lowrank_iterate`` at the fixed point): the state is the n x n
     :class:`SimilarityState` of the last CG iterate, and the history the
-    relative residual after each CG iteration.  :func:`beta_bound`: the
-    state is the last estimate of rho, and the history the relative change
-    of the estimate at each step after the first, in its factored and exact
+    relative residual after each CG iteration.  :func:`beta_bound`'s power
+    iteration, which runs only on more than 16 classes: the state is the
+    last estimate of rho, and the history the relative change of the
+    estimate at each step after the first, in its factored and dense
     regimes alike.
     """
 
@@ -191,16 +198,23 @@ def _ritz(V: np.ndarray, T: np.ndarray):
 def beta_bound(A) -> float:
     """Spectral radius of X -> A X A^T + A^T X A (equals rho(A(x)A + A^T(x)A^T)).
 
-    A deterministic power iteration on symmetric matrices, normalized in
-    Frobenius norm each step.  Its estimate is ``||G[X]||_F`` for the unit
-    iterate X, a lower bound on rho at every step, and it stops once the
-    estimate settles: its relative change from the step before is at most
-    1e-10.  The admissible damping region is ``beta^2 < 1 / beta_bound(A)``.
-
-    The iteration runs on the quotient of A by structural equivalence
+    The admissible damping region is ``beta^2 < 1 / beta_bound(A)``.  The
+    radius is computed on the quotient of A by structural equivalence
     (:attr:`Adjacency.quotient`, c classes): the operator's nonzero
     eigenvectors lie in ``Q X Q^T``, where it acts as the same operator on
-    the c x c quotient matrix A_hat.  It has two regimes:
+    the c x c quotient matrix A_hat.  G maps positive semi-definite
+    matrices to positive semi-definite ones, so rho is its largest
+    eigenvalue, and it has a positive semi-definite eigenvector.
+
+    On at most 16 classes (``c <= 2r`` for the start rank r = 8 below) rho
+    is the largest eigenvalue of the c^2 x c^2 symmetric matrix
+    ``A_hat (x) A_hat + A_hat^T (x) A_hat^T``, by ``eigvalsh``, with no
+    iteration.  On more classes it comes from a deterministic power
+    iteration on symmetric matrices, normalized in Frobenius norm each
+    step.  Its estimate is ``||G[X]||_F`` for the unit iterate X, a lower
+    bound on rho at every step, and it stops once the estimate settles:
+    its relative change from the step before is at most 1e-10.  It has two
+    regimes:
 
     - Factored, while 2r < c for a rank r that starts at 8: the iterate is
       a thin factor ``X = V V^T``.  Since ``G[V V^T] = F F^T`` for
@@ -209,24 +223,22 @@ def beta_bound(A) -> float:
       2r x 2r Gram matrix ``F^T F = W diag(w) W^T`` (:func:`_ritz`), and
       keep the top r.  The start is the rank-r
       projection of ``G[I]`` on the range of ``G[I] Omega`` for a fixed
-      Gaussian c x r matrix Omega (a randomized range finder).  G maps
-      positive semi-definite matrices to positive semi-definite ones, so
-      rho has such an eigenvector, and for all Omega outside a set of
-      measure zero this start overlaps it.  The part of ``G[X]`` a step
+      Gaussian c x r matrix Omega (a randomized range finder).  For all
+      Omega outside a set of measure zero this start overlaps the positive
+      semi-definite eigenvector of rho.  The part of ``G[X]`` a step
       discards, relative in Frobenius norm, is the floor the truncation
       puts under the residual ``||G[X] - rho_hat X||``; it moves the
       estimate by about its square over the relative spectral gap.  When
       it exceeds 1e-6 and has not halved since the step before, r doubles.
-    - Exact, once 2r >= c (from the start when c <= 16): the dense c x c
-      iterate from ``I_c / sqrt(n)``, the projection of ``I / sqrt(n)``,
-      at O(c^3) a step, updated in place by :func:`_gamma_into` with two
-      c x c buffers allocated once.  With no equivalent nodes (c = n) it
-      is the power iteration on the n x n operator.
+    - Dense, once r has doubled to 2r >= c: the dense c x c iterate from
+      ``I_c / sqrt(n)``, the projection of ``I / sqrt(n)``, at O(c^3) a
+      step, updated in place by :func:`_gamma_into` with two c x c buffers
+      allocated once.
 
     After ``DEFAULT_MAX_K`` steps in all (read at call time),
     :class:`NonConvergenceError` carries the last estimate and, from the
     second step on, the relative change of the estimate at each step.  The
-    exact regime's estimates start afresh, so its first step is not tested
+    dense regime's estimates start afresh, so its first step is not tested
     against the last factored estimate, but its history entry is that
     change.
     """
@@ -235,30 +247,31 @@ def beta_bound(A) -> float:
     M = quotient.entries
     if not M.any():
         raise ValueError("beta_bound requires a nonzero adjacency matrix")
+    rank = _START_RANK
+    if quotient.c <= 2 * rank:
+        return float(np.linalg.eigvalsh(np.kron(M, M) + np.kron(M.T, M.T))[-1])
     history = []
     estimate = 0.0
     steps = 0
-    rank = _START_RANK
-    if 2 * rank < quotient.c:
-        omega = np.random.default_rng(0).standard_normal((quotient.c, rank))
-        Q = np.linalg.qr(M @ (M.T @ omega) + M.T @ (M @ omega))[0]
-        U, s = _compress(np.hstack([Q.T @ M, Q.T @ M.T]), 0.0)
-        V = Q @ U / np.sqrt(np.linalg.norm(s**2))
-        last_discarded = np.inf
-        while 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
-            steps += 1
-            F = np.hstack([M @ V, M.T @ V])   # G[V V^T] = F F^T
-            power, U = _ritz(F, F.T @ F)
-            norm = float(np.linalg.norm(power))
-            if estimate > 0.0:
-                history.append(abs(norm - estimate) / estimate)
-                if history[-1] <= _TOL:
-                    return norm
-            discarded = float(np.linalg.norm(power[rank:])) / norm
-            if discarded > _DISCARD_TOL and 2.0 * discarded > last_discarded:
-                rank *= 2
-            V = U[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
-            estimate, last_discarded = norm, discarded
+    omega = np.random.default_rng(0).standard_normal((quotient.c, rank))
+    Q = np.linalg.qr(M @ (M.T @ omega) + M.T @ (M @ omega))[0]
+    U, s = _compress(np.hstack([Q.T @ M, Q.T @ M.T]), 0.0)
+    V = Q @ U / np.sqrt(np.linalg.norm(s**2))
+    last_discarded = np.inf
+    while 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
+        steps += 1
+        F = np.hstack([M @ V, M.T @ V])   # G[V V^T] = F F^T
+        power, U = _ritz(F, F.T @ F)
+        norm = float(np.linalg.norm(power))
+        if estimate > 0.0:
+            history.append(abs(norm - estimate) / estimate)
+            if history[-1] <= _TOL:
+                return norm
+        discarded = float(np.linalg.norm(power[rank:])) / norm
+        if discarded > _DISCARD_TOL and 2.0 * discarded > last_discarded:
+            rank *= 2
+        V = U[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
+        estimate, last_discarded = norm, discarded
     X = np.eye(quotient.c) / np.sqrt(A.n)
     work = np.empty((2, quotient.c, quotient.c))
     last = 0.0
@@ -278,22 +291,19 @@ def beta_bound(A) -> float:
         f"(last estimate {estimate})", state=estimate, history=history)
 
 
-def _check_request(beta2: float | None, k: int | None = 1, max_k: int = 1,
-                   tol: float = DEFAULT_TOL, trunc_tol: float | None = None) -> None:
+def _check_request(beta2: float | None, k: int | None = 1,
+                   trunc_tol: float | None = None) -> None:
     """Reject a request that no graph could make valid: a ``beta2`` (None
     for the default) that is negative, infinite or NaN, a depth ``k`` (None
-    for the fixed point) or a cap ``max_k`` below 1, a ``tol`` that is not
-    positive, and a ``trunc_tol`` (None where it is not used) outside
-    (0, 1).  NaN fails every test.  It reads no graph, so each entry point
-    calls it first."""
+    for the fixed point) below 1, and a ``trunc_tol`` (None where it is not
+    used) outside (0, 1).  NaN fails every test.  It reads no graph, so
+    each entry point calls it first.  The stopping rule is no part of a
+    request: every solve reads :data:`DEFAULT_TOL` and
+    :data:`DEFAULT_MAX_K`."""
     if beta2 is not None and not 0.0 <= beta2 < np.inf:
         raise ValueError(f"beta2 must be finite and non-negative, got {beta2!r}")
     if k is not None and not k >= 1:
         raise ValueError("iteration depth k must be at least 1")
-    if not max_k >= 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     if trunc_tol is not None and not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
 
@@ -341,23 +351,23 @@ def iterate(A, beta2: float, k: int) -> SimilarityState:
     return SimilarityState(S=S, k=k, beta2=beta2, converged=False)
 
 
-def fixed_point(A, beta2: float | None = None, tol: float = DEFAULT_TOL,
-                max_k: int = DEFAULT_MAX_K) -> SimilarityState:
+def fixed_point(A, beta2: float | None = None) -> SimilarityState:
     """The fixed point S = G[I + beta^2 S], solved by conjugate gradients.
 
     The request is checked before A is read.  ``beta2`` defaults to
     0.81 / beta_bound(A) and is rejected at or above the admissible bound
-    before any iteration.  CG on
-    ``(I - beta^2 G) S = G[I]`` stops once its residual is at most
-    ``tol * ||S||_F``; that residual is then recomputed from S directly, so
-    the result satisfies ``||S - G[I + beta^2 S]||_F <= tol ||S||_F``.
-    ``k`` is the number of CG iterations, each one application of G, and
-    ``max_k`` caps it: reaching the cap raises :class:`NonConvergenceError`
-    carrying the last state and the relative residual after each iteration.
+    before any iteration.  CG on ``(I - beta^2 G) S = G[I]`` stops once
+    its residual is at most ``DEFAULT_TOL * ||S||_F``; that residual is
+    then recomputed from S directly, so the result satisfies
+    ``||S - G[I + beta^2 S]||_F <= DEFAULT_TOL ||S||_F``.  ``k`` is the
+    number of CG iterations, each one application of G; after
+    ``DEFAULT_MAX_K`` of them (both constants read at call time)
+    :class:`NonConvergenceError` carries the last state and the relative
+    residual after each iteration.
     """
-    _check_request(beta2, None, max_k, tol)
+    _check_request(beta2, None)
     A = as_adjacency(A)
-    return _fixed_point(A, resolve_beta2(A, beta2)[0], tol, max_k)
+    return _fixed_point(A, resolve_beta2(A, beta2)[0], DEFAULT_TOL, DEFAULT_MAX_K)
 
 
 def _quotient_graph(A: Adjacency) -> Adjacency:
@@ -366,8 +376,8 @@ def _quotient_graph(A: Adjacency) -> Adjacency:
     return A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
 
 
-def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
-                         max_k: int = DEFAULT_MAX_K) -> SimilarityState:
+def _quotient_similarity(A: Adjacency, beta2: float | None,
+                         k: int | None) -> SimilarityState:
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
     :class:`rolekit.graphcore.Quotient`).  This is the one route from a
@@ -376,14 +386,14 @@ def _quotient_similarity(A: Adjacency, beta2: float | None, k: int | None,
     same S_hat at a given depth.  The caller has checked the request.  At
     a finite k, ``beta2`` is the damping :func:`resolve_beta2` returned on
     A.  At ``k=None`` it is the request's (None for the default), which
-    :func:`fixed_point` resolves on A_hat and solves to ``DEFAULT_TOL``;
-    past ``max_k``, :class:`NonConvergenceError` carries the last iterate
-    lifted to the n x n similarity ``Q S_hat Q^T``, with the solve's
-    history; the one :func:`beta_bound` raises passes unchanged."""
+    :func:`fixed_point` resolves on A_hat and solves by its one stopping
+    rule; its :class:`NonConvergenceError` carries the last iterate lifted
+    to the n x n similarity ``Q S_hat Q^T``, with the solve's history; the
+    one :func:`beta_bound` raises passes unchanged."""
     if k is not None:
         return iterate(_quotient_graph(A), beta2, k)
     try:
-        return fixed_point(_quotient_graph(A), beta2, DEFAULT_TOL, max_k)
+        return fixed_point(_quotient_graph(A), beta2)
     except NonConvergenceError as exc:
         if not isinstance(exc.state, SimilarityState):
             raise   # beta_bound's, carrying its estimate of rho
@@ -504,20 +514,19 @@ def scaled_iterate(A_W, d, beta2: float, k: int) -> SimilarityState:
     return _conjugate(iterate(base, beta2, k), d)
 
 
-def scaled_fixed_point(A_W, d, beta2: float | None = None, tol: float = DEFAULT_TOL,
-                       max_k: int = DEFAULT_MAX_K) -> SimilarityState:
+def scaled_fixed_point(A_W, d, beta2: float | None = None) -> SimilarityState:
     """Fixed point of the weighted-graph recurrence: D S_inf D.
 
     ``S_inf`` is :func:`fixed_point` of the binary base graph A, so ``beta2``
-    is resolved against A, and ``tol`` and ``max_k`` apply to the solve on A.
+    is resolved against A, and its stopping rule applies to the solve on A.
     The request is checked before A_W is read.  The solve's
     :class:`NonConvergenceError` carries ``D S D`` of its last iterate;
     the one :func:`beta_bound` raises passes unchanged.
     """
-    _check_request(beta2, None, max_k, tol)
+    _check_request(beta2, None)
     d, base = _weighted_parts(A_W, d)
     try:
-        state = fixed_point(base, beta2, tol, max_k)
+        state = fixed_point(base, beta2)
     except NonConvergenceError as exc:
         if not isinstance(exc.state, SimilarityState):
             raise   # beta_bound's, carrying its estimate of rho

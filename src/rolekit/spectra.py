@@ -29,7 +29,7 @@ import numpy as np
 
 from .graphcore import UNWEIGHTED, Adjacency, RoleMatrix, as_adjacency
 from .lowrank import DEFAULT_GAP_RATIO, estimate_rank
-from .similarity import DEFAULT_MAX_K, _check_request, _quotient_similarity, resolve_beta2
+from .similarity import _check_request, _quotient_similarity, resolve_beta2
 
 CONVENTIONS = ("occupancy", "flip")
 
@@ -131,13 +131,12 @@ class SpectrumReport:
 
 
 def spectrum_report(A, beta2: float | None = None, k: int | None = None,
-                    top_m: int = 10, max_k: int = DEFAULT_MAX_K) -> SpectrumReport:
+                    top_m: int = 10) -> SpectrumReport:
     """The top ``min(top_m, n)`` singular values of A, S^(1/2) and S: those
     of A_hat and S_hat on the c classes, then exact zeros.
 
-    ``k=None`` solves for the fixed point to a relative residual of
-    :data:`rolekit.similarity.DEFAULT_TOL`, as ``extract_roles`` does, with
-    ``max_k`` capping the solver's iterations; past the cap,
+    ``k=None`` solves for the fixed point by the one stopping rule of
+    :func:`rolekit.similarity.fixed_point`, as ``extract_roles`` does; its
     :class:`rolekit.similarity.NonConvergenceError` carries the last
     iterate as an n x n similarity state.  Otherwise the recurrence runs
     ``k`` steps.  The request and ``beta2`` follow the rules of
@@ -148,12 +147,12 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     :func:`rolekit.lowrank.estimate_rank` reads off ``sigma_S`` at the gap
     ratio 0.5.
     """
-    _check_request(beta2, k, max_k)
+    _check_request(beta2, k)
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
     A = as_adjacency(A)
     resolved = beta2 if k is None else resolve_beta2(A, beta2)[0]
-    state = _quotient_similarity(A, resolved, k, max_k)
+    state = _quotient_similarity(A, resolved, k)
     m = min(top_m, A.n)
     sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th
     top = min(m, A.quotient.c)

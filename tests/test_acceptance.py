@@ -137,7 +137,7 @@ def test_criterion_06_convergence_boundary():
     for _ in range(50):
         A = random_digraph(rng, n_max=15, n_min=3)
         rho = beta_bound(A)
-        state = fixed_point(A, 0.9 / rho, tol=1e-10)
+        state = fixed_point(A, 0.9 / rho)
         ok &= state.converged
         low = np.linalg.norm(iterate(A, 1.1 / rho, 1).S)
         high = np.linalg.norm(iterate(A, 1.1 / rho, 50).S)

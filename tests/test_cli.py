@@ -164,13 +164,14 @@ def test_extract_perturbed_block_cycle_defaults(tmp_path, capsys):
     assert json.loads(out)["q"] == 4
 
 
-def test_extract_nonconvergence_exit_code(tmp_path, capsys):
+def test_extract_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "slow.tsv"
     write_edge_list(graph, Adjacency.from_matrix(SLOW_CG))
     # at the default beta^2 = 0.81 / rho, CG needs 16 iterations to reach
-    # the default tolerance on this graph, so a cap of 3 cannot be met
-    code, out, err = run(capsys, "extract", str(graph), "--fixed-point",
-                         "--max-k", "3")
+    # the default tolerance on this graph, so a cap of 3 cannot be met; on
+    # its 6 classes beta_bound does not iterate
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
+    code, out, err = run(capsys, "extract", str(graph), "--fixed-point")
     assert code == 2
     assert out == ""
     assert "converge" in err
@@ -178,12 +179,15 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
 
 def test_beta_bound_nonconvergence_passes_through_the_fixed_point(tmp_path, capsys,
                                                                  monkeypatch):
-    # beta_bound cannot settle in one step.  Every fixed-point entry point
-    # resolves beta^2 through it (on the quotient graph, or on the binary
-    # base of a weighted one), and its error reaches the caller as
-    # beta_bound raised it: the state is the float estimate of rho, not a
-    # similarity state to lift, and the commands exit 2
+    # on more than 16 classes beta_bound iterates, and it cannot settle in
+    # one step.  Every fixed-point entry point resolves beta^2 through it
+    # (on the quotient graph, or on the binary base of a weighted one), and
+    # its error reaches the caller as beta_bound raised it: the state is
+    # the float estimate of rho, not a similarity state to lift, and the
+    # commands exit 2
     A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
+    A = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=1))
+    assert A.quotient.c > 16
     d = np.linspace(0.5, 2.0, A.n)
     monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 1)
 
@@ -206,6 +210,40 @@ def test_beta_bound_nonconvergence_passes_through_the_fixed_point(tmp_path, caps
         assert code == 2
         assert out == ""
         assert err == f"rolekit: did not converge: {on_quotient[0]}\n"
+
+
+def _near_tie_graph(n, tmp_path, capsys):
+    """Two flipped generator graphs whose top two eigenvalues of G nearly
+    coincide: 60.12067 and 60.12021 at n = 19 (9 classes), 110.4200 and
+    110.4182 at n = 29 (10 classes)."""
+    path = tmp_path / f"near_tie_{n}.tsv"
+    if n == 19:
+        run(capsys, "generate", "--kind", "bipartite_communities", "--sizes", "6,5,5,3",
+            "--p-in", "0.01", "--p-out", "0.01", "--seed", "888", "--out", str(path))
+    else:
+        A, _, _ = generate_structure("bipartite_communities", (3, 8, 11, 7),
+                                     perm=np.random.default_rng(162).permutation(29))
+        write_edge_list(path, perturb(A, PerturbationModel(0.005, 0.005, 162)))
+    return read_edge_list(path), str(path)
+
+
+@pytest.mark.parametrize("n, c", [(19, 9), (29, 10)])
+def test_beta_bound_settles_on_small_quotients_with_near_tied_eigenvalues(n, c, tmp_path,
+                                                                          capsys):
+    # a power iteration gains only a factor lambda_2 / lambda_1 = 0.99999 a
+    # step on these graphs, too little to settle within DEFAULT_MAX_K steps;
+    # on at most 16 classes rho is read off the Kronecker sum, so every
+    # command finishes
+    from conftest import kron_rho
+    A, path = _near_tie_graph(n, tmp_path, capsys)
+    assert (A.n, A.quotient.c) == (n, c)
+    rho = similarity.beta_bound(A)
+    assert rho == pytest.approx(kron_rho(A), rel=1e-12)
+    for argv in (("extract",), ("extract", "--fixed-point"), ("spectrum",), ("betabound",)):
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out
+    assert out.startswith(f"rho_hat\t{rho:.9g}\n")
 
 
 def test_extract_beta_above_bound_is_config_error(tmp_path, capsys):
@@ -399,7 +437,7 @@ def test_generate_then_extract_round_trip(tmp_path, capsys, kind, sizes):
 def solver_calls(monkeypatch):
     """Record every call of beta_bound and of the similarity operator,
     public or through the kernel the solves share with it.  beta_bound's
-    exact regime applies the operator through that kernel too; those calls
+    dense regime applies the operator through that kernel too; those calls
     are part of the beta_bound call, and only it is recorded."""
     calls, inside = [], []
 
@@ -515,9 +553,13 @@ def test_one_tolerance_for_the_fixed_point_in_every_command(small_graph, capsys,
 @pytest.mark.parametrize("argv", [("extract", "--method", "greedy"),
                                   ("spectrum", "--gap-ratio", "0.5"),
                                   ("extract", "--gap-ratio", "0.5"),
-                                  ("extract", "--angle-tol", "1e-6")])
+                                  ("extract", "--angle-tol", "1e-6"),
+                                  ("extract", "--max-k", "3"),
+                                  ("spectrum", "--max-k", "3")])
 def test_extraction_rule_and_spectrum_gap_ratio_are_not_flags(argv, small_graph, capsys,
                                                               solver_calls):
+    # no flag sets the extraction rule, a gap ratio, an angle tolerance or the
+    # similarity solve's step cap: each is one constant in every command
     _, path = small_graph
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert (code, out) == (3, "")
@@ -535,29 +577,29 @@ def scaled_fixed_point_at(A, **request):
     return scaled_fixed_point(A, np.linspace(1.0, 2.0, A.n), **request)
 
 
-#: requests no graph can make valid, the message each is rejected with, and
-#: the entry points that take it
+#: the entry points that solve for the fixed point
+SOLVES = (extract_roles, spectrum_report, lowrank_iterate, fixed_point, scaled_fixed_point_at)
+#: requests no graph can make valid, the error and message each is rejected
+#: with, and the entry points it is sent to.  The stopping rule of the solve
+#: is no argument, so ``max_k`` and ``tol`` are TypeErrors everywhere
 BAD_REQUESTS = [
-    ({"k": 0}, "depth k", (extract_roles, spectrum_report, lowrank_iterate, scaled_iterate_at)),
-    ({"max_k": 0}, "max_k", (extract_roles, spectrum_report, lowrank_iterate, fixed_point,
-                             scaled_fixed_point_at)),
-    ({"beta2": float("nan")}, "beta2",
-     (extract_roles, spectrum_report, lowrank_iterate, fixed_point, scaled_iterate_at,
-      scaled_fixed_point_at)),
-    ({"beta2": -0.1}, "beta2", (extract_roles, spectrum_report, lowrank_iterate, fixed_point,
-                                scaled_iterate_at, scaled_fixed_point_at)),
-    ({"trunc_tol": 0.0}, "trunc_tol", (extract_roles, lowrank_iterate)),
-    ({"tol": float("nan")}, "tol", (fixed_point, scaled_fixed_point_at)),
+    ({"k": 0}, ValueError, "depth k",
+     (extract_roles, spectrum_report, lowrank_iterate, scaled_iterate_at)),
+    ({"max_k": 0}, TypeError, "max_k", SOLVES),
+    ({"beta2": float("nan")}, ValueError, "beta2", (*SOLVES, scaled_iterate_at)),
+    ({"beta2": -0.1}, ValueError, "beta2", (*SOLVES, scaled_iterate_at)),
+    ({"trunc_tol": 0.0}, ValueError, "trunc_tol", (extract_roles, lowrank_iterate)),
+    ({"tol": float("nan")}, TypeError, "tol", SOLVES),
 ]
 #: the depths an entry point takes, where it does not take all three
 DEPTHS = {fixed_point: [{}], scaled_fixed_point_at: [{}], scaled_iterate_at: [{}, {"k": 1}]}
 
 
-@pytest.mark.parametrize("bad, match, entry_points", BAD_REQUESTS,
+@pytest.mark.parametrize("bad, error, match, entry_points", BAD_REQUESTS,
                          ids=["k=0", "max_k=0", "beta2=nan", "beta2=-0.1",
                               "trunc_tol=0", "tol=nan"])
-def test_a_bad_request_is_rejected_before_the_graph_is_read(bad, match, entry_points,
-                                                           monkeypatch):
+def test_a_bad_request_is_rejected_before_the_graph_is_read(bad, error, match,
+                                                           entry_points, monkeypatch):
     # no quotient may be built, and no weighted graph split into D and A:
     # each entry point checks the request before it reads the graph, at a
     # finite depth, at k = 1 and at the fixed point, on an unsigned graph and
@@ -571,7 +613,7 @@ def test_a_bad_request_is_rejected_before_the_graph_is_read(bad, match, entry_po
         depths = [{}] if "k" in bad else DEPTHS.get(entry, [{}, {"k": 1}, {"k": None}])
         for depth in depths:
             for M in (np.roll(np.eye(6), 1, axis=1), SIGNED_EXAMPLE):
-                with pytest.raises(ValueError, match=match):
+                with pytest.raises(error, match=match):
                     entry(Adjacency.from_matrix(M), **depth, **bad)
 
 
@@ -583,18 +625,6 @@ def test_k_must_be_positive(value, small_graph, capsys, solver_calls):
             call(A, k=int(value))
     assert_config_error(capsys, "extract", path, f"--k={value}")
     assert_config_error(capsys, "spectrum", path, f"--k={value}")
-    assert solver_calls == []
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_max_k_must_be_positive(value, small_graph, capsys, solver_calls):
-    A, path = small_graph
-    for call in (extract_roles, spectrum_report):
-        with pytest.raises(ValueError, match="max_k"):
-            call(A, max_k=int(value))
-    assert_config_error(capsys, "extract", path, f"--max-k={value}")
-    assert_config_error(capsys, "extract", path, f"--max-k={value}", "--fixed-point")
-    assert_config_error(capsys, "spectrum", path, f"--max-k={value}")
     assert solver_calls == []
 
 

@@ -37,7 +37,7 @@ from rolekit.extract import (
     _normalized_rows,
     _spherical_kmeans,
 )
-from rolekit import extract, lowrank
+from rolekit import extract, lowrank, similarity
 from rolekit.graphcore import _merge_equivalent_roles
 from rolekit.lowrank import DEFAULT_GAP_RATIO, _similarity_stack
 from rolekit.similarity import _quotient_similarity
@@ -727,19 +727,21 @@ def test_the_fixed_point_extraction_groups_on_meets_the_one_tolerance(monkeypatc
         assert np.linalg.norm(lift(lift(F @ F.T).T) - image) <= 1e-12 * np.linalg.norm(image)
 
 
-def test_nonconvergence_carries_the_last_iterate_on_the_nodes():
+def test_nonconvergence_carries_the_last_iterate_on_the_nodes(monkeypatch):
     # two flipped edges leave 8 classes of 12 nodes; the solve runs on the
-    # quotient and needs 16 iterations, and the state is lifted back
+    # quotient and needs 16 iterations, and the state is lifted back.  On 8
+    # classes beta_bound does not iterate, so only the solve meets the cap
     A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
     M = A.entries.copy()
     M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
     A = Adjacency.from_matrix(M)
     assert A.quotient.c == 8
     beta2 = default_beta2(A)
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     with pytest.raises(NonConvergenceError) as info:
-        extract_roles(A, beta2=beta2, k=None, max_k=3)
+        extract_roles(A, beta2=beta2, k=None)
     with pytest.raises(NonConvergenceError) as dense:
-        fixed_point(A, beta2, max_k=3)
+        fixed_point(A, beta2)
     state, want = info.value.state, dense.value.state
     assert state.S.shape == (A.n, A.n)
     assert (state.k, state.beta2, state.converged) == (3, beta2, False)
@@ -815,12 +817,27 @@ def test_the_gap_estimate_equals_the_one_from_the_factor(k, monkeypatch):
 
 def test_ideal_extraction_calls_no_eigensolver(monkeypatch):
     # on ideal graphs the class partition is kept, so the exact route reads
-    # no spectrum of [A_hat L, A_hat^T L]
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an eigensolver ran on an ideal graph")
+    # no spectrum of [A_hat L, A_hat^T L].  beta_bound, which reads rho off
+    # the Kronecker sum of a small quotient, is the one eigensolver call
+    inside = []
+
+    def forbidding(f):
+        def call(*args, **kwargs):
+            if not inside:
+                raise AssertionError("an eigensolver ran on an ideal graph")
+            return f(*args, **kwargs)
+        return call
+
+    def bound(A, _f=similarity.beta_bound):
+        inside.append(A)
+        try:
+            return _f(A)
+        finally:
+            inside.pop()
 
     for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(np.linalg, name, forbidding(getattr(np.linalg, name)))
+    monkeypatch.setattr(similarity, "beta_bound", bound)
     for kind, sizes in [("block_cycle", (20, 10, 10, 20)), ("community", (5, 6, 4)),
                         ("bipartite_communities", (4, 6, 5, 3))]:
         A, B, truth = generate_structure(kind, sizes)

@@ -19,7 +19,7 @@ from rolekit import (
 )
 from rolekit import similarity
 from rolekit.lowrank import _compress, _similarity_stack, _thin_similarity
-from rolekit.similarity import DEFAULT_MAX_K, DEFAULT_TOL, _quotient_graph
+from rolekit.similarity import DEFAULT_TOL, _quotient_graph
 
 # the published 10-value spectra of the ideal and perturbed block cycles,
 # used as realistic inputs to the gap-based rank estimate
@@ -182,7 +182,7 @@ def _stack_graphs():
 def test_the_stack_factors_the_iterate_at_a_finite_depth(k):
     for A in _stack_graphs():
         beta2 = default_beta2(A)
-        F, state = _similarity_stack(A, beta2, k, DEFAULT_MAX_K)
+        F, state = _similarity_stack(A, beta2, k)
         S = iterate(_quotient_graph(A), beta2, k).S
         assert F.shape == (A.quotient.c, 2 * A.quotient.c)
         assert (state is None) == (k == 1)
@@ -193,7 +193,7 @@ def test_the_stack_at_the_fixed_point_lies_within_the_solve_residual():
     # F F^T = G[I + beta^2 S] for the solve's S, whose true residual is at
     # most DEFAULT_TOL ||S||; forming F F^T adds rounding of about c eps
     for A in _stack_graphs():
-        F, state = _similarity_stack(A, None, None, DEFAULT_MAX_K)
+        F, state = _similarity_stack(A, None, None)
         want = fixed_point(_quotient_graph(A))
         assert (state.k, state.beta2, state.converged) == (want.k, want.beta2, True)
         assert np.array_equal(state.S, want.S)
@@ -219,14 +219,16 @@ def test_estimate_rank_rejects_empty_input():
         estimate_rank([], 0.1)
 
 
-def test_lowrank_nonconvergence_history_has_one_residual_per_iteration():
-    # CG needs 14 iterations on this graph at the default tolerance
+def test_lowrank_nonconvergence_history_has_one_residual_per_iteration(monkeypatch):
+    # CG needs 14 iterations on this graph at the default tolerance; on its
+    # 12 classes beta_bound does not iterate
     rng = np.random.default_rng(8)
     A = Adjacency.from_matrix((rng.random((12, 12)) < 0.4).astype(float))
     beta2 = default_beta2(A)
     for max_k in (2, 3, 6):
+        monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
         with pytest.raises(NonConvergenceError) as info:
-            lowrank_iterate(A, beta2, k=None, max_k=max_k)
+            lowrank_iterate(A, beta2, k=None)
         state, history = info.value.state, info.value.history
         assert state.k == max_k
         # the fixed point is a CG solve: one relative residual per iteration
@@ -234,8 +236,8 @@ def test_lowrank_nonconvergence_history_has_one_residual_per_iteration():
         assert all(h > DEFAULT_TOL for h in history)
 
 
-def test_lowrank_nonconvergence_carries_the_fixed_point_state():
-    # past max_k the error is the similarity solve's, as from fixed_point:
+def test_lowrank_nonconvergence_carries_the_fixed_point_state(monkeypatch):
+    # past the cap the error is the similarity solve's, as from fixed_point:
     # the n x n state of the last CG iterate and its residual history, on a
     # graph with no equivalent nodes and on one with 8 classes of 12 nodes,
     # where CG needs 18 iterations
@@ -246,12 +248,13 @@ def test_lowrank_nonconvergence_carries_the_fixed_point_state():
     M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
     classes = Adjacency.from_matrix(M)
     assert (rng_graph.quotient.c, classes.quotient.c) == (8, 8)
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 2)
     for A in (rng_graph, classes):
         beta2 = 0.99 / beta_bound(A)
         with pytest.raises(NonConvergenceError) as dense:
-            fixed_point(A, beta2, max_k=2)
+            fixed_point(A, beta2)
         with pytest.raises(NonConvergenceError) as info:
-            lowrank_iterate(A, beta2, k=None, max_k=2)
+            lowrank_iterate(A, beta2, k=None)
         state, want = info.value.state, dense.value.state
         assert isinstance(state, SimilarityState)
         assert (state.k, state.beta2, state.converged) == (2, beta2, False)
@@ -262,13 +265,14 @@ def test_lowrank_nonconvergence_carries_the_fixed_point_state():
 
 @pytest.mark.parametrize("bad", [{"max_k": 0}], ids=["max_k=0"])
 def test_lowrank_rejects_bad_fixed_point_settings_before_any_solve(monkeypatch, bad):
+    # the solve's step cap is no argument: max_k is a TypeError
     def boom(*args, **kwargs):
         raise AssertionError("a solve ran before the settings were checked")
     for name in ("beta_bound", "gamma", "_gamma_into"):
         monkeypatch.setattr(similarity, name, boom)
     A = Adjacency.from_matrix([[0, 1], [1, 0]])
     for k in (None, 3):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+        with pytest.raises(TypeError, match=next(iter(bad))):
             lowrank_iterate(A, 0.01, k=k, **bad)
 
 

@@ -35,7 +35,7 @@ from rolekit import (
     similarity,
     spectrum_report,
 )
-from rolekit.similarity import resolve_beta2
+from rolekit.similarity import DEFAULT_MAX_K, DEFAULT_TOL, _fixed_point, resolve_beta2
 
 def kron_fixed_point(A, beta2):
     """Dense oracle: solve (I - beta^2 (A(x)A + A^T(x)A^T)) vec S = vec G[I]."""
@@ -113,10 +113,11 @@ def test_beta_bound_matches_kronecker_oracle_on_reference():
 
 
 def test_beta_bound_matches_kronecker_oracle_random():
+    # at most 16 classes: rho is read off the Kronecker sum itself
     rng = np.random.default_rng(42)
     for _ in range(12):
         A = random_digraph(rng, n_max=12, n_min=3)
-        assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-6)
+        assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-12)
 
 
 def dense_beta_bound(A) -> float:
@@ -179,10 +180,11 @@ def test_beta_bound_agrees_with_the_dense_iteration(name):
 
 
 def test_beta_bound_exact_regime_is_the_old_loop_bit_for_bit(monkeypatch):
-    # the exact regime applies G through _gamma_into, in place, with two
-    # buffers allocated once; its estimate is that of the old loop, bit for
-    # bit, on a graph that starts there (c = 9) and on one whose factored
-    # rank doubles into it (c = 17)
+    # on at most 16 classes (c = 9) rho is read off the Kronecker sum, and
+    # G is never applied.  Once the factored rank doubles into the dense
+    # regime (c = 17), G goes through _gamma_into, in place, with two
+    # buffers allocated once, and the estimate is that of the old loop, bit
+    # for bit
     applied = []
     original = similarity._gamma_into
 
@@ -191,12 +193,14 @@ def test_beta_bound_exact_regime_is_the_old_loop_bit_for_bit(monkeypatch):
         return original(M, X, out, work, *rest)
 
     monkeypatch.setattr(similarity, "_gamma_into", spy)
-    for A in (generate_structure("block_cycle", (3, 4, 2, 5, 3, 4, 2, 6, 3))[0],
-              Adjacency.from_matrix(_hard_graph("c17"))):
-        applied.clear()
-        c = A.quotient.c
-        assert beta_bound(A) == dense_beta_bound(A)
-        assert applied and set(applied) == {((c, c), True, (2, c, c))}
+    small = generate_structure("block_cycle", (3, 4, 2, 5, 3, 4, 2, 6, 3))[0]
+    assert small.quotient.c == 9
+    assert beta_bound(small) == pytest.approx(kron_rho(small.quotient.entries), rel=1e-12)
+    assert applied == []
+    A = Adjacency.from_matrix(_hard_graph("c17"))
+    c = A.quotient.c
+    assert beta_bound(A) == dense_beta_bound(A)
+    assert set(applied) == {((c, c), True, (2, c, c))}
     assert (c, len(applied)) == (17, 13)   # 2r = 16 < c at the start
 
 
@@ -245,11 +249,10 @@ def test_beta_bound_is_invariant_under_node_permutation(n, density, signed, seed
 
 
 def test_beta_bound_nonconvergence_history_has_one_change_per_step(monkeypatch):
-    # slow_cg runs the exact iteration (c = 6) and er_p05 the factored one;
-    # c24 runs 7 factored steps, then restarts in the exact regime
-    for name, max_ks in (("slow_cg", (2, 4, 7)), ("er_p05", (2, 4, 7)),
-                         ("c24", (2, 7, 10))):
-        A = Adjacency.from_matrix(SLOW_CG if name == "slow_cg" else _hard_graph(name))
+    # er_p05 runs the factored iteration; c24 runs 7 factored steps, then
+    # restarts in the dense regime.  On at most 16 classes nothing iterates
+    for name, max_ks in (("er_p05", (2, 4, 7)), ("c24", (2, 7, 10))):
+        A = Adjacency.from_matrix(_hard_graph(name))
         rho = dense_beta_bound(A)
         for max_k in max_ks:
             monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
@@ -317,7 +320,7 @@ def test_fixed_point_without_damping_is_depth_one():
 
 def test_fixed_point_undirected_two_cycle_geometric_series():
     A = Adjacency.from_matrix([[0, 1], [1, 0]])
-    state = fixed_point(A, 0.1, tol=1e-13)
+    state = fixed_point(A, 0.1)
     assert np.allclose(state.S, 2.5 * np.eye(2), rtol=1e-10)
 
 
@@ -328,7 +331,7 @@ def test_fixed_point_small_block_cycle_reference_values():
     beta2 = 1.17953e-3
     d = 300.0 / (1.0 - 500.0 * beta2)
     A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
-    state = fixed_point(A, beta2, tol=1e-12)
+    state = fixed_point(A, beta2)
     sv = np.linalg.svd(state.S, compute_uv=False)
     assert np.allclose(sv[:4], [2 * d, 2 * d, d, d], rtol=1e-8)
     # printed reference values reproduce to 1e-3 relative
@@ -354,13 +357,19 @@ def no_solve(monkeypatch):
         monkeypatch.setattr(similarity, name, boom)
 
 
+#: the stopping rule is no argument: DEFAULT_TOL and DEFAULT_MAX_K hold for
+#: every solve, and a keyword that sets either is a TypeError
 BAD_SOLVE_SETTINGS = [{"tol": float("nan")}, {"max_k": 0}]
+
+
+def no_keyword(bad):
+    return pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(bad))}'")
 
 
 @pytest.mark.parametrize("bad", BAD_SOLVE_SETTINGS, ids=["tol=nan", "max_k=0"])
 def test_fixed_point_rejects_bad_settings_before_any_solve(monkeypatch, bad):
     no_solve(monkeypatch)
-    with pytest.raises(ValueError, match=next(iter(bad))):
+    with no_keyword(bad):
         fixed_point(Adjacency.from_matrix(SLOW_CG), **bad)
 
 
@@ -370,33 +379,38 @@ def test_scaled_fixed_point_rejects_bad_settings_before_any_solve(monkeypatch, b
     d = np.linspace(0.5, 2.0, A.n)
     W = apply_rank_one_weights(A, d)
     no_solve(monkeypatch)
-    with pytest.raises(ValueError, match=next(iter(bad))):
+    with no_keyword(bad):
         scaled_fixed_point(W, d, **bad)
 
 
-def test_fixed_point_nonconvergence_carries_state():
+def test_fixed_point_nonconvergence_carries_state(monkeypatch):
+    # CG needs 16 iterations on this graph at DEFAULT_TOL
     A = Adjacency.from_matrix(SLOW_CG)
+    beta2 = 0.9 / beta_bound(A)
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     with pytest.raises(NonConvergenceError) as info:
-        fixed_point(A, 0.9 / beta_bound(A), tol=1e-15, max_k=3)
+        fixed_point(A, beta2)
     assert info.value.state is not None
     assert info.value.state.k == 3
     assert not info.value.state.converged
 
 
-def test_fixed_point_nonconvergence_history_has_one_residual_per_iteration():
+def test_fixed_point_nonconvergence_history_has_one_residual_per_iteration(monkeypatch):
     A = Adjacency.from_matrix(SLOW_CG)
+    beta2 = 0.9 / beta_bound(A)
     for max_k in (1, 3, 5):
+        monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
         with pytest.raises(NonConvergenceError) as info:
-            fixed_point(A, 0.9 / beta_bound(A), tol=1e-15, max_k=max_k)
+            fixed_point(A, beta2)
         history = info.value.history
         assert len(history) == max_k
-        assert all(h > 1e-15 for h in history)
+        assert all(h > DEFAULT_TOL for h in history)
 
 
 def test_fixed_point_two_cycle_near_the_bound_is_one_iteration():
     # G[I] = 2 I is an eigenvector of G, so CG solves S = 2 I + 0.98 S at once
     A = Adjacency.from_matrix([[0, 1], [1, 0]])
-    state = fixed_point(A, 0.49, tol=1e-15, max_k=3)
+    state = _fixed_point(A, 0.49, 1e-15, 3)
     assert state.converged
     assert state.k == 1
     assert np.allclose(state.S, 100.0 * np.eye(2), rtol=1e-12, atol=0)
@@ -460,13 +474,13 @@ def _oracle_graphs():
 def test_the_fixed_point_solve_equals_the_plain_cg_loop_bit_for_bit():
     for A, tol in _oracle_graphs():
         beta2 = default_beta2(A)
-        state = fixed_point(A, beta2, tol)
+        state = _fixed_point(A, beta2, tol, DEFAULT_MAX_K)
         S, k, history, _ = _reference_cg(A, beta2, tol, 100)
         assert np.array_equal(state.S, S)
         assert (state.k, state.converged) == (k, True)
         for max_k in (3, k - 1):
             with pytest.raises(NonConvergenceError) as info:
-                fixed_point(A, beta2, tol, max_k=max_k)
+                _fixed_point(A, beta2, tol, max_k)
             S, k_ref, history, _ = _reference_cg(A, beta2, tol, max_k)
             assert k_ref is None
             assert np.array_equal(info.value.state.S, S)
@@ -523,7 +537,7 @@ def test_fixed_point_true_residual_within_tol(tol):
     rng = np.random.default_rng(59)
     for _ in range(10):
         A = random_digraph(rng, n_max=12, n_min=3)
-        state = fixed_point(A, 0.95 / beta_bound(A), tol=tol)
+        state = _fixed_point(A, 0.95 / beta_bound(A), tol, DEFAULT_MAX_K)
         assert fixed_point_residual(A, state) <= tol
 
 
@@ -724,7 +738,7 @@ def test_divergence_outside_the_admissible_region():
     for _ in range(5):
         A = random_digraph(rng, n_max=10, n_min=4)
         rho = beta_bound(A)
-        good = fixed_point(A, 0.9 / rho, tol=1e-10)
+        good = fixed_point(A, 0.9 / rho)
         assert good.converged
         norms = [np.linalg.norm(iterate(A, 1.1 / rho, k).S) for k in (1, 50)]
         assert norms[1] > 10 * norms[0]
@@ -737,8 +751,8 @@ def test_divergence_outside_the_admissible_region():
 def test_scaled_iteration_with_unit_weights_matches_plain():
     A, _, _ = generate_structure("community", (3, 4))
     W = apply_rank_one_weights(A, np.ones(A.n))
-    plain = fixed_point(A, 0.01, tol=1e-12)
-    scaled = scaled_fixed_point(W, np.ones(A.n), 0.01, tol=1e-12)
+    plain = fixed_point(A, 0.01)
+    scaled = scaled_fixed_point(W, np.ones(A.n), 0.01)
     assert np.allclose(scaled.S, plain.S, rtol=1e-10)
 
 
@@ -775,15 +789,16 @@ def test_scaled_fixed_point_matches_deep_scaled_recurrence():
         assert np.linalg.norm(SD - deep) <= 1e-9 * np.linalg.norm(deep)
 
 
-def test_scaled_fixed_point_nonconvergence_carries_weighted_state():
+def test_scaled_fixed_point_nonconvergence_carries_weighted_state(monkeypatch):
     A = Adjacency.from_matrix(SLOW_CG)
     d = np.linspace(0.5, 2.0, A.n)
     W = apply_rank_one_weights(A, d)
     beta2 = 0.9 / beta_bound(A)
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     with pytest.raises(NonConvergenceError) as info:
-        scaled_fixed_point(W, d, beta2, tol=1e-15, max_k=3)
+        scaled_fixed_point(W, d, beta2)
     with pytest.raises(NonConvergenceError) as plain:
-        fixed_point(A, beta2, tol=1e-15, max_k=3)
+        fixed_point(A, beta2)
     assert info.value.state.k == 3
     assert len(info.value.history) == 3
     assert np.allclose(info.value.state.S,

@@ -274,20 +274,22 @@ def test_spectrum_report_applies_the_operator_on_the_quotient_only(monkeypatch, 
     assert report.sigma_S.size == 10 and not report.sigma_S[4:].any()
 
 
-def test_spectrum_report_nonconvergence_carries_the_last_iterate_on_the_nodes():
+def test_spectrum_report_nonconvergence_carries_the_last_iterate_on_the_nodes(monkeypatch):
     # two flipped edges leave 8 classes of 12 nodes; the solve runs on the
-    # quotient, and its last iterate is lifted to the nodes
+    # quotient, and its last iterate is lifted to the nodes.  On 8 classes
+    # beta_bound does not iterate, so only the solve meets the cap
     A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
     M = A.entries.copy()
     M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
     A = Adjacency.from_matrix(M)
     assert A.quotient.c == 8
     beta2 = default_beta2(A)
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     for got in (None, beta2):
         with pytest.raises(NonConvergenceError) as info:
-            spectrum_report(A, beta2=got, max_k=3)
+            spectrum_report(A, beta2=got)
         with pytest.raises(NonConvergenceError) as dense:
-            fixed_point(A, beta2, max_k=3)
+            fixed_point(A, beta2)
         state, want = info.value.state, dense.value.state
         assert state.S.shape == (A.n, A.n)
         # a default beta2 is resolved on the quotient: A's to rounding
