@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 input error (unreadable or malformed graph file),
 2 numerical non-convergence (a solve past ``DEFAULT_MAX_K`` steps: every
 command stops by the one rule of :mod:`rolekit.similarity`, which no flag
-sets), 3 invalid configuration.  All floating-point output is printed with
-9 significant digits; identical configuration and seed produce
-byte-identical output.
+sets), 3 invalid configuration (``--beta2``, ``--k`` and ``--trunc-tol``
+are checked before the graph is read).  All floating-point output is
+printed with 9 significant digits; identical configuration and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graphcore import (
     write_edge_list,
     write_ground_truth,
 )
-from .similarity import NonConvergenceError, beta_bound
+from .similarity import NonConvergenceError, _check_request, beta_bound
 from .spectra import PerturbationModel, SpectrumReport, perturb, spectrum_report
 
 EXIT_OK = 0
@@ -105,14 +106,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    A = read_edge_list(args.graph)
-    beta2 = _resolve_beta2(args.beta2)
-    result = extract_roles(
-        A,
-        beta2=beta2,
-        k=_depth(args),
-        trunc_tol=args.trunc_tol,
-    )
+    beta2, k = _resolve_beta2(args.beta2), _depth(args)
+    _check_request(beta2, k, args.trunc_tol)
+    result = extract_roles(read_edge_list(args.graph), beta2=beta2, k=k,
+                           trunc_tol=args.trunc_tol)
     text = json.dumps(_round_floats(result.to_json_dict()), sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -122,14 +119,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    A = read_edge_list(args.graph)
-    beta2 = _resolve_beta2(args.beta2)
-    report = spectrum_report(
-        A,
-        beta2=beta2,
-        k=_depth(args),
-        top_m=args.top,
-    )
+    beta2, k = _resolve_beta2(args.beta2), _depth(args)
+    _check_request(beta2, k)
+    report = spectrum_report(read_edge_list(args.graph), beta2=beta2, k=k, top_m=args.top)
     text = report.to_csv_text()
     if args.out:
         Path(args.out).write_text(text)

@@ -15,26 +15,26 @@ too: the nodes of one class have equal rows and columns of A, so the block
 sums are ``W_c^T A[first, first] W_c``, with ``W_c[a, role]`` the size of
 class a, and ``||A||^2`` sums ``s_a s_b A[first_a, first_b]^2``.  Once the
 quotient is built, extraction reads only the c x c entries ``A[first, first]``
-of the n x n matrix; the residual of a checkerboard signed graph is the one
-cost taken on the node graph.
+of the n x n matrix, on a checkerboard signed graph too, whose cost is that
+of |A|.
 
 One rule picks the model.  A model of cost 0 gives the nodes of one role
 equal rows and columns of A, so each of its roles is one class: on an ideal
 graph the classes are the roles, and the class partition is kept when it
-is exact with a compressive role count, without reading a row of the
-factor.  Otherwise extraction sweeps candidate role counts around the gap
-in the spectrum of S_k with a deterministic spherical k-means on the unit
-rows of the factor (Dhillon, Guan & Kulis, KDD 2004), run from a few
-seeds, and keeps the smallest count whose cost is within 5% of the best.
+is exact with a compressive role count, without computing any similarity.
+Otherwise extraction sweeps candidate role counts around the gap in the
+spectrum of S_k with a deterministic spherical k-means on the unit rows of
+a factor (Dhillon, Guan & Kulis, KDD 2004), run from a few seeds, and
+keeps the smallest count whose cost is within 5% of the best.
 
-The factor comes by one of two routes.  At a finite depth, on a quotient
-of more than 2b classes (a block of b = r + 8 columns for a rank r from 8),
-it is the thin similarity ``S_hat_k ~= X X^T`` of rank r
+Only the sweep builds a factor, by one of two routes.  At a finite depth,
+on a quotient of more than 2b classes (a block of b = r + 8 columns for a
+rank r from 8), it is the thin similarity ``S_hat_k ~= X X^T`` of rank r
 (:func:`rolekit.lowrank._thin_similarity`), at O(c^2 b) a product, and no
 c x c matrix is formed.  Otherwise (fewer classes, a start block of lower
-rank, or the fixed point) it is the stack ``F = [A_hat L, A_hat^T L]``,
-``S_hat_k = F F^T``, that :func:`rolekit.lowrank.lowrank_iterate`
-compresses, and no eigensolver runs unless the sweep does.
+rank, or the fixed point) it comes from the stack
+``F = [A_hat L, A_hat^T L]``, ``S_hat_k = F F^T``, that
+:func:`rolekit.lowrank.lowrank_iterate` compresses.
 Checkerboard signed graphs are extracted through |A|, with the signs
 reattached to the indicator matrix afterwards.  :func:`cluster_rows` groups
 the rows of a factor on the nodes greedily by angle; extraction reads no
@@ -329,8 +329,8 @@ def _gap_estimate(w: np.ndarray, c: int, trunc_tol: float) -> int:
 
 def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float):
     """The damping used, a factor X of ``S_hat_k ~= X X^T`` on the quotient
-    of A, and the spectrum the gap estimate reads (None on the exact route,
-    whose sigma(X)^2 only the sweep computes).
+    of A, and the descending spectrum of ``X X^T`` the gap estimate reads;
+    only the sweep calls it.
 
     At a finite depth, while the quotient has more than 2b classes,
     b = r + 8 for a rank r from 8, X is the thin similarity of rank r
@@ -341,9 +341,11 @@ def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float):
     r: the largest eigenvalue of an unsigned S stands far above the rest,
     so among r role values the only drop is the first, and q would read 1.
     Otherwise, on a rank-deficient thin start block and at the fixed
-    point, X is the stack of :func:`rolekit.lowrank._similarity_stack`.
-    ``beta2`` is resolved here on A at a finite depth, by the solve at the
-    fixed point.
+    point, X is the c x c triangle ``R^T`` of ``F^T = Q R`` for the stack F
+    of :func:`rolekit.lowrank._similarity_stack` (``R^T R = F F^T``: F's
+    row inner products at half its width), and the spectrum ``sigma(F)^2``.
+    ``beta2`` is resolved here on A at a finite depth, by the solve on
+    A_hat at the fixed point.
     """
     quotient = A.quotient
     if k is not None:
@@ -357,36 +359,33 @@ def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float):
                 return (beta2, *thin)
             rank *= 2
     F, state = _similarity_stack(A, beta2, k)
-    return (beta2 if state is None else state.beta2), F, None
+    X = np.linalg.qr(F.T, mode="r").T
+    return beta2 if state is None else state.beta2, X, np.linalg.eigvalsh(X @ X.T)[::-1]
 
 
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
                   trunc_tol: float = 1e-10) -> ExtractionResult:
-    """Full pipeline: compute the similarity, group nodes, rebuild B, score.
+    """Full pipeline: group nodes into roles, rebuild B, score.
 
-    The similarity S_k at depth ``k`` runs on the quotient by structural
-    equivalence; ``k=None`` takes its fixed point, solved by conjugate
-    gradients by the one stopping rule of
-    :func:`rolekit.similarity.fixed_point`, as ``spectrum_report`` does;
-    its :class:`rolekit.similarity.NonConvergenceError` carries the last
-    iterate as an n x n similarity state.  The request is checked
-    (:func:`rolekit.similarity._check_request`) before the graph is read,
-    and at every depth ``beta2`` (None for 0.81 / rho) is rejected at or
-    above the admissible bound ``1 / rho`` before the first step.  Nodes
-    are grouped by one rule, with nodes that have no edge left
-    unassigned.  The classes of structurally equivalent nodes are kept
-    when they reproduce the graph exactly with a compressive role count
-    (q at most half the assigned nodes), as on ideal graphs: an exact
-    model gives the nodes of one role equal rows and columns of A, so
-    no other model is exact.  Otherwise the sweep runs on the unit rows
-    of a factor X of S_k (:func:`_similarity_factor`, one route at every
-    depth): spherical k-means for role counts within 2 of the
-    spectral-gap estimate, each count seeded farthest-first from each of
-    the four classes with the largest diagonal entries ``|X_a|^2`` of S_k
-    and scored by its cheapest model, keeping the smallest count within
-    5% of the least cost.  The factor is computed before the rule, so
-    ``beta2`` and a :class:`rolekit.similarity.NonConvergenceError` do
-    not depend on which model is kept.
+    The request is checked (:func:`rolekit.similarity._check_request`)
+    before the graph is read, and ``beta2`` (None for 0.81 / rho) is
+    rejected at or above the admissible bound ``1 / rho`` before any
+    similarity step.  Nodes with no edge are left unassigned.  The classes
+    of structurally equivalent nodes are kept when they reproduce the
+    graph exactly with a compressive role count (q at most half the
+    assigned nodes), as on ideal graphs: an exact model gives the nodes of
+    one role equal rows and columns of A, so no other model is exact.
+    Such a model computes no similarity; only ``beta2`` is resolved, on A.
+    Otherwise the sweep runs on the unit rows of a factor X of the
+    similarity S_k at depth ``k`` on the quotient by structural
+    equivalence (:func:`_similarity_factor`); ``k=None`` takes its fixed
+    point, solved as :func:`rolekit.similarity.fixed_point` solves it,
+    whose :class:`rolekit.similarity.NonConvergenceError` carries the last
+    iterate as an n x n similarity state.  The sweep runs spherical
+    k-means for role counts within 2 of the spectral-gap estimate, each
+    count seeded farthest-first from each of the four classes with the
+    largest diagonal entries ``|X_a|^2`` of S_k and scored by its cheapest
+    model, keeping the smallest count within 5% of the least cost.
     ``params`` records which of the two gave the result (``method``:
     ``greedy`` for the classes, ``sweep``) and the two constants
     ``angle_tol`` (the default tolerance of :func:`cluster_rows`) and
@@ -395,9 +394,9 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     the spectrum of S_k (see :func:`_gap_estimate`), which leaves out the
     values below ``trunc_tol**2`` times the largest.
 
-    Signed graphs with a checkerboard signature are extracted through |A|;
-    the signs are reattached to the indicator matrix and the residual is
-    computed against the signed graph.
+    Signed graphs with a checkerboard signature D are extracted through
+    |A|, with the signs reattached to the indicator matrix; since
+    ``A = D |A| D``, the residual on |A| is the one on A.
     """
     _check_request(beta2, k, trunc_tol)
     A = as_adjacency(A)
@@ -410,7 +409,6 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     quotient = work.quotient
     if not quotient.entries.any():
         raise ValueError("cannot extract roles from an empty graph")
-    beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol)
     # the classes with an edge: S_aa = 0 only on the others, whose nodes
     # are left unassigned
     edges = quotient.entries != 0.0
@@ -436,13 +434,11 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         if cost == 0.0:
             chosen = (classes, B, 0.0)
 
-    if chosen is None:
+    if chosen is not None:   # an exact model reads no similarity
+        beta2 = resolve_beta2(work, beta2)[0]
+    else:
         method = "sweep"
-        if w is None:
-            # the exact route's F is c x 2c; the triangle R of F^T = Q R has
-            # R^T R = F F^T, so R^T has F's row inner products at half the width
-            X = np.linalg.qr(X.T, mode="r").T
-            w = np.linalg.eigvalsh(X @ X.T)[::-1]
+        beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol)
         q_guess = _gap_estimate(w, quotient.c, trunc_tol)
         # k-means runs on the classes ranked by S_aa = |X_a|^2, largest
         # first, so its ties go to the larger S_aa and not to the earlier node
@@ -467,10 +463,8 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
 
     sigma, B, residual = chosen
     B, assignment = _merge_equivalent_roles(B, Assignment(sigma[quotient.labels]))
-
     if signature is not None:
         assignment = Assignment(assignment.sigma, signs=signature.diag.copy())
-        residual = extraction_cost(A, assignment, B)
 
     params = {
         "beta2": float(beta2),

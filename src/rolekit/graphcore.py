@@ -29,7 +29,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -80,32 +80,25 @@ class Adjacency:
     """Square real matrix of a directed graph plus a value-range tag.
 
     ``kind`` is one of ``"unweighted"`` (entries in {0,1}), ``"signed"``
-    (entries in {-1,0,1}) or ``"weighted"`` (arbitrary reals).  It defaults
-    to the narrowest kind that fits the values, found in one pass over
-    blocks of 256 rows; an explicit kind is checked with that same pass.
-    :func:`read_edge_list` skips the pass: it knows the kind from the
-    weights it parsed, and builds through :meth:`_of_kind`.
+    (entries in {-1,0,1}) or ``"weighted"`` (arbitrary reals): the
+    narrowest kind that fits the values, found in one pass over blocks of
+    256 rows.  :func:`read_edge_list` skips the pass: it knows the kind
+    from the weights it parsed, and builds through :meth:`_of_kind`.
     """
 
     entries: np.ndarray
-    kind: str | None = None
+    kind: str = field(init=False)
 
     def __post_init__(self):
         M = np.asarray(self.entries, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("adjacency matrix must be square")
         object.__setattr__(self, "entries", M)
-        if self.kind not in (None, *_KINDS):
-            raise ValueError(f"unknown adjacency kind: {self.kind!r}")
         # no temporary is larger than a block of 256 rows of M
         narrowest = 0
         for lo in range(0, M.shape[0], 256):
             narrowest = _narrowest_kind(M[lo:lo + 256], narrowest)
-        if self.kind is None:
-            object.__setattr__(self, "kind", _KINDS[narrowest])
-        elif _KINDS.index(self.kind) < narrowest:
-            values = ", ".join(f"{v:g}" for v in _KIND_VALUES[_KINDS.index(self.kind)])
-            raise ValueError(f"{self.kind} adjacency entries must lie in {{{values}}}")
+        object.__setattr__(self, "kind", _KINDS[narrowest])
 
     @classmethod
     def _of_kind(cls, M: np.ndarray, kind: str) -> "Adjacency":

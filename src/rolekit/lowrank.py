@@ -6,8 +6,7 @@ Since ``S_k = G[X]`` with ``X = I + beta^2 S_{k-1}`` (``X = I`` at k = 1) and
     S_k = F F^T,   F = [ A L   A^T L ].
 
 :func:`_similarity_stack` builds F on the quotient, for
-:func:`lowrank_iterate` and for extraction's exact route, which groups the
-rows of F itself.  The thin factor U of :func:`lowrank_iterate` is the
+:func:`lowrank_iterate` and for the dense route of extraction's sweep.  The thin factor U of :func:`lowrank_iterate` is the
 compression of F: orthogonalization followed by an SVD, discarding singular
 values below ``trunc_tol`` times the largest, once.  F is factored, not
 S_k, whose small eigenvalues are the squares of F's singular values and

@@ -231,9 +231,11 @@ def beta_bound(A) -> float:
       estimate by about its square over the relative spectral gap.  When
       it exceeds 1e-6 and has not halved since the step before, r doubles.
     - Dense, once r has doubled to 2r >= c: the dense c x c iterate from
-      ``I_c / sqrt(n)``, the projection of ``I / sqrt(n)``, at O(c^3) a
-      step, updated in place by :func:`_gamma_into` with two c x c buffers
-      allocated once.
+      the unit ``I_c / sqrt(c)``, at O(c^3) a step, updated in place by
+      :func:`_gamma_into` with two c x c buffers allocated once.
+
+    No regime reads n, so on a graph with entries in {-1, 0, 1} (whose A_hat
+    has no two equivalent classes) rho on A is rho on A_hat, bit for bit.
 
     After ``DEFAULT_MAX_K`` steps in all (read at call time),
     :class:`NonConvergenceError` carries the last estimate and, from the
@@ -272,7 +274,7 @@ def beta_bound(A) -> float:
             rank *= 2
         V = U[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
         estimate, last_discarded = norm, discarded
-    X = np.eye(quotient.c) / np.sqrt(A.n)
+    X = np.eye(quotient.c) / np.sqrt(quotient.c)
     work = np.empty((2, quotient.c, quotient.c))
     last = 0.0
     while steps < DEFAULT_MAX_K:

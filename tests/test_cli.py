@@ -515,8 +515,9 @@ def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, so
 
 
 def test_beta2_is_resolved_once_per_call_at_every_depth(small_graph, solver_calls):
-    # one beta_bound per call: on A at a finite depth, k = 1 included, and by
-    # the solve on A_hat at the fixed point.  The noisy cycle has c = 48, so
+    # one beta_bound per call: on A at a finite depth, k = 1 included, and
+    # for an exact model at the fixed point too; by the solve on A_hat for
+    # any other solve at the fixed point.  The noisy cycle has c = 48, so
     # extraction takes the thin route at a finite depth
     A, _ = small_graph
     ideal = generate_structure("block_cycle", (12, 12, 12, 12))[0]
@@ -618,21 +619,41 @@ def test_a_bad_request_is_rejected_before_the_graph_is_read(bad, error, match,
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
-def test_k_must_be_positive(value, small_graph, capsys, solver_calls):
+def test_k_must_be_positive(value, small_graph, tmp_path, capsys, solver_calls):
+    # the flag is checked before the graph is read: exit 3 on a missing file
     A, path = small_graph
     for call in (extract_roles, spectrum_report):
         with pytest.raises(ValueError, match="depth k"):
             call(A, k=int(value))
-    assert_config_error(capsys, "extract", path, f"--k={value}")
-    assert_config_error(capsys, "spectrum", path, f"--k={value}")
+    for graph in (path, str(tmp_path / "missing.tsv")):
+        assert_config_error(capsys, "extract", graph, f"--k={value}")
+        assert_config_error(capsys, "spectrum", graph, f"--k={value}")
     assert solver_calls == []
 
 
 @pytest.mark.parametrize("value", ["nan", "0", "1", "-1e-3"])
-def test_trunc_tol_must_lie_strictly_between_0_and_1(value, small_graph, capsys,
+def test_trunc_tol_must_lie_strictly_between_0_and_1(value, small_graph, tmp_path, capsys,
                                                      solver_calls):
     A, path = small_graph
     with pytest.raises(ValueError, match="trunc_tol"):
         extract_roles(A, trunc_tol=float(value))
-    assert_config_error(capsys, "extract", path, f"--trunc-tol={value}")
+    for graph in (path, str(tmp_path / "missing.tsv")):
+        assert_config_error(capsys, "extract", graph, f"--trunc-tol={value}")
     assert solver_calls == []
+
+
+@pytest.mark.parametrize("argv, match", [
+    (("generate", "--kind", "block_cycle", "--sizes", "5,x"), "could not parse sizes"),
+    (("generate", "--kind", "block_cycle", "--sizes", ","), "at least one role size"),
+    (("extract", "missing.tsv", "--beta2", "abc"), "--beta2 must be a number"),
+    (("spectrum", "missing.tsv", "--beta2", "abc"), "--beta2 must be a number"),
+], ids=["sizes=5,x", "sizes=,", "extract-beta2=abc", "spectrum-beta2=abc"])
+def test_an_unparsable_flag_value_is_a_configuration_error(argv, match, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "x.tsv"
+    extra = ("--out", str(out)) if argv[0] == "generate" else ()
+    code, stdout, err = run(capsys, *argv, *extra)
+    assert (code, stdout) == (3, "")
+    assert match in err
+    assert not out.exists() and not out.with_suffix(".truth.json").exists()

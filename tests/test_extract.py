@@ -563,6 +563,15 @@ def _spherical_kmeans_on_rows(U, q):
     return canonicalize(Assignment(labels))[0]
 
 
+def test_spherical_kmeans_reseeds_an_empty_cluster():
+    # rows in 2 directions at q = 3: the third seed repeats the first, its
+    # cluster is left empty and is reseeded, so every cluster keeps a row
+    R = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 2)
+    labels = _spherical_kmeans(R, np.ones(5), 3, 0)
+    assert sorted(set(labels.tolist())) == [0, 1, 2]
+    assert len(set(labels[:3].tolist()) & set(labels[3:].tolist())) == 0
+
+
 def _noisy_graphs():
     rng = np.random.default_rng(41)
     for kind, sizes, p in [("block_cycle", (15, 15, 15, 15), 0.1),
@@ -815,10 +824,35 @@ def test_the_gap_estimate_equals_the_one_from_the_factor(k, monkeypatch):
         assert estimates == [want]
 
 
+@pytest.mark.parametrize("k", [1, 6, None])
+def test_the_signed_residual_is_the_cost_on_the_signed_graph(k):
+    # A = D |A| D for the checkerboard signature D, so the cost that
+    # extraction takes on |A| is the signed model's cost on A, on flipped
+    # graphs too, whose model is not exact
+    rng = np.random.default_rng(23)
+    residuals = []
+    for kind, sizes in [("block_cycle", (12, 10, 9, 11)), ("community", (8, 10, 9)),
+                        ("bipartite_communities", (6, 8, 7, 5))]:
+        n = sum(sizes)
+        A, _, _ = generate_structure(kind, sizes, perm=rng.permutation(n))
+        for p in (0.02, 0.1, 0.2):
+            flipped = perturb(A, PerturbationModel(p_in=p, p_out=p, seed=n)).entries
+            d = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            signed = Adjacency.from_matrix(d[:, None] * flipped * d[None, :])
+            assert signed.kind == "signed"
+            result = extract_roles(signed, k=k, trunc_tol=1e-3)
+            assert result.assignment.signs is not None
+            assert result.residual == extraction_cost(signed, result.assignment, result.B)
+            residuals.append(result.residual)
+    assert min(residuals[:6]) > 0.0   # the block cycle and communities are not exact
+
+
 def test_ideal_extraction_calls_no_eigensolver(monkeypatch):
-    # on ideal graphs the class partition is kept, so the exact route reads
-    # no spectrum of [A_hat L, A_hat^T L].  beta_bound, which reads rho off
-    # the Kronecker sum of a small quotient, is the one eigensolver call
+    # on ideal graphs the class partition is kept before any similarity is
+    # computed: no factor, no recurrence on the quotient, no thin route and
+    # no fixed-point solve, at a finite depth, k = 1 and the fixed point
+    # alike.  beta_bound, which reads rho off the Kronecker sum of a small
+    # quotient, is the one eigensolver call
     inside = []
 
     def forbidding(f):
@@ -835,17 +869,46 @@ def test_ideal_extraction_calls_no_eigensolver(monkeypatch):
         finally:
             inside.pop()
 
+    def never(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} ran for an exact model")
+        return call
+
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidding(getattr(np.linalg, name)))
     monkeypatch.setattr(similarity, "beta_bound", bound)
+    for module, name in [(extract, "_similarity_factor"), (extract, "_thin_similarity"),
+                         (lowrank, "_thin_similarity"), (lowrank, "_quotient_similarity"),
+                         (similarity, "_quotient_similarity"), (similarity, "_fixed_point")]:
+        monkeypatch.setattr(module, name, never(name))
     for kind, sizes in [("block_cycle", (20, 10, 10, 20)), ("community", (5, 6, 4)),
-                        ("bipartite_communities", (4, 6, 5, 3))]:
+                        ("bipartite_communities", (4, 6, 5, 3)), ("signed_example", None)]:
         A, B, truth = generate_structure(kind, sizes)
         for k in (1, 6, None):
             result = extract_roles(A, k=k)
             assert result.params["method"] == "greedy"
             assert result.residual == 0.0
             assert same_partition_and_B(result, B, truth)
+
+
+def test_beta2_is_one_value_at_every_depth():
+    # an exact model resolves beta2 on A, at the fixed point too, and a
+    # sweep there resolves it by the solve on A_hat: beta_bound reads no n,
+    # so the two agree bit for bit, also where it iterates densely (random
+    # role matrices on 19 to 23 classes of 2 or 3 nodes, past the factored
+    # rank of 16)
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        c = int(rng.integers(17, 24))
+        M = (rng.random((c, c)) < 0.3).astype(float)
+        labels = rng.permutation(np.repeat(np.arange(c), rng.integers(2, 4, size=c)))
+        A = Adjacency.from_matrix(M[np.ix_(labels, labels)])
+        assert A.quotient.c == c
+        on_quotient = fixed_point(similarity._quotient_graph(A)).beta2
+        for k in (1, 6, None):
+            result = extract_roles(A, k=k)
+            assert result.params["method"] == "greedy"
+            assert result.params["beta2"] == on_quotient == default_beta2(A)
 
 
 def test_params_record_the_two_constants_that_are_no_arguments():

@@ -453,6 +453,14 @@ def test_the_reader_kind_is_the_kind_of_its_matrix(tmp_path_factory, weights, da
     assert A.kind == Adjacency.from_matrix(A.entries).kind
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_edge_list_declared_count_must_exceed_every_id(tmp_path, n):
+    path = tmp_path / "g.tsv"
+    path.write_text("0\t1\n3\t0\n")
+    with pytest.raises(EdgeListFormatError, match=f"node id 3 exceeds declared count {n}"):
+        read_edge_list(path, n=n)
+
+
 def test_edge_list_node_limit_applies_to_a_declared_count(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("0\t1\n")

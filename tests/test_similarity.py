@@ -121,13 +121,14 @@ def test_beta_bound_matches_kronecker_oracle_random():
 
 
 def dense_beta_bound(A) -> float:
-    """The dense power iteration beta_bound ran before its factored regime:
-    on the quotient, from I_c / sqrt(n), until the estimate settles.  It
-    is also the loop of beta_bound's exact regime before that regime
-    applied G through _gamma_into, written as that loop was."""
+    """The dense power iteration beta_bound ran before its factored regime,
+    on the quotient until the estimate settles, from the unit I_c / sqrt(c)
+    that beta_bound's dense regime starts from.  It is also the loop of
+    that regime before it applied G through _gamma_into, written as that
+    loop was."""
     quotient = A.quotient
     M = quotient.entries
-    X = np.eye(quotient.c) / np.sqrt(A.n)
+    X = np.eye(quotient.c) / np.sqrt(quotient.c)
     estimate = 0.0
     for _ in range(10000):
         Y = M @ X @ M.T + M.T @ X @ M
@@ -202,6 +203,26 @@ def test_beta_bound_exact_regime_is_the_old_loop_bit_for_bit(monkeypatch):
     assert beta_bound(A) == dense_beta_bound(A)
     assert set(applied) == {((c, c), True, (2, c, c))}
     assert (c, len(applied)) == (17, 13)   # 2r = 16 < c at the start
+
+
+def test_beta_bound_on_a_graph_is_beta_bound_on_its_quotient_graph():
+    # no regime reads n, so rho on A and on the quotient graph A_hat agree
+    # bit for bit: in the dense regime (c = 17 to 20 after the rank doubles
+    # to 16), the factored one (c = 40) and the Kronecker one (c <= 16), on
+    # graphs with equivalent nodes (c < n), unsigned and signed alike
+    rng = np.random.default_rng(5)
+    for c in (9, 17, 18, 20, 40):
+        for signed in (False, True):
+            M = (rng.random((c, c)) < 0.3).astype(float)
+            if signed:
+                d = _signs(c, c)
+                M = d[:, None] * M * d[None, :]
+            labels = rng.permutation(np.concatenate([np.arange(c), rng.integers(0, c, 7)]))
+            A = Adjacency.from_matrix(M[np.ix_(labels, labels)])
+            assert A.quotient.c == c < A.n
+            on_quotient = beta_bound(similarity._quotient_graph(A))
+            assert beta_bound(A) == on_quotient
+            assert on_quotient == pytest.approx(dense_beta_bound(A), rel=1e-9)
 
 
 def test_beta_bound_matches_kronecker_oracle_past_the_exact_switch():
