@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 input error (unreadable or malformed graph file),
 2 numerical non-convergence (a solve past ``DEFAULT_MAX_K`` steps: every
 command stops by the one rule of :mod:`rolekit.similarity`, which no flag
-sets), 3 invalid configuration (``--beta2``, ``--k`` and ``--trunc-tol``
-are checked before the graph is read).  All floating-point output is
-printed with 9 significant digits; identical configuration and seed
+sets), 3 invalid configuration (``--beta2``, ``--k``, ``--trunc-tol`` and
+``--top`` are checked before the graph is read).  All floating-point output
+is printed with 9 significant digits; identical configuration and seed
 produce byte-identical output.
 """
 
@@ -121,6 +121,8 @@ def cmd_extract(args) -> int:
 def cmd_spectrum(args) -> int:
     beta2, k = _resolve_beta2(args.beta2), _depth(args)
     _check_request(beta2, k)
+    if args.top < 1:
+        raise ValueError("--top must be at least 1")
     report = spectrum_report(read_edge_list(args.graph), beta2=beta2, k=k, top_m=args.top)
     text = report.to_csv_text()
     if args.out:

@@ -349,7 +349,7 @@ def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float):
     """
     quotient = A.quotient
     if k is not None:
-        beta2 = resolve_beta2(A, beta2)[0]
+        beta2 = resolve_beta2(A, beta2)
         rank = _START_RANK
         while quotient.c > 2 * (rank + _OVERSAMPLE):
             thin = _thin_similarity(quotient.entries, quotient.sizes, beta2, k, rank)
@@ -435,7 +435,7 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
             chosen = (classes, B, 0.0)
 
     if chosen is not None:   # an exact model reads no similarity
-        beta2 = resolve_beta2(work, beta2)[0]
+        beta2 = resolve_beta2(work, beta2)
     else:
         method = "sweep"
         beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol)

@@ -6,12 +6,13 @@ Since ``S_k = G[X]`` with ``X = I + beta^2 S_{k-1}`` (``X = I`` at k = 1) and
     S_k = F F^T,   F = [ A L   A^T L ].
 
 :func:`_similarity_stack` builds F on the quotient, for
-:func:`lowrank_iterate` and for the dense route of extraction's sweep.  The thin factor U of :func:`lowrank_iterate` is the
-compression of F: orthogonalization followed by an SVD, discarding singular
-values below ``trunc_tol`` times the largest, once.  F is factored, not
-S_k, whose small eigenvalues are the squares of F's singular values and
-lose half their digits.  U is a library output, with the same beta^2 rule,
-tolerance and non-convergence state as every command;
+:func:`lowrank_iterate` and for the dense route of extraction's sweep.  The
+thin factor U of :func:`lowrank_iterate` is the compression of F
+(:func:`_compress`): orthogonalization followed by an SVD, discarding
+singular values below ``trunc_tol`` times the largest, once.  F is
+factored, not S_k, whose small eigenvalues are the squares of F's singular
+values and lose half their digits.  U is a library output, with the same
+beta^2 rule, tolerance and non-convergence state as every command;
 :func:`rolekit.extract.cluster_rows` groups its rows greedily by angle.
 :func:`estimate_rank` reads a role count off a descending spectrum and
 serves both extraction and the spectrum report.
@@ -30,9 +31,10 @@ the singular values of U are exactly those of S_k^(1/2).
 Role extraction at a finite depth on more than 32 classes uses the thin
 similarity instead (:func:`_thin_similarity`): the recurrence itself runs
 on a factor of fixed rank r, ``S_k ~= X X^T``, by subspace iteration at
-O(c^2 (r + 8)) a product, so no c x c iterate is formed.  On noisy graphs
-only the dominant eigenspace of S_k carries the roles, and the rank follows
-the gap estimate (see :func:`rolekit.extract.extract_roles`).
+O(c^2 (r + 8)) a product, so no c x c iterate is formed.  It starts from
+:func:`rolekit.similarity._start_block`, the start of ``beta_bound`` too.
+On noisy graphs only the dominant eigenspace of S_k carries the roles, and
+the rank follows the gap estimate (see :func:`rolekit.extract.extract_roles`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import as_adjacency
-from .similarity import _check_request, _compress, _quotient_similarity, _sym, resolve_beta2
+from .similarity import (_check_request, _quotient_similarity, _ritz, _start_block, _sym,
+                         resolve_beta2)
 
 #: the ratio of consecutive singular values below which :func:`estimate_rank`
 #: declares a gap: the one ratio of extraction and the spectrum report
@@ -50,9 +53,6 @@ DEFAULT_GAP_RATIO = 0.5
 
 #: the thin similarity keeps a block this many columns wider than its rank
 _OVERSAMPLE = 8
-#: a start column left with at most this fraction of its norm once the
-#: columns before it are projected out makes the start block rank-deficient
-_DEPENDENT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,7 @@ def lowrank_iterate(A, beta2: float | None = None, k: int | None = None,
     _check_request(beta2, k, trunc_tol)
     A = as_adjacency(A)
     if k is not None:
-        beta2 = resolve_beta2(A, beta2)[0]
+        beta2 = resolve_beta2(A, beta2)
     F, state = _similarity_stack(A, beta2, k)
     U, sigma = _compress(F, trunc_tol)
     return LowRankState(U=A.quotient.lift(U), k=state.k if k is None else k,
@@ -119,6 +119,26 @@ def _similarity_stack(A, beta2: float | None, k: int | None):
         state = _quotient_similarity(A, beta2, None if k is None else k - 1)
         L = np.linalg.cholesky(L + state.beta2 * state.S)
     return np.hstack([M @ L, M.T @ L]), state
+
+
+def _compress(F: np.ndarray, trunc_tol: float):
+    """Orthogonalize-then-SVD compression of a stacked factor, for
+    :func:`lowrank_iterate` only.
+
+    Returns (U, s) with U U^T ~= F F^T, s the kept singular values of F
+    (those at least ``trunc_tol`` times the largest) and U / s orthonormal.
+    F is reduced to L = R^T from the QR factorization F^T = Q R, since
+    F F^T = L L^T: the left singular factor and singular values of F are
+    those of L, and no Q is formed.  For the wide m x 2m stack of
+    :func:`_similarity_stack` L is an m x m triangle; for a tall m x w one
+    it is m x w, at O(m w^2).
+    """
+    L = np.linalg.qr(F.T, mode="r").T
+    W, s, _ = np.linalg.svd(L, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((F.shape[0], 0)), s[:0]
+    keep = s >= trunc_tol * s[0]
+    return W[:, keep] * s[keep], s[keep]
 
 
 def estimate_rank(sigma, gap_ratio: float) -> int:
@@ -146,34 +166,6 @@ def estimate_rank(sigma, gap_ratio: float) -> int:
         if ratio < gap_ratio:
             best = r
     return best if best is not None else sig.size
-
-
-def _start_block(M: np.ndarray, v: np.ndarray, width: int) -> np.ndarray | None:
-    """An orthonormal c x ``width`` basis of the block Krylov space of
-    ``G[I] = M M^T + M^T M`` grown from ``[M v, M^T v]``, or None when that
-    space has a lower dimension (numerically: a column keeps at most
-    ``_DEPENDENT_TOL`` of its norm after Gram-Schmidt against the ones
-    before it, run twice).  With v the square roots of the class sizes,
-    ``M v`` and ``M^T v`` are the out- and in-degrees of the classes
-    scaled to the quotient, so the block depends on no node order."""
-    basis = np.empty((M.shape[0], width))
-    front = np.column_stack([M @ v, M.T @ v])
-    j = 0
-    while True:
-        for y in front.T:
-            size = np.linalg.norm(y)
-            Q = basis[:, :j]
-            y = y - Q @ (Q.T @ y)
-            y -= Q @ (Q.T @ y)
-            norm = np.linalg.norm(y)
-            if not norm > _DEPENDENT_TOL * size:
-                return None
-            basis[:, j] = y / norm
-            j += 1
-            if j == width:
-                return basis
-        P = basis[:, j - 2:j]
-        front = M @ (M.T @ P) + M.T @ (M @ P)
 
 
 def _thin_similarity(M: np.ndarray, sizes: np.ndarray, beta2: float, k: int,
@@ -215,8 +207,8 @@ def _thin_similarity(M: np.ndarray, sizes: np.ndarray, beta2: float, k: int,
     for _ in range(k):
         V = np.linalg.qr(apply(np.linalg.qr(Y)[0])[0])[0]
         Y, MV, MtV = apply(V)
-        theta, W = np.linalg.eigh(_sym(V.T @ Y))
-        theta = np.maximum(theta[::-1], 0.0)
-        W = W[:, ::-1][:, :rank] * np.sqrt(theta[:rank])
+        theta, W = _ritz(_sym(V.T @ Y))
+        theta = np.maximum(theta, 0.0)
+        W = W[:, :rank] * np.sqrt(theta[:rank])
         F = np.hstack([MV @ W, MtV @ W])
     return V @ W, theta

@@ -14,11 +14,11 @@ where ``G[X] = A X A^T + A^T X A``.  The recurrence converges if and only if
 spectral radius is exposed as :func:`beta_bound`.  ``G`` maps positive
 semi-definite matrices to positive semi-definite ones, so the radius is its
 largest eigenvalue.  On at most 16 classes it is read off the Kronecker sum
-directly; otherwise it is found by a power iteration on ``G``.  Where the
-dominant eigenvector is numerically low-rank (as on noisy block cycles) the
-iterate is kept as a thin factor ``V V^T`` of rank r, at O(n^2 r) a step, its
-eigenvalues read off a 2r x 2r Gram matrix; otherwise the iteration runs on
-dense n x n iterates at O(n^3) a step.
+directly; otherwise it is found by a power iteration on ``G``, as a thin
+factor ``V V^T`` of rank r at O(n^2 r) a step, or on dense n x n iterates at
+O(n^3) a step.  The factor starts from :func:`_start_block` grown from the
+class degrees, as the thin similarity's start is, so no node order enters;
+a rank-deficient start (all degrees equal) goes dense.
 
 Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
 The limit (:func:`fixed_point`) is found instead by solving the linear system
@@ -70,6 +70,9 @@ DEFAULT_MAX_K = 10000
 _TOL = 1e-10
 _DISCARD_TOL = 1e-6
 _START_RANK = 8
+#: a start column left with at most this fraction of its norm once the
+#: columns before it are projected out makes the start block rank-deficient
+_DEPENDENT_TOL = 1e-8
 
 
 class NonConvergenceError(RuntimeError):
@@ -162,37 +165,41 @@ def _gamma_of_identity(A: Adjacency) -> np.ndarray:
     return M @ M.T + M.T @ M
 
 
-def _compress(F: np.ndarray, trunc_tol: float):
-    """Orthogonalize-then-SVD compression of a stacked factor.
-
-    Returns (U, s) with U U^T ~= F F^T, s the kept singular values of F
-    (those at least ``trunc_tol`` times the largest) and U / s orthonormal.
-    F is reduced to L = R^T from the QR factorization F^T = Q R, since
-    F F^T = L L^T: the left singular factor and singular values of F are
-    those of L, and no Q is formed.  For a wide m x w stack, as
-    ``lowrank_iterate`` (from ``lowrank._similarity_stack``) and the start
-    of :func:`beta_bound` compress, L is an m x m triangle; for a tall one
-    it is m x w and the compression costs O(m w^2).
-    """
-    L = np.linalg.qr(F.T, mode="r").T
-    W, s, _ = np.linalg.svd(L, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((F.shape[0], 0)), s[:0]
-    keep = s >= trunc_tol * s[0]
-    return W[:, keep] * s[keep], s[keep]
-
-
-def _ritz(V: np.ndarray, T: np.ndarray):
-    """The eigenvalues of the small symmetric matrix T, largest first, and
-    ``V W`` for its eigenvectors W in the same order.
-
-    With ``T = V^T V`` the values are those of ``V V^T`` and the columns of
-    ``V W`` are its orthogonal eigenvectors, of norms the square roots of
-    the values: a thin factor of ``V V^T``, from an eigenproblem as wide as
-    V.
-    """
+def _ritz(T: np.ndarray):
+    """The eigenvalues and orthonormal eigenvectors W of the small symmetric
+    matrix T, largest first: for ``T = F^T F`` the eigenvalues of ``F F^T``
+    with its eigenvectors ``F W``, for ``T = V^T Y`` the Rayleigh-Ritz pairs
+    of the operator that took V to Y."""
     w, W = np.linalg.eigh(T)
-    return w[::-1], V @ W[:, ::-1]
+    return w[::-1], W[:, ::-1]
+
+
+def _start_block(M: np.ndarray, v: np.ndarray, width: int) -> np.ndarray | None:
+    """An orthonormal c x ``width`` basis of the block Krylov space of
+    ``G[I] = M M^T + M^T M`` grown from ``[M v, M^T v]``, or None when that
+    space has a lower dimension (numerically: a column keeps at most
+    ``_DEPENDENT_TOL`` of its norm after Gram-Schmidt against the ones
+    before it, run twice), as when all degrees are equal.  With v = 1
+    (:func:`beta_bound`) or the square roots of the class sizes (the thin
+    similarity), ``M v`` and ``M^T v`` are degrees: no node order enters."""
+    basis = np.empty((M.shape[0], width))
+    front = np.column_stack([M @ v, M.T @ v])
+    j = 0
+    while True:
+        for y in front.T:
+            size = np.linalg.norm(y)
+            Q = basis[:, :j]
+            y = y - Q @ (Q.T @ y)
+            y -= Q @ (Q.T @ y)
+            norm = np.linalg.norm(y)
+            if not norm > _DEPENDENT_TOL * size:
+                return None
+            basis[:, j] = y / norm
+            j += 1
+            if j == width:
+                return basis
+        P = basis[:, j - 2:j]
+        front = M @ (M.T @ P) + M.T @ (M @ P)
 
 
 def beta_bound(A) -> float:
@@ -221,21 +228,22 @@ def beta_bound(A) -> float:
       ``F = [A_hat V, A_hat^T V]``, a step costs O(c^2 r): form F, take the
       eigenvalues of ``F F^T`` and its eigenvectors ``F W`` from the
       2r x 2r Gram matrix ``F^T F = W diag(w) W^T`` (:func:`_ritz`), and
-      keep the top r.  The start is the rank-r
-      projection of ``G[I]`` on the range of ``G[I] Omega`` for a fixed
-      Gaussian c x r matrix Omega (a randomized range finder).  For all
-      Omega outside a set of measure zero this start overlaps the positive
-      semi-definite eigenvector of rho.  The part of ``G[X]`` a step
-      discards, relative in Frobenius norm, is the floor the truncation
-      puts under the residual ``||G[X] - rho_hat X||``; it moves the
-      estimate by about its square over the relative spectral gap.  When
-      it exceeds 1e-6 and has not halved since the step before, r doubles.
-    - Dense, once r has doubled to 2r >= c: the dense c x c iterate from
-      the unit ``I_c / sqrt(c)``, at O(c^3) a step, updated in place by
-      :func:`_gamma_into` with two c x c buffers allocated once.
+      keep the top r.  It starts from the unit projector ``V V^T / sqrt(8)``
+      onto the c x 8 block V of :func:`_start_block` grown from the class
+      degrees ``[A_hat 1, A_hat^T 1]``, as the thin similarity does.  The
+      part of ``G[X]`` a step discards, relative in Frobenius norm, is the
+      floor the truncation puts under the residual ``||G[X] - rho_hat X||``;
+      it moves the estimate by about its square over the relative spectral
+      gap.  When it exceeds 1e-6 and has not halved since the step before,
+      r doubles.
+    - Dense, once r has doubled to 2r >= c, or from the first step when
+      that block is rank-deficient (all degrees equal): the c x c iterate
+      from the unit ``I_c / sqrt(c)``, at O(c^3) a step, updated in place
+      by :func:`_gamma_into` with two c x c buffers allocated once.
 
-    No regime reads n, so on a graph with entries in {-1, 0, 1} (whose A_hat
-    has no two equivalent classes) rho on A is rho on A_hat, bit for bit.
+    No regime reads n or the node order, so on a graph with entries in
+    {-1, 0, 1} (whose A_hat has no two equivalent classes) rho on A is rho
+    on A_hat, bit for bit.
 
     After ``DEFAULT_MAX_K`` steps in all (read at call time),
     :class:`NonConvergenceError` carries the last estimate and, from the
@@ -255,15 +263,14 @@ def beta_bound(A) -> float:
     history = []
     estimate = 0.0
     steps = 0
-    omega = np.random.default_rng(0).standard_normal((quotient.c, rank))
-    Q = np.linalg.qr(M @ (M.T @ omega) + M.T @ (M @ omega))[0]
-    U, s = _compress(np.hstack([Q.T @ M, Q.T @ M.T]), 0.0)
-    V = Q @ U / np.sqrt(np.linalg.norm(s**2))
+    V = _start_block(M, np.ones(quotient.c), rank)   # None: all degrees equal
+    if V is not None:
+        V /= rank ** 0.25   # V V^T of unit Frobenius norm
     last_discarded = np.inf
-    while 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
+    while V is not None and 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
         steps += 1
         F = np.hstack([M @ V, M.T @ V])   # G[V V^T] = F F^T
-        power, U = _ritz(F, F.T @ F)
+        power, W = _ritz(F.T @ F)
         norm = float(np.linalg.norm(power))
         if estimate > 0.0:
             history.append(abs(norm - estimate) / estimate)
@@ -272,7 +279,7 @@ def beta_bound(A) -> float:
         discarded = float(np.linalg.norm(power[rank:])) / norm
         if discarded > _DISCARD_TOL and 2.0 * discarded > last_discarded:
             rank *= 2
-        V = U[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
+        V = F @ W[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
         estimate, last_discarded = norm, discarded
     X = np.eye(quotient.c) / np.sqrt(quotient.c)
     work = np.empty((2, quotient.c, quotient.c))
@@ -310,27 +317,25 @@ def _check_request(beta2: float | None, k: int | None = 1,
         raise ValueError("trunc_tol must lie strictly between 0 and 1")
 
 
-def resolve_beta2(A, beta2: float | None) -> tuple[float, float]:
-    """The damping to use on ``A``, and the operator radius ``rho`` it was
-    checked against.
-
-    ``None`` selects the default 0.81 / rho.  A ``beta2`` that is negative,
+def resolve_beta2(A, beta2: float | None) -> float:
+    """The damping to use on ``A``: ``None`` selects the default 0.81 / rho
+    for the radius rho of :func:`beta_bound`.  A ``beta2`` that is negative,
     infinite or NaN is rejected before ``rho`` is computed, and one at or
     above the admissible bound ``1 / rho`` after.
     """
     _check_request(beta2)
     rho = beta_bound(A)
     if beta2 is None:
-        return DEFAULT_BETA2_FRACTION / rho, rho
+        return DEFAULT_BETA2_FRACTION / rho
     if beta2 * rho >= 1.0:
         raise ValueError(
             f"beta2 = {beta2:g} is at or above the admissible bound 1/rho = {1.0 / rho:g}")
-    return beta2, rho
+    return beta2
 
 
 def default_beta2(A) -> float:
     """The toolkit default damping: beta^2 = 0.81 / beta_bound(A)."""
-    return resolve_beta2(A, None)[0]
+    return resolve_beta2(A, None)
 
 
 def iterate(A, beta2: float, k: int) -> SimilarityState:
@@ -369,7 +374,7 @@ def fixed_point(A, beta2: float | None = None) -> SimilarityState:
     """
     _check_request(beta2, None)
     A = as_adjacency(A)
-    return _fixed_point(A, resolve_beta2(A, beta2)[0], DEFAULT_TOL, DEFAULT_MAX_K)
+    return _fixed_point(A, resolve_beta2(A, beta2), DEFAULT_TOL, DEFAULT_MAX_K)
 
 
 def _quotient_graph(A: Adjacency) -> Adjacency:

@@ -151,7 +151,7 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
     A = as_adjacency(A)
-    resolved = beta2 if k is None else resolve_beta2(A, beta2)[0]
+    resolved = beta2 if k is None else resolve_beta2(A, beta2)
     state = _quotient_similarity(A, resolved, k)
     m = min(top_m, A.n)
     sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th

@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import SIGNED_EXAMPLE, SLOW_CG
-from rolekit import (Adjacency, NonConvergenceError, PerturbationModel,
+from conftest import SIGNED_EXAMPLE, SLOW_CG, canonicalize
+from rolekit import (Adjacency, Assignment, NonConvergenceError, PerturbationModel,
                      apply_rank_one_weights, extract_roles, fixed_point,
                      generate_structure, graphcore, iterate, lowrank_iterate, perturb,
                      read_edge_list, read_ground_truth, similarity, spectrum_report,
@@ -378,6 +378,34 @@ def test_betabound_matches_kronecker_oracle(tmp_path, capsys):
 # determinism and round trips
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("sizes, seed, relabel", [((17,) * 4, 457, 464),
+                                                   ((18,) * 4, 473, 480)])
+def test_extract_prints_the_same_for_a_relabelled_graph(sizes, seed, relabel, tmp_path,
+                                                        capsys):
+    # beta_bound starts from a block that depends on no node order, so on
+    # these flipped graphs the printed beta2 keeps its 9th digit under a
+    # relabelling, and the roles are the same, told in the original order
+    n = sum(sizes)
+    A = generate_structure("bipartite_communities", sizes,
+                           perm=np.random.default_rng(seed).permutation(n))[0]
+    M = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=seed)).entries
+    perm = np.random.default_rng(relabel).permutation(n)
+    printed = []
+    for name, entries in (("graph.tsv", M), ("relabelled.tsv", M[np.ix_(perm, perm)])):
+        write_edge_list(tmp_path / name, Adjacency.from_matrix(entries))
+        code, out, _ = run(capsys, "extract", str(tmp_path / name))
+        assert code == 0
+        printed.append(json.loads(out))
+    before, after = printed
+    sigma = np.empty(n, dtype=int)
+    sigma[perm] = after["sigma"]   # node i of the relabelled graph is node perm[i]
+    sigma, order = canonicalize(Assignment(sigma))
+    B = np.array(after["B"]).reshape(after["q"], after["q"])[np.ix_(order, order)]
+    after.update(sigma=sigma.tolist(), B=B.ravel().tolist(),
+                 unassigned=sorted(perm[after["unassigned"]].tolist()))
+    assert after == before
+
+
 def test_byte_identical_outputs_for_identical_config(tmp_path, capsys):
     args = ["generate", "--kind", "block_cycle", "--sizes", "10,5,5,10",
             "--p-in", "0.05", "--p-out", "0.05", "--seed", "11"]
@@ -628,6 +656,17 @@ def test_k_must_be_positive(value, small_graph, tmp_path, capsys, solver_calls):
     for graph in (path, str(tmp_path / "missing.tsv")):
         assert_config_error(capsys, "extract", graph, f"--k={value}")
         assert_config_error(capsys, "spectrum", graph, f"--k={value}")
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_top_must_be_positive(value, small_graph, tmp_path, capsys, solver_calls):
+    # the flag is checked before the graph is read: exit 3 on a missing file
+    A, path = small_graph
+    with pytest.raises(ValueError, match="top_m"):
+        spectrum_report(A, top_m=int(value))
+    for graph in (path, str(tmp_path / "missing.tsv")):
+        assert_config_error(capsys, "spectrum", graph, f"--top={value}")
     assert solver_calls == []
 
 

@@ -308,7 +308,7 @@ def assert_equivariant(M: np.ndarray, perm: np.ndarray, automorphisms=(), **kwar
     before = extract_roles(Adjacency.from_matrix(M), **kwargs)
     after = extract_roles(Adjacency.from_matrix(M[np.ix_(perm, perm)]), **kwargs)
     assert after.params == {**before.params,
-                            "beta2": pytest.approx(before.params["beta2"], rel=1e-9)}
+                            "beta2": pytest.approx(before.params["beta2"], rel=1e-12)}
     assert sorted(after.unassigned) == sorted(np.argsort(perm)[before.unassigned].tolist())
     assert after.q_est == before.q_est
     assert after.residual == before.residual

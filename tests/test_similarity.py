@@ -237,20 +237,38 @@ def test_beta_bound_keeps_a_thin_factor_on_noisy_block_cycles(monkeypatch):
     A, _, _ = generate_structure("block_cycle", (50, 50, 50, 50))
     noisy = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=7))
     assert noisy.quotient.c == 200
-    widths = []
-    # the start is compressed by _compress, each step by _ritz on its stack
-    for name in ("_compress", "_ritz"):
-        original = getattr(similarity, name)
+    starts, widths = [], []
+    original_start, original_ritz = similarity._start_block, similarity._ritz
 
-        def spy(F, *rest, _original=original):
-            widths.append(F.shape[1])
-            return _original(F, *rest)
+    def start_spy(M, v, width):
+        starts.append((M.shape, v.tolist() == [1.0] * M.shape[0], width))
+        return original_start(M, v, width)
 
-        monkeypatch.setattr(similarity, name, spy)
+    def ritz_spy(T):
+        widths.append(T.shape[0])
+        return original_ritz(T)
+
+    monkeypatch.setattr(similarity, "_start_block", start_spy)
+    monkeypatch.setattr(similarity, "_ritz", ritz_spy)
     rho = beta_bound(noisy)
-    # the start compresses one 2c-wide stack; every step after it is thin
-    assert widths[0] == 400 and max(widths[1:]) <= 32
+    # one c x 8 start block from the ones vector, no c x 2c stack: every
+    # step takes the Ritz values of a Gram matrix at most 32 wide
+    assert starts == [((200, 200), True, 8)]
+    assert widths and max(widths) <= 32
     assert rho == pytest.approx(dense_beta_bound(noisy), rel=1e-10)
+
+
+def test_beta_bound_on_equal_degrees_goes_dense(monkeypatch):
+    # every class of a directed 20-cycle has out- and in-degree 1, so the
+    # start block is rank-deficient: the dense regime runs from the first
+    # step, and no Gram matrix is formed
+    def forbidden(T):
+        raise AssertionError("the factored regime ran")
+
+    monkeypatch.setattr(similarity, "_ritz", forbidden)
+    A = Adjacency.from_matrix(np.roll(np.eye(20), 1, axis=1))
+    assert A.quotient.c == 20
+    assert beta_bound(A) == 2.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,13 +284,13 @@ def test_beta_bound_is_invariant_under_node_permutation(n, density, signed, seed
     perm = rng.permutation(n)
     before = beta_bound(Adjacency.from_matrix(M))
     after = beta_bound(Adjacency.from_matrix(M[np.ix_(perm, perm)]))
-    assert after == pytest.approx(before, rel=1e-9)
+    assert after == pytest.approx(before, rel=1e-12)
 
 
 def test_beta_bound_nonconvergence_history_has_one_change_per_step(monkeypatch):
-    # er_p05 runs the factored iteration; c24 runs 7 factored steps, then
+    # er_p05 settles in 8 factored steps; c24 runs 8 factored steps, then
     # restarts in the dense regime.  On at most 16 classes nothing iterates
-    for name, max_ks in (("er_p05", (2, 4, 7)), ("c24", (2, 7, 10))):
+    for name, max_ks in (("er_p05", (2, 4, 7)), ("c24", (2, 8, 10))):
         A = Adjacency.from_matrix(_hard_graph(name))
         rho = dense_beta_bound(A)
         for max_k in max_ks:
@@ -599,10 +617,8 @@ def count_beta_bound(monkeypatch):
 
 def test_resolve_beta2_default_and_user_values():
     A = Adjacency.from_matrix([[0, 1], [1, 0]])
-    assert resolve_beta2(A, None) == pytest.approx((0.405, 2.0), rel=1e-9)
-    beta2, rho = resolve_beta2(A, 0.3)
-    assert beta2 == 0.3
-    assert rho == pytest.approx(2.0, rel=1e-9)
+    assert resolve_beta2(A, None) == pytest.approx(0.405, rel=1e-9)
+    assert resolve_beta2(A, 0.3) == 0.3
     with pytest.raises(ValueError, match="admissible bound"):
         resolve_beta2(A, 0.5)
 
