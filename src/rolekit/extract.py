@@ -31,8 +31,8 @@ Only the sweep builds a factor, by one of two routes.  At a finite depth,
 on a quotient of more than 2b classes (a block of b = r + 8 columns for a
 rank r from 8), it is the thin similarity ``S_hat_k ~= X X^T`` of rank r
 (:func:`rolekit.lowrank._thin_similarity`), at O(c^2 b) a product, and no
-c x c matrix is formed.  Otherwise (fewer classes, a start block of lower
-rank, or the fixed point) it comes from the stack
+c x c matrix is formed.  Otherwise (fewer classes, no start block, or the
+fixed point) it comes from the stack
 ``F = [A_hat L, A_hat^T L]``, ``S_hat_k = F F^T``, that
 :func:`rolekit.lowrank.lowrank_iterate` compresses.
 Checkerboard signed graphs are extracted through |A|, with the signs
@@ -340,8 +340,8 @@ def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float):
     q + 2 fit in the factor.  The estimate reads all b values, not the top
     r: the largest eigenvalue of an unsigned S stands far above the rest,
     so among r role values the only drop is the first, and q would read 1.
-    Otherwise, on a rank-deficient thin start block and at the fixed
-    point, X is the c x c triangle ``R^T`` of ``F^T = Q R`` for the stack F
+    Otherwise (no thin start block, or the fixed point), X is the c x c
+    triangle ``R^T`` of ``F^T = Q R`` for the stack F
     of :func:`rolekit.lowrank._similarity_stack` (``R^T R = F F^T``: F's
     row inner products at half its width), and the spectrum ``sigma(F)^2``.
     ``beta2`` is resolved here on A at a finite depth, by the solve on

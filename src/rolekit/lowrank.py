@@ -172,8 +172,8 @@ def _thin_similarity(M: np.ndarray, sizes: np.ndarray, beta2: float, k: int,
                      rank: int):
     """A thin factor X with ``S_hat_k ~= X X^T`` at the given rank, and the
     Ritz values of the whole block, descending (the first ``rank`` are the
-    eigenvalues of ``X X^T``); None when the start block is rank-deficient
-    (see :func:`_start_block`).
+    eigenvalues of ``X X^T``); None when there is no start block (see
+    :func:`_start_block`: a negative entry, or all degrees equal).
 
     The recurrence runs on the factor (Browet & Van Dooren, MTNS 2014):
     with ``S_(j-1) ~= X X^T``, the iterate of depth j acts on a block V as

@@ -18,7 +18,7 @@ directly; otherwise it is found by a power iteration on ``G``, as a thin
 factor ``V V^T`` of rank r at O(n^2 r) a step, or on dense n x n iterates at
 O(n^3) a step.  The factor starts from :func:`_start_block` grown from the
 class degrees, as the thin similarity's start is, so no node order enters;
-a rank-deficient start (all degrees equal) goes dense.
+where there is no such start, it goes dense.
 
 Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
 The limit (:func:`fixed_point`) is found instead by solving the linear system
@@ -70,8 +70,7 @@ DEFAULT_MAX_K = 10000
 _TOL = 1e-10
 _DISCARD_TOL = 1e-6
 _START_RANK = 8
-#: a start column left with at most this fraction of its norm once the
-#: columns before it are projected out makes the start block rank-deficient
+#: the fraction of its norm below which a start column counts as dependent
 _DEPENDENT_TOL = 1e-8
 
 
@@ -176,30 +175,32 @@ def _ritz(T: np.ndarray):
 
 def _start_block(M: np.ndarray, v: np.ndarray, width: int) -> np.ndarray | None:
     """An orthonormal c x ``width`` basis of the block Krylov space of
-    ``G[I] = M M^T + M^T M`` grown from ``[M v, M^T v]``, or None when that
-    space has a lower dimension (numerically: a column keeps at most
-    ``_DEPENDENT_TOL`` of its norm after Gram-Schmidt against the ones
-    before it, run twice), as when all degrees are equal.  With v = 1
+    ``G[I] = M M^T + M^T M`` grown from ``[M v, M^T v]``, skipping a column
+    left with at most ``_DEPENDENT_TOL`` of its norm by Gram-Schmidt (run
+    twice), as ``M^T v`` is on a symmetric M.  None when the space has
+    fewer dimensions (one when all degrees are equal) or M has a negative
+    entry: only on M >= 0 does the block reach G's top eigenvector
+    (Perron-Frobenius); a sign-flipping symmetry can hide it.  With v = 1
     (:func:`beta_bound`) or the square roots of the class sizes (the thin
     similarity), ``M v`` and ``M^T v`` are degrees: no node order enters."""
+    if (M < 0).any():
+        return None
     basis = np.empty((M.shape[0], width))
-    front = np.column_stack([M @ v, M.T @ v])
-    j = 0
-    while True:
+    front, j = np.column_stack([M @ v, M.T @ v]), 0
+    while front.shape[1]:
+        grown = j
         for y in front.T:
-            size = np.linalg.norm(y)
             Q = basis[:, :j]
-            y = y - Q @ (Q.T @ y)
-            y -= Q @ (Q.T @ y)
-            norm = np.linalg.norm(y)
-            if not norm > _DEPENDENT_TOL * size:
-                return None
-            basis[:, j] = y / norm
-            j += 1
-            if j == width:
-                return basis
-        P = basis[:, j - 2:j]
+            r = y - Q @ (Q.T @ y)
+            r -= Q @ (Q.T @ r)
+            if np.linalg.norm(r) > _DEPENDENT_TOL * np.linalg.norm(y):
+                basis[:, j] = r / np.linalg.norm(r)
+                j += 1
+                if j == width:
+                    return basis
+        P = basis[:, grown:j]
         front = M @ (M.T @ P) + M.T @ (M @ P)
+    return None
 
 
 def beta_bound(A) -> float:
@@ -236,10 +237,12 @@ def beta_bound(A) -> float:
       it moves the estimate by about its square over the relative spectral
       gap.  When it exceeds 1e-6 and has not halved since the step before,
       r doubles.
-    - Dense, once r has doubled to 2r >= c, or from the first step when
-      that block is rank-deficient (all degrees equal): the c x c iterate
-      from the unit ``I_c / sqrt(c)``, at O(c^3) a step, updated in place
-      by :func:`_gamma_into` with two c x c buffers allocated once.
+    - Dense, once r has doubled to 2r >= c, or from the first step where
+      there is no start block (A_hat has a negative entry, or all degrees
+      are equal): the c x c iterate from the unit ``I_c / sqrt(c)``, which
+      overlaps every positive semi-definite eigenvector, at O(c^3) a step,
+      updated in place by :func:`_gamma_into` with two c x c buffers
+      allocated once.
 
     No regime reads n or the node order, so on a graph with entries in
     {-1, 0, 1} (whose A_hat has no two equivalent classes) rho on A is rho
@@ -260,13 +263,10 @@ def beta_bound(A) -> float:
     rank = _START_RANK
     if quotient.c <= 2 * rank:
         return float(np.linalg.eigvalsh(np.kron(M, M) + np.kron(M.T, M.T))[-1])
-    history = []
-    estimate = 0.0
-    steps = 0
-    V = _start_block(M, np.ones(quotient.c), rank)   # None: all degrees equal
+    history, estimate, steps, last_discarded = [], 0.0, 0, np.inf
+    V = _start_block(M, np.ones(quotient.c), rank)   # None: dense from the start
     if V is not None:
         V /= rank ** 0.25   # V V^T of unit Frobenius norm
-    last_discarded = np.inf
     while V is not None and 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
         steps += 1
         F = np.hstack([M @ V, M.T @ V])   # G[V V^T] = F F^T

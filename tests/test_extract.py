@@ -685,6 +685,30 @@ def test_equal_degrees_leave_the_thin_route_for_the_dense_one(monkeypatch):
     assert result.q_est == q and result.residual == m * q
 
 
+def test_an_undirected_graph_takes_the_thin_route(monkeypatch):
+    # on a symmetric A_hat the start block skips A_hat^T sqrt(s), the copy
+    # of A_hat sqrt(s), and grows on: the thin route runs at k = 6 (c = 76
+    # > 32) and finds the planted communities, with one unit of residual
+    # per flipped entry.  The dense route's gap estimate reads the squared
+    # noise spectrum's drops toward zero, and puts every node in a role of
+    # its own
+    A, B, truth = generate_structure("community", (20, 18, 22, 16),
+                                     perm=np.random.default_rng(1).permutation(76))
+    u = np.triu(np.random.default_rng(501).random((76, 76)), 1)
+    M = np.where(u + u.T + np.eye(76) < 0.05, 1.0 - A.entries, A.entries)
+    noisy = Adjacency.from_matrix(M)
+    assert noisy.quotient.c == 76 and (M == M.T).all()
+    returned = []
+    thin = extract._thin_similarity
+    monkeypatch.setattr(extract, "_thin_similarity",
+                        lambda *args: returned.append(thin(*args)) or returned[-1])
+    result = extract_roles(noisy, k=6)
+    assert len(returned) == 1 and returned[0] is not None
+    assert same_partition_and_B(result, B, truth)
+    assert result.residual == (M != A.entries).sum()
+    assert _dense_route(monkeypatch, noisy, k=6).q_est == 76
+
+
 def test_the_thin_rank_doubles_until_the_gap_fits(monkeypatch):
     # 8 roles of 8 nodes: the 8 Ritz values of the planted roles fill the
     # rank-8 factor, and the drop after them lies in the oversampled block,

@@ -208,8 +208,9 @@ def test_beta_bound_exact_regime_is_the_old_loop_bit_for_bit(monkeypatch):
 def test_beta_bound_on_a_graph_is_beta_bound_on_its_quotient_graph():
     # no regime reads n, so rho on A and on the quotient graph A_hat agree
     # bit for bit: in the dense regime (c = 17 to 20 after the rank doubles
-    # to 16), the factored one (c = 40) and the Kronecker one (c <= 16), on
-    # graphs with equivalent nodes (c < n), unsigned and signed alike
+    # to 16, and every signed c > 16), the factored one (c = 40, unsigned)
+    # and the Kronecker one (c <= 16), on graphs with equivalent nodes
+    # (c < n), unsigned and signed alike
     rng = np.random.default_rng(5)
     for c in (9, 17, 18, 20, 40):
         for signed in (False, True):
@@ -260,8 +261,8 @@ def test_beta_bound_keeps_a_thin_factor_on_noisy_block_cycles(monkeypatch):
 
 def test_beta_bound_on_equal_degrees_goes_dense(monkeypatch):
     # every class of a directed 20-cycle has out- and in-degree 1, so the
-    # start block is rank-deficient: the dense regime runs from the first
-    # step, and no Gram matrix is formed
+    # degrees grow a start block of one column: the dense regime runs from
+    # the first step, and no Gram matrix is formed
     def forbidden(T):
         raise AssertionError("the factored regime ran")
 
@@ -269,6 +270,45 @@ def test_beta_bound_on_equal_degrees_goes_dense(monkeypatch):
     A = Adjacency.from_matrix(np.roll(np.eye(20), 1, axis=1))
     assert A.quotient.c == 20
     assert beta_bound(A) == 2.0
+
+
+def test_beta_bound_on_a_sign_swapped_graph_goes_dense(monkeypatch):
+    # M = [[B, -I], [-I, B]] commutes with the swap of its halves, and so
+    # do its degrees: a start grown from them, and every factor G takes it
+    # to, stays in the swap-symmetric half, where M acts as B - I.  M is
+    # D |M| D for D = diag(I, -I), so rho is that of |M| = [[B, I], [I, B]],
+    # and its eigenvector lies in the other half.  From the degrees the
+    # estimate settled 40 % low; a negative entry sends beta_bound dense
+    # from I_c / sqrt(c), which overlaps every positive semi-definite
+    # eigenvector
+    m = 40
+    B = (np.random.default_rng(1).random((m, m)) < 0.2).astype(float)
+    np.fill_diagonal(B, 0.0)
+    M = np.block([[B, -np.eye(m)], [-np.eye(m), B]])
+    A = Adjacency.from_matrix(M)
+    assert A.quotient.c == 2 * m
+    rho = beta_bound(Adjacency.from_matrix(np.abs(M)))
+    assert beta_bound(A) == pytest.approx(rho, rel=1e-10)
+    assert similarity._start_block(M, np.ones(2 * m), 8) is None
+    monkeypatch.setattr(similarity, "_ritz", lambda T: pytest.fail("factored regime ran"))
+    assert beta_bound(A) == dense_beta_bound(A)
+
+
+def test_beta_bound_keeps_a_thin_factor_on_undirected_graphs(monkeypatch):
+    # on a symmetric A_hat the in-degrees are the out-degrees: the start
+    # block skips A_hat^T 1, grows on from A_hat 1 alone, and the factored
+    # regime settles with no c x c iterate
+    rng = np.random.default_rng(5)
+    M = np.triu(rng.random((300, 300)) < 0.05, 1).astype(float)
+    M += M.T
+    A = Adjacency.from_matrix(M)
+    assert A.quotient.c == 300
+    V = similarity._start_block(M, np.ones(300), 8)
+    assert V.shape == (300, 8)
+    assert np.abs(V.T @ V - np.eye(8)).max() < 1e-12
+    monkeypatch.setattr(similarity, "_gamma_into",
+                        lambda *args: pytest.fail("dense regime ran"))
+    assert beta_bound(A) == pytest.approx(dense_beta_bound(A), rel=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
