@@ -84,10 +84,10 @@ class NonConvergenceError(RuntimeError):
     and ``lowrank_iterate`` at the fixed point): the state is the n x n
     :class:`SimilarityState` of the last CG iterate, and the history the
     relative residual after each CG iteration.  :func:`beta_bound`'s power
-    iteration, which runs only on more than 16 classes: the state is the
-    last estimate of rho, and the history the relative change of the
-    estimate at each step after the first, in its factored and dense
-    regimes alike.
+    iteration, which every entry point runs before any similarity step, on
+    more than 16 classes: the state is the last estimate of rho, and the
+    history the relative change of the estimate at each step after the
+    first, in its factored and dense regimes alike.
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -248,6 +248,11 @@ def beta_bound(A) -> float:
     {-1, 0, 1} (whose A_hat has no two equivalent classes) rho on A is rho
     on A_hat, bit for bit.
 
+    rho lies between ``2 ||A_hat||_F^2 / c`` (the Rayleigh quotient of
+    ``I_c``) and ``2 ||A_hat||_F^2``; where the upper overflows or the lower
+    is below the smallest normal double, ``ValueError`` is raised before
+    any regime runs, since 0.81 / rho could not be finite and positive.
+
     After ``DEFAULT_MAX_K`` steps in all (read at call time),
     :class:`NonConvergenceError` carries the last estimate and, from the
     second step on, the relative change of the estimate at each step.  The
@@ -260,6 +265,10 @@ def beta_bound(A) -> float:
     M = quotient.entries
     if not M.any():
         raise ValueError("beta_bound requires a nonzero adjacency matrix")
+    top = 2.0 * float(np.vdot(M, M))   # rho lies in [top / c, top]
+    if not (top < np.inf and top / quotient.c >= np.finfo(float).tiny):
+        raise ValueError(f"edge weights out of range: 2 ||A_hat||_F^2 = {top:g} on "
+                         f"{quotient.c} classes does not bound rho within the normal doubles")
     rank = _START_RANK
     if quotient.c <= 2 * rank:
         return float(np.linalg.eigvalsh(np.kron(M, M) + np.kron(M.T, M.T))[-1])
@@ -321,7 +330,8 @@ def resolve_beta2(A, beta2: float | None) -> float:
     """The damping to use on ``A``: ``None`` selects the default 0.81 / rho
     for the radius rho of :func:`beta_bound`.  A ``beta2`` that is negative,
     infinite or NaN is rejected before ``rho`` is computed, and one at or
-    above the admissible bound ``1 / rho`` after.
+    above ``1 / rho`` after.  Each public entry point calls it once, before
+    any similarity step, and the private routes take the value it returns.
     """
     _check_request(beta2)
     rho = beta_bound(A)
@@ -383,27 +393,21 @@ def _quotient_graph(A: Adjacency) -> Adjacency:
     return A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
 
 
-def _quotient_similarity(A: Adjacency, beta2: float | None,
-                         k: int | None) -> SimilarityState:
+def _quotient_similarity(A: Adjacency, beta2: float, k: int | None) -> SimilarityState:
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
-    :class:`rolekit.graphcore.Quotient`).  This is the one route from a
-    command to S_hat, and the one caller of :func:`iterate` and
-    :func:`fixed_point` on the quotient graph, so every command sees the
-    same S_hat at a given depth.  The caller has checked the request.  At
-    a finite k, ``beta2`` is the damping :func:`resolve_beta2` returned on
-    A.  At ``k=None`` it is the request's (None for the default), which
-    :func:`fixed_point` resolves on A_hat and solves by its one stopping
-    rule; its :class:`NonConvergenceError` carries the last iterate lifted
-    to the n x n similarity ``Q S_hat Q^T``, with the solve's history; the
-    one :func:`beta_bound` raises passes unchanged."""
+    :class:`rolekit.graphcore.Quotient`), for the damping ``beta2`` the
+    caller's :func:`resolve_beta2` returned on A.  This is the one route
+    from a command to S_hat, so every command sees the same S_hat at a
+    given depth.  The caller has checked the request.  ``k=None`` solves
+    for the fixed point by the one stopping rule; its
+    :class:`NonConvergenceError` carries the last iterate lifted to the
+    n x n similarity ``Q S_hat Q^T``, with the solve's history."""
     if k is not None:
         return iterate(_quotient_graph(A), beta2, k)
     try:
-        return fixed_point(_quotient_graph(A), beta2)
+        return _fixed_point(_quotient_graph(A), beta2, DEFAULT_TOL, DEFAULT_MAX_K)
     except NonConvergenceError as exc:
-        if not isinstance(exc.state, SimilarityState):
-            raise   # beta_bound's, carrying its estimate of rho
         lift = A.quotient.lift
         state = replace(exc.state, S=lift(lift(exc.state.S).T))
         raise NonConvergenceError(str(exc), state=state, history=exc.history) from None
@@ -527,16 +531,14 @@ def scaled_fixed_point(A_W, d, beta2: float | None = None) -> SimilarityState:
     ``S_inf`` is :func:`fixed_point` of the binary base graph A, so ``beta2``
     is resolved against A, and its stopping rule applies to the solve on A.
     The request is checked before A_W is read.  The solve's
-    :class:`NonConvergenceError` carries ``D S D`` of its last iterate;
-    the one :func:`beta_bound` raises passes unchanged.
+    :class:`NonConvergenceError` carries ``D S D`` of its last iterate.
     """
     _check_request(beta2, None)
     d, base = _weighted_parts(A_W, d)
+    beta2 = resolve_beta2(base, beta2)
     try:
-        state = fixed_point(base, beta2)
+        state = _fixed_point(base, beta2, DEFAULT_TOL, DEFAULT_MAX_K)
     except NonConvergenceError as exc:
-        if not isinstance(exc.state, SimilarityState):
-            raise   # beta_bound's, carrying its estimate of rho
         raise NonConvergenceError(
             f"weighted {exc}", state=_conjugate(exc.state, d),
             history=exc.history) from None

@@ -181,7 +181,7 @@ def test_beta_bound_nonconvergence_passes_through_the_fixed_point(tmp_path, caps
                                                                  monkeypatch):
     # on more than 16 classes beta_bound iterates, and it cannot settle in
     # one step.  Every fixed-point entry point resolves beta^2 through it
-    # (on the quotient graph, or on the binary base of a weighted one), and
+    # (on A, or on the binary base of a weighted one) before the solve, and
     # its error reaches the caller as beta_bound raised it: the state is
     # the float estimate of rho, not a similarity state to lift, and the
     # commands exit 2
@@ -197,19 +197,18 @@ def test_beta_bound_nonconvergence_passes_through_the_fixed_point(tmp_path, caps
         assert isinstance(info.value.state, float)
         return str(info.value), info.value.state, info.value.history
 
-    on_quotient = raised(lambda: similarity.beta_bound(similarity._quotient_graph(A)))
-    assert raised(lambda: extract_roles(A, k=None)) == on_quotient
-    assert raised(lambda: spectrum_report(A, k=None)) == on_quotient
-    assert raised(lambda: lowrank_iterate(A, k=None)) == on_quotient
-    assert (raised(lambda: scaled_fixed_point(apply_rank_one_weights(A, d), d))
-            == raised(lambda: similarity.beta_bound(A)))
+    on_A = raised(lambda: similarity.beta_bound(A))
+    assert raised(lambda: extract_roles(A, k=None)) == on_A
+    assert raised(lambda: spectrum_report(A, k=None)) == on_A
+    assert raised(lambda: lowrank_iterate(A, k=None)) == on_A
+    assert raised(lambda: scaled_fixed_point(apply_rank_one_weights(A, d), d)) == on_A
     graph = tmp_path / "cycle.tsv"
     write_edge_list(graph, A)
     for argv in (("spectrum", str(graph)), ("extract", str(graph), "--fixed-point")):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"rolekit: did not converge: {on_quotient[0]}\n"
+        assert err == f"rolekit: did not converge: {on_A[0]}\n"
 
 
 def _near_tie_graph(n, tmp_path, capsys):
@@ -348,6 +347,20 @@ def test_betabound_single_edge(tmp_path, capsys):
     lines = dict(line.split("\t") for line in out.strip().split("\n"))
     assert float(lines["rho_hat"]) == pytest.approx(1.0, abs=1e-9)
     assert float(lines["beta2_max"]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("weight", ["1e-200", "1e-160", "1e160"])
+def test_weights_past_the_double_range_are_a_configuration_error(tmp_path, capsys, weight):
+    # on a 2-cycle of weight 1e-200 rho underflowed to 0 and the default
+    # beta2 divided by it; at 1e-160 rho was subnormal and beta2 infinite.
+    # Every command now exits 3 on the range before any similarity step
+    graph = tmp_path / "pair.tsv"
+    graph.write_text(f"0\t1\t{weight}\n1\t0\t{weight}\n")
+    for argv in (("extract", str(graph)), ("extract", str(graph), "--fixed-point"),
+                 ("spectrum", str(graph)), ("betabound", str(graph))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("rolekit: invalid configuration: edge weights out of range")
 
 
 def test_betabound_symmetric_two_cycle(tmp_path, capsys):
@@ -543,10 +556,8 @@ def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, so
 
 
 def test_beta2_is_resolved_once_per_call_at_every_depth(small_graph, solver_calls):
-    # one beta_bound per call: on A at a finite depth, k = 1 included, and
-    # for an exact model at the fixed point too; by the solve on A_hat for
-    # any other solve at the fixed point.  The noisy cycle has c = 48, so
-    # extraction takes the thin route at a finite depth
+    # one beta_bound per call, on A, at every depth.  The noisy cycle has
+    # c = 48, so extraction takes the thin route at a finite depth
     A, _ = small_graph
     ideal = generate_structure("block_cycle", (12, 12, 12, 12))[0]
     noisy = perturb(ideal, PerturbationModel(p_in=0.1, p_out=0.1, seed=2))

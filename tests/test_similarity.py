@@ -350,6 +350,31 @@ def test_beta_bound_rejects_zero_graph():
         beta_bound(Adjacency.from_matrix(np.zeros((3, 3))))
 
 
+def test_beta_bound_rejects_weights_past_the_double_range(monkeypatch):
+    # rho lies in [2 ||A_hat||_F^2 / c, 2 ||A_hat||_F^2]: squares that
+    # underflow left rho 0 (0.81 / rho divided by zero) or subnormal (an
+    # infinite default beta2), and squares that overflow led the power
+    # iteration through NaN to its step cap.  Both ends are rejected before
+    # any regime, on 2 classes (the Kronecker sum) and on 40 (the power
+    # iteration).  Well inside the range, scaling the weights by a power of
+    # two scales rho by its square exactly
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rng = np.random.default_rng(5)
+    digraph = (rng.random((40, 40)) < 0.2) * rng.lognormal(0.0, 1.0, (40, 40))
+    rhos = [beta_bound(Adjacency.from_matrix(M)) for M in (pair, digraph)]
+    assert Adjacency.from_matrix(digraph).quotient.c == 40
+    for M, rho in zip((pair, digraph), rhos):
+        for e in (-200, 200):
+            assert beta_bound(Adjacency.from_matrix(2.0**e * M)) == 2.0**(2 * e) * rho
+    for name in ("_gamma_into", "_ritz", "_start_block"):
+        monkeypatch.setattr(similarity, name, lambda *args, _name=name: pytest.fail(_name))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh"))
+    for M in (pair, digraph):
+        for scale in (1e-200, 1e-160, 1e160):
+            with pytest.raises(ValueError, match="out of range"):
+                beta_bound(Adjacency.from_matrix(scale * M))
+
+
 def test_gamma_of_identity_equals_the_general_operator():
     rng = np.random.default_rng(11)
     for n in (1, 7, 40, 130):
