@@ -327,10 +327,10 @@ def _gap_estimate(w: np.ndarray, c: int, trunc_tol: float) -> int:
     return estimate_rank(w[w >= floor], DEFAULT_GAP_RATIO)
 
 
-def _similarity_factor(A, beta2: float, k: int | None, trunc_tol: float):
-    """A factor X of ``S_hat_k ~= X X^T`` on the quotient of A, for the
-    damping ``beta2`` resolved on A, and the descending spectrum of
-    ``X X^T`` the gap estimate reads; only the sweep calls it.
+def _similarity_factor(A, beta2: float | None, k: int | None, trunc_tol: float):
+    """The damping used, a factor X of ``S_hat_k ~= X X^T`` on the quotient
+    of A, and the descending spectrum of ``X X^T`` the gap estimate reads;
+    only the sweep calls it.
 
     At a finite depth, while the quotient has more than 2b classes,
     b = r + 8 for a rank r from 8, X is the thin similarity of rank r
@@ -344,20 +344,23 @@ def _similarity_factor(A, beta2: float, k: int | None, trunc_tol: float):
     triangle ``R^T`` of ``F^T = Q R`` for the stack F
     of :func:`rolekit.lowrank._similarity_stack` (``R^T R = F F^T``: F's
     row inner products at half its width), and the spectrum ``sigma(F)^2``.
+    ``beta2`` is resolved here on A at a finite depth, by the solve on
+    A_hat at the fixed point.
     """
     quotient = A.quotient
     if k is not None:
+        beta2 = resolve_beta2(A, beta2)
         rank = _START_RANK
         while quotient.c > 2 * (rank + _OVERSAMPLE):
             thin = _thin_similarity(quotient.entries, quotient.sizes, beta2, k, rank)
             if thin is None:
                 break
             if _gap_estimate(thin[1], quotient.c, trunc_tol) + 2 <= rank:
-                return thin
+                return (beta2, *thin)
             rank *= 2
-    F, _ = _similarity_stack(A, beta2, k)
+    F, state = _similarity_stack(A, beta2, k)
     X = np.linalg.qr(F.T, mode="r").T
-    return X, np.linalg.eigvalsh(X @ X.T)[::-1]
+    return beta2 if state is None else state.beta2, X, np.linalg.eigvalsh(X @ X.T)[::-1]
 
 
 def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
@@ -366,19 +369,18 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
 
     The request is checked (:func:`rolekit.similarity._check_request`)
     before the graph is read, and ``beta2`` (None for 0.81 / rho) is
-    resolved once, on A, at every depth, and rejected at or above the
-    admissible bound ``1 / rho`` before any similarity step.  Nodes with
-    no edge are left unassigned.  The classes
+    rejected at or above the admissible bound ``1 / rho`` before any
+    similarity step.  Nodes with no edge are left unassigned.  The classes
     of structurally equivalent nodes are kept when they reproduce the
     graph exactly with a compressive role count (q at most half the
     assigned nodes), as on ideal graphs: an exact model gives the nodes of
     one role equal rows and columns of A, so no other model is exact.
-    Such a model computes no similarity.  Otherwise the sweep runs on the
-    unit rows of a factor X of the similarity S_k at depth ``k`` on the
-    quotient by structural equivalence (:func:`_similarity_factor`);
-    ``k=None`` takes its fixed point, solved as
-    :func:`rolekit.similarity.fixed_point` solves it, whose
-    :class:`rolekit.similarity.NonConvergenceError` carries the last
+    Such a model computes no similarity; only ``beta2`` is resolved, on A.
+    Otherwise the sweep runs on the unit rows of a factor X of the
+    similarity S_k at depth ``k`` on the quotient by structural
+    equivalence (:func:`_similarity_factor`); ``k=None`` takes its fixed
+    point, solved as :func:`rolekit.similarity.fixed_point` solves it,
+    whose :class:`rolekit.similarity.NonConvergenceError` carries the last
     iterate as an n x n similarity state.  The sweep runs spherical
     k-means for role counts within 2 of the spectral-gap estimate, each
     count seeded farthest-first from each of the four classes with the
@@ -407,7 +409,6 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     quotient = work.quotient
     if not quotient.entries.any():
         raise ValueError("cannot extract roles from an empty graph")
-    beta2 = resolve_beta2(work, beta2)
     # the classes with an edge: S_aa = 0 only on the others, whose nodes
     # are left unassigned
     edges = quotient.entries != 0.0
@@ -433,9 +434,11 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         if cost == 0.0:
             chosen = (classes, B, 0.0)
 
-    if chosen is None:   # an exact model reads no similarity
+    if chosen is not None:   # an exact model reads no similarity
+        beta2 = resolve_beta2(work, beta2)
+    else:
         method = "sweep"
-        X, w = _similarity_factor(work, beta2, k, trunc_tol)
+        beta2, X, w = _similarity_factor(work, beta2, k, trunc_tol)
         q_guess = _gap_estimate(w, quotient.c, trunc_tol)
         # k-means runs on the classes ranked by S_aa = |X_a|^2, largest
         # first, so its ties go to the larger S_aa and not to the earlier node

@@ -85,10 +85,10 @@ def lowrank_iterate(A, beta2: float | None = None, k: int | None = None,
     every command, and ``k`` its iteration count; its
     :class:`rolekit.similarity.NonConvergenceError` carries the n x n
     similarity state of the last CG iterate and its residual history.  The
-    rules are those of ``extract_roles``: the request is checked before A
-    is read, and ``beta2`` (None for the default 0.81 / rho) is resolved
-    once, on A, and rejected at or above the admissible bound before any
-    step.  ``trunc_tol`` is a relative
+    rules are those of ``extract_roles`` at every depth, k = 1 included:
+    the request is checked before A is read, and
+    ``beta2`` (None for the default 0.81 / rho) is rejected at or above the
+    admissible bound before any step.  ``trunc_tol`` is a relative
     cutoff on the factor's singular values, applied once at the end: it
     keeps those at least ``trunc_tol`` times the largest.  Around 1e-10 it
     reproduces the exact rank on ideal graphs.  It is no rank cap: on
@@ -97,25 +97,27 @@ def lowrank_iterate(A, beta2: float | None = None, k: int | None = None,
     """
     _check_request(beta2, k, trunc_tol)
     A = as_adjacency(A)
-    F, state = _similarity_stack(A, resolve_beta2(A, beta2), k)
+    if k is not None:
+        beta2 = resolve_beta2(A, beta2)
+    F, state = _similarity_stack(A, beta2, k)
     U, sigma = _compress(F, trunc_tol)
     return LowRankState(U=A.quotient.lift(U), k=state.k if k is None else k,
                         sigma=sigma, trunc_tol=trunc_tol)
 
 
-def _similarity_stack(A, beta2: float, k: int | None):
+def _similarity_stack(A, beta2: float | None, k: int | None):
     """``F = [A_hat L, A_hat^T L]`` with ``F F^T = S_hat_k`` on the quotient of
     A, ``L L^T = I + beta^2 S_hat_(k-1)`` by Cholesky, and the state of
     ``S_hat_(k-1)`` from :func:`rolekit.similarity._quotient_similarity`
-    (None at k = 1, where L = I), for the damping ``beta2`` resolved on A.
-    With ``k=None``, ``F F^T = G[I + beta^2 S_hat]`` lies within the solve's
+    (None at k = 1, where L = I), whose contract ``beta2`` follows.  With
+    ``k=None``, ``F F^T = G[I + beta^2 S_hat]`` lies within the solve's
     true residual, ``DEFAULT_TOL`` relative, of the fixed point ``S_hat``."""
     quotient = A.quotient
     M = quotient.entries
     L, state = np.eye(quotient.c), None
     if k != 1:
         state = _quotient_similarity(A, beta2, None if k is None else k - 1)
-        L = np.linalg.cholesky(L + beta2 * state.S)
+        L = np.linalg.cholesky(L + state.beta2 * state.S)
     return np.hstack([M @ L, M.T @ L]), state
 
 

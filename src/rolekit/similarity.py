@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphcore import Adjacency, as_adjacency
+from .graphcore import Adjacency, Quotient, as_adjacency
 
 #: default damping as a fraction of the admissible bound: beta^2 = 0.81 / rho
 DEFAULT_BETA2_FRACTION = 0.81
@@ -84,10 +84,10 @@ class NonConvergenceError(RuntimeError):
     and ``lowrank_iterate`` at the fixed point): the state is the n x n
     :class:`SimilarityState` of the last CG iterate, and the history the
     relative residual after each CG iteration.  :func:`beta_bound`'s power
-    iteration, which every entry point runs before any similarity step, on
-    more than 16 classes: the state is the last estimate of rho, and the
-    history the relative change of the estimate at each step after the
-    first, in its factored and dense regimes alike.
+    iteration, which runs only on more than 16 classes: the state is the
+    last estimate of rho, and the history the relative change of the
+    estimate at each step after the first, in its factored and dense
+    regimes alike.
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -249,9 +249,11 @@ def beta_bound(A) -> float:
     on A_hat, bit for bit.
 
     rho lies between ``2 ||A_hat||_F^2 / c`` (the Rayleigh quotient of
-    ``I_c``) and ``2 ||A_hat||_F^2``; where the upper overflows or the lower
-    is below the smallest normal double, ``ValueError`` is raised before
-    any regime runs, since 0.81 / rho could not be finite and positive.
+    ``I_c``) and ``2 ||A_hat||_F^2``.  Where that bracket leaves the normal
+    doubles (the upper overflows, or the lower is below the smallest
+    normal double), rho cannot be shown to lie within them, and
+    ``ValueError`` is raised before any regime runs.  The check is
+    conservative: it can reject a graph whose rho is a normal double.
 
     After ``DEFAULT_MAX_K`` steps in all (read at call time),
     :class:`NonConvergenceError` carries the last estimate and, from the
@@ -330,8 +332,7 @@ def resolve_beta2(A, beta2: float | None) -> float:
     """The damping to use on ``A``: ``None`` selects the default 0.81 / rho
     for the radius rho of :func:`beta_bound`.  A ``beta2`` that is negative,
     infinite or NaN is rejected before ``rho`` is computed, and one at or
-    above ``1 / rho`` after.  Each public entry point calls it once, before
-    any similarity step, and the private routes take the value it returns.
+    above the admissible bound ``1 / rho`` after.
     """
     _check_request(beta2)
     rho = beta_bound(A)
@@ -389,25 +390,43 @@ def fixed_point(A, beta2: float | None = None) -> SimilarityState:
 
 def _quotient_graph(A: Adjacency) -> Adjacency:
     """The quotient of A by structural equivalence as a graph: A itself
-    when no two nodes are equivalent."""
-    return A if A.quotient.c == A.n else Adjacency.from_matrix(A.quotient.entries)
+    when no two nodes are equivalent.  Its own quotient keeps A's c
+    classes, also where a weighted A_hat has two equivalent classes (as
+    one node joined by weight 2 and a class of four joined by weight 1
+    do), so :func:`beta_bound` reads one matrix on both: the damping
+    :func:`fixed_point` resolves on it is the one on A, bit for bit."""
+    quotient = A.quotient
+    if quotient.c == A.n:
+        return A
+    graph = Adjacency.from_matrix(quotient.entries)
+    classes = np.arange(quotient.c)
+    object.__setattr__(graph, "quotient", Quotient(classes, classes, np.ones_like(classes),
+                                                   graph.entries))
+    return graph
 
 
-def _quotient_similarity(A: Adjacency, beta2: float, k: int | None) -> SimilarityState:
+def _quotient_similarity(A: Adjacency, beta2: float | None,
+                         k: int | None) -> SimilarityState:
     """The similarity at depth k on the quotient of A by structural
     equivalence: the c x c matrix S_hat with ``S_k = Q S_hat Q^T`` (see
-    :class:`rolekit.graphcore.Quotient`), for the damping ``beta2`` the
-    caller's :func:`resolve_beta2` returned on A.  This is the one route
-    from a command to S_hat, so every command sees the same S_hat at a
-    given depth.  The caller has checked the request.  ``k=None`` solves
-    for the fixed point by the one stopping rule; its
+    :class:`rolekit.graphcore.Quotient`).  This is the one route from a
+    command to S_hat, and the one caller of :func:`iterate` and
+    :func:`fixed_point` on the quotient graph, so every command sees the
+    same S_hat at a given depth.  The caller has checked the request.  At
+    a finite k, ``beta2`` is the damping :func:`resolve_beta2` returned on
+    A.  At ``k=None`` it is the request's (None for the default), which
+    :func:`fixed_point` resolves on A_hat, to its value on A (see
+    :func:`_quotient_graph`), and solves by its one stopping rule; its
     :class:`NonConvergenceError` carries the last iterate lifted to the
-    n x n similarity ``Q S_hat Q^T``, with the solve's history."""
+    n x n similarity ``Q S_hat Q^T``, with the solve's history; the one
+    :func:`beta_bound` raises passes unchanged."""
     if k is not None:
         return iterate(_quotient_graph(A), beta2, k)
     try:
-        return _fixed_point(_quotient_graph(A), beta2, DEFAULT_TOL, DEFAULT_MAX_K)
+        return fixed_point(_quotient_graph(A), beta2)
     except NonConvergenceError as exc:
+        if not isinstance(exc.state, SimilarityState):
+            raise   # beta_bound's, carrying its estimate of rho
         lift = A.quotient.lift
         state = replace(exc.state, S=lift(lift(exc.state.S).T))
         raise NonConvergenceError(str(exc), state=state, history=exc.history) from None

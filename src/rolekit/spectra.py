@@ -140,8 +140,7 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     :class:`rolekit.similarity.NonConvergenceError` carries the last
     iterate as an n x n similarity state.  Otherwise the recurrence runs
     ``k`` steps.  The request and ``beta2`` follow the rules of
-    ``extract_roles``: ``beta2`` is resolved once, on A, at every depth.
-    S_hat is symmetric positive semi-definite,
+    ``extract_roles``.  S_hat is symmetric positive semi-definite,
     so ``sigma_S`` is taken as the moduli of its eigenvalues
     (``eigvalsh``; rounding can leave some slightly below 0), and
     ``sigma_S_half`` as ``sqrt(sigma_S)``.  ``gap_index`` is the role count
@@ -152,7 +151,7 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
     A = as_adjacency(A)
-    resolved = resolve_beta2(A, beta2)
+    resolved = beta2 if k is None else resolve_beta2(A, beta2)
     state = _quotient_similarity(A, resolved, k)
     m = min(top_m, A.n)
     sigma_A, sigma_S = np.zeros((2, m))   # exactly 0 past the c-th
@@ -164,7 +163,7 @@ def spectrum_report(A, beta2: float | None = None, k: int | None = None,
         sigma_S_half=np.sqrt(sigma_S),
         sigma_S=sigma_S,
         gap_index=estimate_rank(sigma_S, DEFAULT_GAP_RATIO),
-        beta2=float(resolved),
+        beta2=float(state.beta2),
         k_or_fixed="fixed-point" if k is None else int(k),
         beta2_source="user" if beta2 is not None else "auto-0.81/rho",
     )

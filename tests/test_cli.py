@@ -181,10 +181,10 @@ def test_beta_bound_nonconvergence_passes_through_the_fixed_point(tmp_path, caps
                                                                  monkeypatch):
     # on more than 16 classes beta_bound iterates, and it cannot settle in
     # one step.  Every fixed-point entry point resolves beta^2 through it
-    # (on A, or on the binary base of a weighted one) before the solve, and
-    # its error reaches the caller as beta_bound raised it: the state is
-    # the float estimate of rho, not a similarity state to lift, and the
-    # commands exit 2
+    # (on the quotient graph, which keeps A's classes, or on the binary
+    # base of a weighted one), and its error reaches the caller as
+    # beta_bound raised it: the state is the float estimate of rho, not a
+    # similarity state to lift, and the commands exit 2
     A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
     A = perturb(A, PerturbationModel(p_in=0.1, p_out=0.1, seed=1))
     assert A.quotient.c > 16
@@ -556,8 +556,10 @@ def test_one_admissibility_rule_for_beta2_at_every_depth(small_graph, capsys, so
 
 
 def test_beta2_is_resolved_once_per_call_at_every_depth(small_graph, solver_calls):
-    # one beta_bound per call, on A, at every depth.  The noisy cycle has
-    # c = 48, so extraction takes the thin route at a finite depth
+    # one beta_bound per call: on A at a finite depth, k = 1 included, and
+    # for an exact model at the fixed point too; by the solve on A_hat for
+    # any other solve at the fixed point.  The noisy cycle has c = 48, so
+    # extraction takes the thin route at a finite depth
     A, _ = small_graph
     ideal = generate_structure("block_cycle", (12, 12, 12, 12))[0]
     noisy = perturb(ideal, PerturbationModel(p_in=0.1, p_out=0.1, seed=2))

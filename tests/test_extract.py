@@ -917,10 +917,11 @@ def test_ideal_extraction_calls_no_eigensolver(monkeypatch):
 
 
 def test_beta2_is_one_value_at_every_depth():
-    # every call resolves beta2 on A, and beta_bound reads no n, so on an
-    # unweighted graph it equals the one on the quotient graph A_hat bit
-    # for bit, also where it iterates densely (random role matrices on 19
-    # to 23 classes of 2 or 3 nodes, past the factored rank of 16)
+    # an exact model resolves beta2 on A, at the fixed point too, and a
+    # sweep there resolves it by the solve on A_hat: beta_bound reads no n,
+    # so the two agree bit for bit, also where it iterates densely (random
+    # role matrices on 19 to 23 classes of 2 or 3 nodes, past the factored
+    # rank of 16)
     rng = np.random.default_rng(31)
     for _ in range(8):
         c = int(rng.integers(17, 24))
@@ -936,10 +937,11 @@ def test_beta2_is_one_value_at_every_depth():
 
 
 def test_beta2_is_one_value_at_every_depth_where_the_quotient_merges_classes():
-    # A has 4 classes; on its weighted quotient graph A_hat the class {0}
-    # and the class {1-4} are equivalent, so beta_bound on A_hat reads a
-    # 3 x 3 matrix and differs from beta_bound on A in the last bit.
-    # Every depth resolves beta2 once, on A
+    # A has 4 classes, and the rows and columns of its weighted quotient
+    # matrix A_hat for the class {0} and the class {1-4} are equal: read as
+    # a plain graph, A_hat has 3 classes, and beta_bound on it differs
+    # from beta_bound on A in the last bit.  The quotient graph the fixed
+    # point solves on keeps A's 4 classes, so every depth resolves one beta2
     M = np.zeros((7, 7))
     M[0, 0] = 4
     M[0, 1:5] = 2
@@ -950,7 +952,9 @@ def test_beta2_is_one_value_at_every_depth_where_the_quotient_merges_classes():
     M[5:, 1:5] = 1
     M[5:, 0] = 2
     A = Adjacency.from_matrix(M)
-    assert (A.quotient.c, similarity._quotient_graph(A).quotient.c) == (4, 3)
+    plain = Adjacency.from_matrix(A.quotient.entries)
+    assert (A.quotient.c, plain.quotient.c, similarity._quotient_graph(A).quotient.c) == (4, 3, 4)
+    assert similarity.beta_bound(plain) != similarity.beta_bound(A)
     beta2 = default_beta2(A)
     for k in (1, 6, None):
         assert extract_roles(A, k=k).params["beta2"] == beta2

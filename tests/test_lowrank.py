@@ -128,9 +128,10 @@ def test_fixed_point_factor_matches_dense_fixed_point():
 
 
 def test_beta2_none_is_the_default_at_every_depth():
-    # None selects 0.81 / rho, as in every entry point.  At every depth it
-    # is resolved on A, as default_beta2 does, so the factors are equal bit
-    # for bit
+    # None selects 0.81 / rho, as in every entry point.  At a finite depth it
+    # is resolved on A, as default_beta2 does, and at the fixed point the
+    # solve resolves it on the quotient graph, which keeps A's classes, so
+    # the factors are equal bit for bit at every depth
     ideal, _, _ = generate_structure("block_cycle", (6, 5, 7, 4))
     noisy = perturb(ideal, PerturbationModel(p_in=0.1, p_out=0.1, seed=3))
     for A in (ideal, noisy):
@@ -188,9 +189,8 @@ def test_the_stack_at_the_fixed_point_lies_within_the_solve_residual():
     # F F^T = G[I + beta^2 S] for the solve's S, whose true residual is at
     # most DEFAULT_TOL ||S||; forming F F^T adds rounding of about c eps
     for A in _stack_graphs():
-        beta2 = default_beta2(A)
-        F, state = _similarity_stack(A, beta2, None)
-        want = fixed_point(_quotient_graph(A), beta2)
+        F, state = _similarity_stack(A, None, None)
+        want = fixed_point(_quotient_graph(A))
         assert (state.k, state.beta2, state.converged) == (want.k, want.beta2, True)
         assert np.array_equal(state.S, want.S)
         c = A.quotient.c

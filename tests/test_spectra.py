@@ -246,8 +246,9 @@ def test_sigma_S_are_the_singular_values_of_S_hat(k):
     weighted = M * rng.lognormal(0.0, 1.0, M.shape)
     for A in (*_ideal_graphs(), Adjacency.from_matrix(signed),
               Adjacency.from_matrix(weighted)):
-        # the caller resolves beta2 on A, at every depth
-        beta2 = default_beta2(A)
+        # at a finite depth the caller resolves beta2 on A; at the fixed
+        # point the solve resolves the request's beta2 on A_hat
+        beta2 = None if k is None else default_beta2(A)
         S_hat = similarity._quotient_similarity(A, beta2, k).S
         want = np.linalg.svd(S_hat, compute_uv=False)
         got = spectrum_report(A, k=k, top_m=A.n).sigma_S
@@ -291,7 +292,7 @@ def test_spectrum_report_nonconvergence_carries_the_last_iterate_on_the_nodes(mo
             fixed_point(A, beta2)
         state, want = info.value.state, dense.value.state
         assert state.S.shape == (A.n, A.n)
-        # a default beta2 is resolved on A
+        # a default beta2 is resolved on the quotient graph, to A's
         assert (state.k, state.beta2, state.converged) == (3, beta2, False)
         assert np.linalg.norm(state.S - want.S) <= 1e-12 * np.linalg.norm(want.S)
         assert info.value.history == pytest.approx(dense.value.history, rel=1e-9)
