@@ -1,6 +1,7 @@
 """Command-line surface: generate graphs, extract roles, report spectra.
 
-Exit codes: 0 success, 1 input error (unreadable or malformed graph file),
+Exit codes: 0 success, 1 input or output error (an unreadable or malformed
+graph file, or a standard output its reader closed before it was written),
 2 numerical non-convergence (a solve past ``DEFAULT_MAX_K`` steps: every
 command stops by the one rule of :mod:`rolekit.similarity`, which no flag
 sets), 3 invalid configuration (``--beta2``, ``--k``, ``--trunc-tol`` and
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -272,7 +274,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left in its buffer goes to
+        # os.devnull, so the interpreter's own flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except EdgeListFormatError as exc:
         print(f"rolekit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -21,12 +21,13 @@ Structurally equivalent nodes are collapsed first: with c classes,
 A = Q A_hat Q^T for the c x c quotient matrix A_hat and orthonormal Q
 (:class:`rolekit.graphcore.Quotient`), so the dense recurrence runs on A_hat
 and the factor is lifted back as U = Q U_hat, whose rows are equal within a
-class.  A call costs k - 1 dense steps at O(c^3) each (or one O(c^3)
-application of G per conjugate-gradient iteration at the fixed point), plus
-one O(c^3) compression.  On an ideal graph c is the number of roles; on a
-graph with no equivalent nodes (c = n, as on noisy graphs) the costs are
-O(n^3).  On an ideal graph the kept rank never exceeds rank([A A^T]), and
-the singular values of U are exactly those of S_k^(1/2).
+class.  A call costs k - 1 dense steps at O(c^3) each (or, at the fixed
+point, one O(c^3) eigendecomposition and two O(c^3) products per
+conjugate-gradient iteration), plus one O(c^3) compression.  On an ideal
+graph c is the number of roles; on a graph with no equivalent nodes (c = n,
+as on noisy graphs) the costs are O(n^3).  On an ideal graph the kept rank
+never exceeds rank([A A^T]), and the singular values of U are exactly those
+of S_k^(1/2).
 
 Role extraction at a finite depth on more than 32 classes uses the thin
 similarity instead (:func:`_thin_similarity`): the recurrence itself runs

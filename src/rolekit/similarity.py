@@ -27,13 +27,16 @@ in the Frobenius inner product with spectrum in ``[-rho, rho]``, so for
 admissible ``beta^2`` the system is symmetric positive definite with
 eigenvalues in ``[1 - beta^2 rho, 1 + beta^2 rho]``, and CG needs a few
 operator applications where the recurrence needs one per factor of
-``beta^2 rho`` in the error.
+``beta^2 rho`` in the error.  The solve runs in the eigenbasis of A's
+symmetric part, where G splits into a Hadamard product and the two matrix
+products of A's skew part, and the exact inverse of the first
+preconditions it; it accepts its S in the node basis, on the true residual.
 
-Every application of G in :func:`gamma`, the recurrence, the solve and the
-dense regime of :func:`beta_bound` goes through one kernel,
-:func:`_gamma_into`: four matrix products written into n x n buffers the
-caller holds.  The solve allocates its six n x n arrays once and updates
-them in place.
+Every application of G in :func:`gamma`, the recurrence, the dense regime
+of :func:`beta_bound` and the solve's true-residual check goes through one
+kernel, :func:`_gamma_into`: four matrix products written into n x n
+buffers the caller holds.  The solve allocates its seven n x n arrays once
+and updates them in place.
 
 The similarity solve stops by one rule: :data:`DEFAULT_TOL`, capped at
 :data:`DEFAULT_MAX_K` steps (the cap of :func:`beta_bound`'s power iteration
@@ -82,7 +85,9 @@ class NonConvergenceError(RuntimeError):
     meaning.  The similarity solve (:func:`fixed_point`,
     :func:`scaled_fixed_point`, and ``extract_roles``, ``spectrum_report``
     and ``lowrank_iterate`` at the fixed point): the state is the n x n
-    :class:`SimilarityState` of the last CG iterate, and the history the
+    :class:`SimilarityState` of the last CG iterate, taken to the node
+    basis as an accepted one is (symmetrized, and on a graph with no
+    negative entry projected onto ``S >= 0``), and the history the
     relative residual after each CG iteration.  :func:`beta_bound`'s power
     iteration, which runs only on more than 16 classes: the state is the
     last estimate of rho, and the history the relative change of the
@@ -374,14 +379,19 @@ def fixed_point(A, beta2: float | None = None) -> SimilarityState:
 
     The request is checked before A is read.  ``beta2`` defaults to
     0.81 / beta_bound(A) and is rejected at or above the admissible bound
-    before any iteration.  CG on ``(I - beta^2 G) S = G[I]`` stops once
-    its residual is at most ``DEFAULT_TOL * ||S||_F``; that residual is
-    then recomputed from S directly, so the result satisfies
-    ``||S - G[I + beta^2 S]||_F <= DEFAULT_TOL ||S||_F``.  ``k`` is the
-    number of CG iterations, each one application of G; after
-    ``DEFAULT_MAX_K`` of them (both constants read at call time)
-    :class:`NonConvergenceError` carries the last state and the relative
-    residual after each iteration.
+    before any iteration.  Preconditioned CG on ``(I - beta^2 G) S = G[I]``
+    runs in the eigenbasis of A's symmetric part (see :func:`_fixed_point`)
+    and stops once its residual is at most ``DEFAULT_TOL * ||S||_F``; S is
+    then taken to the node basis and symmetrized, and on a graph with no
+    negative entry projected onto ``S >= 0``, where the exact S lies.  The
+    residual is recomputed from that S directly, so the result is exactly
+    symmetric and satisfies ``||S - G[I + beta^2 S]||_F <= DEFAULT_TOL
+    ||S||_F``.  Where the exact S is 0 (as it is on the null space of
+    ``A A^T + A^T A``), S holds rounding of order ``eps ||S||_F``.  ``k``
+    is the number of CG iterations, each one application of G; on an
+    undirected graph it is 1.  After ``DEFAULT_MAX_K`` of them (both
+    constants read at call time) :class:`NonConvergenceError` carries the
+    last state and the relative residual after each iteration.
     """
     _check_request(beta2, None)
     A = as_adjacency(A)
@@ -443,59 +453,114 @@ def _residual(M: np.ndarray, beta2: float, S: np.ndarray, out: np.ndarray,
     return out
 
 
+def _preconditioner(d: np.ndarray, two_beta2: float, out: np.ndarray) -> np.ndarray:
+    """``out = H = 1 - 2 beta^2 d d^T``: in the eigenbasis of the symmetric
+    part of A (eigenvalues d), the symmetric part of ``I - beta^2 G`` acts
+    as the Hadamard product with H."""
+    np.multiply.outer(-two_beta2 * d, d, out=out)
+    out += 1.0
+    return out
+
+
+def _to_nodes(V: np.ndarray, S: np.ndarray, out: np.ndarray, work: np.ndarray,
+              nonneg: bool) -> np.ndarray:
+    """``S = _sym(V S V^T)``, in place, through ``out`` and ``work``; on a
+    graph with no negative entry then projected onto ``S >= 0``, the cone
+    that holds the exact fixed point."""
+    np.matmul(V, S, out=work)
+    np.matmul(work, V.T, out=out)
+    np.add(out, out.T, out=S)
+    S /= 2
+    if nonneg:
+        np.maximum(S, 0.0, out=S)
+    return S
+
+
 def _fixed_point(A: Adjacency, beta2: float, tol: float, max_k: int) -> SimilarityState:
-    """CG on (I - beta^2 G) S = G[I] from S = 0, for an admissible beta2.
+    """Preconditioned CG on (I - beta^2 G) S = G[I] from S = 0, for an
+    admissible beta2, run in the eigenbasis of A's symmetric part.
 
-    Every iterate is symmetric, and every application of G to an iterate
-    goes through :func:`_gamma_into`.  The solve holds six n x n arrays,
-    allocated once: S, the residual R, the direction P, its image Q and
-    the two buffers of :func:`_gamma_into`, which also hold ``Y + Y^T``,
-    ``alpha P`` and ``alpha Q``; S, R and P are updated in place, and the
-    true-residual check reuses R.
+    With ``Ms = (A + A^T)/2 = V diag(d) V^T``, ``Mk = (A - A^T)/2`` and the
+    skew-symmetric ``K = V^T Mk V``, ``G[X] = 2 (Ms X Ms - Mk X Mk)`` becomes
+    ``G'[X'] = 2 (d d^T o X' - K X' K)`` on ``X' = V^T X V``: a step costs
+    the two products of ``K X' K`` where G takes four.  The right-hand side
+    is ``G'[I] = 2 diag(d^2) + 2 K K^T``.  The Frobenius inner product does
+    not change under ``X -> V^T X V``, so this is the same CG problem in
+    another basis.  It is preconditioned by the exact inverse of the
+    symmetric part: division by ``H = 1 - 2 beta^2 d_i d_j``
+    (:func:`_preconditioner`), positive because ``2 d_i^2`` is the Rayleigh
+    quotient of G at ``v_i v_i^T``, so ``2 beta^2 |d_i d_j| <= beta^2 rho
+    < 1``.  On an undirected graph K = 0, and one step solves it.
 
-    The image is formed from the unsymmetrized ``Y = M P M^T + M^T P M``
-    as ``Q = (Y + Y^T) (-beta^2 / 2) + P``, one pass fewer than halving
-    ``Y + Y^T`` first, and equal to it bit for bit: scaling by a power of
-    two is exact.  ``||R||`` is read as ``sqrt(R . R)``, the product the
-    next direction needs anyway, which is how ``np.linalg.norm`` computes
-    it.
+    The solve is scale-free: it runs on ``2^-e A`` for ``||A||_F = m 2^e``
+    (``1/2 <= m < 1``) with ``4^e beta^2``, and returns ``4^e`` times its
+    S; each scaling is by a power of two, so exact.
+
+    The updated residual drifts from the true one by rounding, and V is
+    orthogonal only to rounding.  So once ``||R'||_F <= tol ||S'||_F`` the
+    iterate is taken to the nodes, ``S = _sym(V S' V^T)``, projected onto
+    ``S >= 0`` where A has no negative entry (:func:`_to_nodes`), and
+    accepted only if the true residual ``||G[I + beta^2 S] - S||_F`` of
+    :func:`_residual` is at most ``tol ||S||_F``; else CG restarts from
+    that residual and S, taken back to the eigenbasis.  The history holds
+    the relative residual after each step, the true one after a check.
+
+    The solve holds seven c x c arrays, allocated after ``eigh`` returns
+    and updated in place: V, K, S, the residual R, the direction P, its
+    image Q and one buffer for ``K P``, H, the preconditioned residual,
+    ``alpha P``, ``alpha Q`` and the scaled A of the true-residual check.
     """
     M = A.entries
-    S = np.zeros((A.n, A.n))
-    R = _gamma_of_identity(A)   # the right-hand side, and the residual at S = 0
-    P = R.copy()
+    nonneg = not (M < 0).any()
+    e = int(np.frexp(np.linalg.norm(M))[1])   # ||2^-e M||_F in [1/2, 1)
+    beta2_scaled = float(np.ldexp(beta2, 2 * e))
+    two_beta2 = 2.0 * beta2_scaled
+    Ms = np.add(M, M.T)
+    d, V = np.linalg.eigh(np.ldexp(Ms, -e - 1, out=Ms))
+    del Ms
+    K = np.subtract(M, M.T)
+    work = V.T @ np.ldexp(K, -e - 1, out=K)   # V^T Mk
+    np.matmul(work, V, out=K)
+    R = K @ K.T   # the right-hand side, and the residual at S = 0
+    R.flat[::A.n + 1] += d * d
+    R *= 2.0
+    S = np.zeros_like(R)
+    P = np.divide(R, _preconditioner(d, two_beta2, work))
     Q = np.empty_like(R)
-    work = np.empty((2, A.n, A.n))
-    step = work[0]   # Y + Y^T, then alpha P, then alpha Q
-    rr = np.vdot(R, R)
+    rz = np.vdot(R, P)
     history = []
     for k in range(1, max_k + 1):
-        _gamma_into(M, P, Q, work, False)
-        np.add(Q, Q.T, out=step)
-        np.multiply(step, -beta2 / 2, out=Q)
-        Q += P
-        alpha = rr / np.vdot(P, Q)
-        S += np.multiply(P, alpha, out=step)
-        R -= np.multiply(Q, alpha, out=step)
-        size = np.linalg.norm(S)
-        rr_next = np.vdot(R, R)
-        history.append(np.sqrt(rr_next) / size)
+        np.matmul(K, P, out=work)
+        np.matmul(work, K, out=Q)
+        Q *= two_beta2
+        Q += np.multiply(_preconditioner(d, two_beta2, work), P, out=work)
+        alpha = rz / np.vdot(P, Q)
+        S += np.multiply(P, alpha, out=work)
+        R -= np.multiply(Q, alpha, out=work)
+        history.append(np.linalg.norm(R) / np.linalg.norm(S))
         if history[-1] <= tol:
-            # the updated residual drifts from the true one by rounding:
-            # accept only on the true residual, else restart from it
-            _residual(M, beta2, S, R, work)
-            history[-1] = np.linalg.norm(R) / size
+            _to_nodes(V, S, Q, work, nonneg)
+            _residual(np.ldexp(M, -e, out=work), beta2_scaled, S, R, (P, Q))
+            history[-1] = np.linalg.norm(R) / np.linalg.norm(S)
             if history[-1] <= tol:
-                return SimilarityState(S=S, k=k, beta2=beta2, converged=True)
-            np.copyto(P, R)
-            rr = np.vdot(R, R)
+                return SimilarityState(S=np.ldexp(S, 2 * e, out=S), k=k, beta2=beta2,
+                                       converged=True)
+            for X in (S, R):
+                np.matmul(V.T, X, out=work)
+                np.matmul(work, V, out=X)
+            np.divide(R, _preconditioner(d, two_beta2, work), out=P)
+            rz = np.vdot(R, P)
             continue
-        P *= rr_next / rr
-        P += R
-        rr = rr_next
+        np.divide(R, _preconditioner(d, two_beta2, work), out=work)
+        rz_next = np.vdot(R, work)
+        P *= rz_next / rz
+        P += work
+        rz = rz_next
+    _to_nodes(V, S, Q, work, nonneg)
     raise NonConvergenceError(
         f"similarity solve did not converge within {max_k} iterations",
-        state=SimilarityState(S=S, k=max_k, beta2=beta2, converged=False),
+        state=SimilarityState(S=np.ldexp(S, 2 * e, out=S), k=max_k, beta2=beta2,
+                              converged=False),
         history=history)
 
 

@@ -1,6 +1,10 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +365,38 @@ def test_weights_past_the_double_range_are_a_configuration_error(tmp_path, capsy
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("rolekit: invalid configuration: edge weights out of range")
+
+
+@pytest.mark.parametrize("weight", ["1e-150", "1e-120", "1e77", "1e100", "1e150"])
+def test_weights_far_from_one_solve_at_the_fixed_point(tmp_path, capsys, weight):
+    # inside the range, the solve runs on the graph scaled by a power of
+    # two; before, R . R under- or overflowed and it ran to its step cap
+    graph = tmp_path / "pair.tsv"
+    graph.write_text(f"0\t1\t{weight}\n1\t0\t{weight}\n")
+    code, out, _ = run(capsys, "extract", str(graph), "--fixed-point")
+    assert code == 0
+    assert json.loads(out)["sigma"] in ([0, 0], [0, 1])
+    code, out, _ = run(capsys, "spectrum", str(graph))
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    # the unit 2-cycle's S is 2 I / (1 - 0.81)
+    for row in rows:
+        assert float(row[3]) == pytest.approx(float(weight) ** 2 * 2 / 0.19, rel=1e-8)
+
+
+@pytest.mark.parametrize("command", ["betabound", "extract", "spectrum"])
+def test_a_stdout_closed_by_its_reader_exits_1_without_a_traceback(tmp_path, command):
+    graph = tmp_path / "cycle.tsv"
+    write_edge_list(graph, generate_structure("block_cycle", (20, 10, 10, 20))[0])
+    src = str(Path(similarity.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "rolekit.cli", command, str(graph)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()   # the reader is gone before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_betabound_symmetric_two_cycle(tmp_path, capsys):
