@@ -14,11 +14,13 @@ where ``G[X] = A X A^T + A^T X A``.  The recurrence converges if and only if
 spectral radius is exposed as :func:`beta_bound`.  ``G`` maps positive
 semi-definite matrices to positive semi-definite ones, so the radius is its
 largest eigenvalue.  On at most 16 classes it is read off the Kronecker sum
-directly; otherwise it is found by a power iteration on ``G``, as a thin
-factor ``V V^T`` of rank r at O(n^2 r) a step, or on dense n x n iterates at
-O(n^3) a step.  The factor starts from :func:`_start_block` grown from the
-class degrees, as the thin similarity's start is, so no node order enters;
-where there is no such start, it goes dense.
+directly; otherwise it is found by a power iteration on ``G`` as a thin
+factor ``V V^T`` of rank r at O(n^2 r) a step, and where that iteration
+gives out, by a Lanczos iteration on n x n matrices at O(n^3) a step,
+stopped on its Ritz residual bound.  The factor starts from
+:func:`_start_block` grown from the class degrees, as the thin similarity's
+start is, and Lanczos from ``1 1^T / n`` or ``I / sqrt(n)``, so no node
+order enters.
 
 Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
 The limit (:func:`fixed_point`) is found instead by solving the linear system
@@ -32,14 +34,14 @@ symmetric part, where G splits into a Hadamard product and the two matrix
 products of A's skew part, and the exact inverse of the first
 preconditions it; it accepts its S in the node basis, on the true residual.
 
-Every application of G in :func:`gamma`, the recurrence, the dense regime
-of :func:`beta_bound` and the solve's true-residual check goes through one
-kernel, :func:`_gamma_into`: four matrix products written into n x n
-buffers the caller holds.  The solve allocates its seven n x n arrays once
-and updates them in place.
+Every application of G in :func:`gamma`, the recurrence, the Lanczos
+iteration of :func:`beta_bound` and the solve's true-residual check goes
+through one kernel, :func:`_gamma_into`: four matrix products written into
+n x n buffers the caller holds.  The solve allocates its seven n x n arrays
+once and updates them in place.
 
 The similarity solve stops by one rule: :data:`DEFAULT_TOL`, capped at
-:data:`DEFAULT_MAX_K` steps (the cap of :func:`beta_bound`'s power iteration
+:data:`DEFAULT_MAX_K` steps (the cap of :func:`beta_bound`'s iterations
 too).  Both are read at call time, and no entry point takes either as an
 argument.  A request (a damping and a depth) is checked by one function,
 :func:`_check_request`, which :func:`fixed_point` and the commands' entry
@@ -64,12 +66,12 @@ DEFAULT_BETA2_FRACTION = 0.81
 #: residual of at most DEFAULT_TOL * ||S||_F, far below the last of the 9
 #: significant digits the spectrum report prints of values spanning decades
 DEFAULT_TOL = 1e-13
-#: the step cap of the similarity solve and of beta_bound's power iteration
+#: the step cap of the similarity solve and of beta_bound's iterations
 DEFAULT_MAX_K = 10000
 
-# beta_bound: the relative change at which its estimate has settled, the
-# largest part of G[X] (relative, Frobenius norm) its truncation may keep
-# discarding, and the rank its thin factor starts at
+# beta_bound: the relative change that settles its factored estimate and the
+# relative residual bound that stops Lanczos, the largest part of G[X] its
+# truncation may keep discarding (Frobenius), and its thin factor's rank
 _TOL = 1e-10
 _DISCARD_TOL = 1e-6
 _START_RANK = 8
@@ -88,11 +90,12 @@ class NonConvergenceError(RuntimeError):
     :class:`SimilarityState` of the last CG iterate, taken to the node
     basis as an accepted one is (symmetrized, and on a graph with no
     negative entry projected onto ``S >= 0``), and the history the
-    relative residual after each CG iteration.  :func:`beta_bound`'s power
-    iteration, which runs only on more than 16 classes: the state is the
-    last estimate of rho, and the history the relative change of the
-    estimate at each step after the first, in its factored and dense
-    regimes alike.
+    relative residual after each CG iteration.  :func:`beta_bound`'s
+    iterations, which run only on more than 16 classes: the state is the
+    last estimate of rho, and the history has one entry per step, the
+    relative change of the estimate at each factored step after the first,
+    then the relative residual bound ``beta_j |s_j| / theta`` of each
+    Lanczos step.
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -178,6 +181,14 @@ def _ritz(T: np.ndarray):
     return w[::-1], W[:, ::-1]
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of x, taken of x scaled by a power of two, which is exact:
+    its squares neither overflow nor underflow, and where the unscaled ones
+    do neither, the result is ``np.linalg.norm(x)`` bit for bit."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
 def _start_block(M: np.ndarray, v: np.ndarray, width: int) -> np.ndarray | None:
     """An orthonormal c x ``width`` basis of the block Krylov space of
     ``G[I] = M M^T + M^T M`` grown from ``[M v, M^T v]``, skipping a column
@@ -198,8 +209,8 @@ def _start_block(M: np.ndarray, v: np.ndarray, width: int) -> np.ndarray | None:
             Q = basis[:, :j]
             r = y - Q @ (Q.T @ y)
             r -= Q @ (Q.T @ r)
-            if np.linalg.norm(r) > _DEPENDENT_TOL * np.linalg.norm(y):
-                basis[:, j] = r / np.linalg.norm(r)
+            if (norm := _norm(r)) > _DEPENDENT_TOL * _norm(y):
+                basis[:, j] = r / norm
                 j += 1
                 if j == width:
                     return basis
@@ -222,34 +233,53 @@ def beta_bound(A) -> float:
     On at most 16 classes (``c <= 2r`` for the start rank r = 8 below) rho
     is the largest eigenvalue of the c^2 x c^2 symmetric matrix
     ``A_hat (x) A_hat + A_hat^T (x) A_hat^T``, by ``eigvalsh``, with no
-    iteration.  On more classes it comes from a deterministic power
-    iteration on symmetric matrices, normalized in Frobenius norm each
-    step.  Its estimate is ``||G[X]||_F`` for the unit iterate X, a lower
-    bound on rho at every step, and it stops once the estimate settles:
-    its relative change from the step before is at most 1e-10.  It has two
-    regimes:
+    iteration.  On more classes two iterations run, one after the other:
 
-    - Factored, while 2r < c for a rank r that starts at 8: the iterate is
-      a thin factor ``X = V V^T``.  Since ``G[V V^T] = F F^T`` for
-      ``F = [A_hat V, A_hat^T V]``, a step costs O(c^2 r): form F, take the
-      eigenvalues of ``F F^T`` and its eigenvectors ``F W`` from the
-      2r x 2r Gram matrix ``F^T F = W diag(w) W^T`` (:func:`_ritz`), and
-      keep the top r.  It starts from the unit projector ``V V^T / sqrt(8)``
+    - Factored, while 2r < c for a rank r that starts at 8: a deterministic
+      power iteration on a thin factor ``X = V V^T`` of unit Frobenius
+      norm.  Since ``G[V V^T] = F F^T`` for ``F = [A_hat V, A_hat^T V]``, a
+      step costs O(c^2 r): form F, take the eigenvalues of ``F F^T`` and
+      its eigenvectors ``F W`` from the 2r x 2r Gram matrix
+      ``F^T F = W diag(w) W^T`` (:func:`_ritz`), and keep the top r.  Its
+      estimate is ``||G[X]||_F``, a lower bound on rho, and it stops once
+      the estimate settles: its relative change from the step before is at
+      most 1e-10.  It starts from the unit projector ``V V^T / sqrt(8)``
       onto the c x 8 block V of :func:`_start_block` grown from the class
       degrees ``[A_hat 1, A_hat^T 1]``, as the thin similarity does.  The
       part of ``G[X]`` a step discards, relative in Frobenius norm, is the
       floor the truncation puts under the residual ``||G[X] - rho_hat X||``;
       it moves the estimate by about its square over the relative spectral
       gap.  When it exceeds 1e-6 and has not halved since the step before,
-      r doubles.
-    - Dense, once r has doubled to 2r >= c, or from the first step where
+      r doubles.  Its norms are taken of values scaled by a power of two
+      (:func:`_norm`), so no square overflows or underflows, and no c x c
+      array is formed.
+    - Lanczos, once r has doubled to 2r >= c, or from the first step where
       there is no start block (A_hat has a negative entry, or all degrees
-      are equal): the c x c iterate from the unit ``I_c / sqrt(c)``, which
-      overlaps every positive semi-definite eigenvector, at O(c^3) a step,
-      updated in place by :func:`_gamma_into` with two c x c buffers
-      allocated once.
+      are equal): the symmetric Lanczos iteration on G in the Frobenius
+      inner product, values only, on ``2^-e A_hat`` for
+      ``||A_hat||_F = m 2^e`` (``1/2 <= m < 1``), a scaling by a power of
+      two and so exact, whose rho is ``4^-e`` times A's.  Its start is
+      ``1 1^T / c`` where A_hat >= 0: G keeps non-negative matrices
+      non-negative, so rho has a non-negative eigenvector X* and
+      ``1^T X* 1 > 0``, and on a graph whose in- and out-degrees all equal d,
+      ``G[1 1^T] = 2 d^2 1 1^T`` and one step finds rho.  On a signed A_hat
+      it is ``I_c / sqrt(c)``, which overlaps every positive semi-definite
+      eigenvector.  Step j applies G once, through :func:`_gamma_into`,
+      at O(c^3), into three c x c arrays and one pair of buffers allocated
+      once: the Lanczos vector Q, the next one R, and the one before Q
+      kept as ``beta_j P``, which one buffer subtracts with ``alpha_j Q``.
+      Inner products are numpy's pairwise sums, whose rounding grows with
+      log c where a plain dot's grows with c^2.  The
+      estimate theta is the largest eigenvalue of the j x j tridiagonal
+      T_j (built in its lower triangle, all that ``eigh`` reads), a lower
+      bound on rho, and it stops once ``beta_j |s_j| <= 1e-10 theta``, for
+      the last component s_j of theta's eigenvector of T_j and the next
+      off-diagonal beta_j: that is the residual norm of the Ritz pair, so
+      theta lies within it of an eigenvalue of G (Parlett, *The Symmetric
+      Eigenvalue Problem*).  A breakdown (beta_j = 0, an invariant
+      subspace) stops it with theta as it is.
 
-    No regime reads n or the node order, so on a graph with entries in
+    No iteration reads n or the node order, so on a graph with entries in
     {-1, 0, 1} (whose A_hat has no two equivalent classes) rho on A is rho
     on A_hat, bit for bit.
 
@@ -257,15 +287,14 @@ def beta_bound(A) -> float:
     ``I_c``) and ``2 ||A_hat||_F^2``.  Where that bracket leaves the normal
     doubles (the upper overflows, or the lower is below the smallest
     normal double), rho cannot be shown to lie within them, and
-    ``ValueError`` is raised before any regime runs.  The check is
+    ``ValueError`` is raised before any iteration runs.  The check is
     conservative: it can reject a graph whose rho is a normal double.
 
     After ``DEFAULT_MAX_K`` steps in all (read at call time),
-    :class:`NonConvergenceError` carries the last estimate and, from the
-    second step on, the relative change of the estimate at each step.  The
-    dense regime's estimates start afresh, so its first step is not tested
-    against the last factored estimate, but its history entry is that
-    change.
+    :class:`NonConvergenceError` carries the last estimate of rho, in A's
+    units, and one history entry per step: for each factored step after
+    the first the relative change of its estimate, and for each Lanczos
+    step the relative residual bound ``beta_j |s_j| / theta``.
     """
     A = as_adjacency(A)
     quotient = A.quotient
@@ -280,39 +309,41 @@ def beta_bound(A) -> float:
     if quotient.c <= 2 * rank:
         return float(np.linalg.eigvalsh(np.kron(M, M) + np.kron(M.T, M.T))[-1])
     history, estimate, steps, last_discarded = [], 0.0, 0, np.inf
-    V = _start_block(M, np.ones(quotient.c), rank)   # None: dense from the start
+    V = _start_block(M, np.ones(quotient.c), rank)   # None: Lanczos from the start
     if V is not None:
         V /= rank ** 0.25   # V V^T of unit Frobenius norm
     while V is not None and 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
         steps += 1
         F = np.hstack([M @ V, M.T @ V])   # G[V V^T] = F F^T
         power, W = _ritz(F.T @ F)
-        norm = float(np.linalg.norm(power))
+        norm = _norm(power)
         if estimate > 0.0:
             history.append(abs(norm - estimate) / estimate)
             if history[-1] <= _TOL:
                 return norm
-        discarded = float(np.linalg.norm(power[rank:])) / norm
+        discarded = _norm(power[rank:]) / norm
         if discarded > _DISCARD_TOL and 2.0 * discarded > last_discarded:
             rank *= 2
-        V = F @ W[:, :rank] / np.sqrt(np.linalg.norm(power[:rank]))
+        V = F @ W[:, :rank] / np.sqrt(_norm(power[:rank]))
         estimate, last_discarded = norm, discarded
-    X = np.eye(quotient.c) / np.sqrt(quotient.c)
-    work = np.empty((2, quotient.c, quotient.c))
-    last = 0.0
+    e = int(np.frexp(np.linalg.norm(M))[1])   # ||2^-e M||_F in [1/2, 1)
+    M, c = np.ldexp(M, -e), quotient.c
+    Q = np.full((c, c), 1.0 / c) if (M >= 0).all() else np.eye(c) / np.sqrt(c)
+    P, R, work = np.zeros_like(Q), np.empty_like(Q), np.empty((2, c, c))
+    alphas, betas = [], [0.0]
     while steps < DEFAULT_MAX_K:
         steps += 1
-        norm = float(np.linalg.norm(_gamma_into(M, X, X, work)))
-        if norm == 0.0:
-            raise ValueError("similarity operator annihilated the power iterate")
-        if estimate > 0.0:
-            history.append(abs(norm - estimate) / estimate)
-        if abs(norm - last) <= _TOL * last:
-            return norm
-        X /= norm
-        last = estimate = norm
+        alphas.append(np.multiply(Q, _gamma_into(M, Q, R, work), out=work[0]).sum())
+        R -= np.add(P, np.multiply(Q, alphas[-1], out=work[0]), out=work[0])
+        betas.append(np.sqrt(np.multiply(R, R, out=work[0]).sum()))
+        theta, W = _ritz(np.diag(alphas) + np.diag(betas[1:-1], -1))
+        estimate = float(np.ldexp(theta[0], 2 * e))
+        history.append(betas[-1] * abs(W[-1, 0]) / theta[0])
+        if history[-1] <= _TOL:
+            return estimate
+        P, Q, R = np.multiply(Q, betas[-1], out=Q), np.divide(R, betas[-1], out=R), P
     raise NonConvergenceError(
-        f"power iteration for the spectral radius did not settle "
+        f"Lanczos iteration for the spectral radius did not settle "
         f"(last estimate {estimate})", state=estimate, history=history)
 
 

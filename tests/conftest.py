@@ -72,6 +72,34 @@ def kron_rho(A) -> float:
     return float(np.abs(np.linalg.eigvalsh(K)).max())
 
 
+def lanczos_rho(A, tol: float = 1e-14, max_steps: int = 300) -> float:
+    """Oracle for the similarity-operator spectral radius on quotients too
+    large for kron_rho: Lanczos on G[X] = M X M^T + M^T X M over c x c
+    matrices (M the quotient matrix) from I_c / sqrt(c), with each new
+    vector orthogonalized against every earlier one, twice.  The Ritz
+    values are those of the projection of G on the basis, and it stops once
+    the top Ritz pair's residual bound is at most ``tol`` times its value.
+    It shares no code with beta_bound."""
+    M = A.quotient.entries
+    c = M.shape[0]
+    basis = np.empty((max_steps, c, c))   # pages are touched step by step
+    basis[0] = np.eye(c) / np.sqrt(c)
+    H = np.zeros((max_steps, max_steps))
+    for j in range(max_steps - 1):
+        Y = M @ basis[j] @ M.T + M.T @ basis[j] @ M
+        Q = basis[:j + 1]
+        for _ in range(2):
+            coef = np.tensordot(Q, Y, axes=([1, 2], [0, 1]))
+            Y -= np.tensordot(coef, Q, axes=1)
+            H[:j + 1, j] += coef
+        beta = np.linalg.norm(Y)
+        theta, W = np.linalg.eigh(H[:j + 1, :j + 1], UPLO="U")   # column j holds step j
+        if beta * abs(W[-1, -1]) <= tol * theta[-1]:
+            return float(theta[-1])
+        np.divide(Y, beta, out=basis[j + 1])
+    raise AssertionError("the oracle Lanczos did not converge")
+
+
 def orth_basis(M: np.ndarray, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis of the column space, rank from SVD threshold unless given."""
     U, s, _ = np.linalg.svd(M)

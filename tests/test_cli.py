@@ -409,6 +409,23 @@ def test_betabound_symmetric_two_cycle(tmp_path, capsys):
     assert float(lines["beta2_max"]) == pytest.approx(0.5, rel=1e-9)
 
 
+def test_every_command_finishes_on_the_undirected_300_ring(tmp_path, capsys):
+    # all 300 classes have degree 2, so there is no start block, and beta_bound
+    # runs Lanczos from 1 1^T / c, an eigenvector of G with eigenvalue
+    # 2 d^2 = 8.  G's next eigenvalue lies within 2e-3 of 8 here, so a power
+    # iteration stopped on its estimate's relative change would not settle
+    graph = tmp_path / "ring.tsv"
+    graph.write_text("".join(f"{i}\t{(i + 1) % 300}\n{(i + 1) % 300}\t{i}\n"
+                             for i in range(300)))
+    code, out, err = run(capsys, "betabound", str(graph))
+    assert (code, err) == (0, "")
+    assert out.startswith("rho_hat\t8\n")
+    for command in ("extract", "spectrum"):
+        code, out, err = run(capsys, command, str(graph))
+        assert (code, err) == (0, ""), command
+        assert out
+
+
 def test_betabound_matches_kronecker_oracle(tmp_path, capsys):
     from conftest import kron_rho, random_digraph
     rng = np.random.default_rng(51)
@@ -514,8 +531,8 @@ def test_generate_then_extract_round_trip(tmp_path, capsys, kind, sizes):
 def solver_calls(monkeypatch):
     """Record every call of beta_bound and of the similarity operator,
     public or through the kernel the solves share with it.  beta_bound's
-    dense regime applies the operator through that kernel too; those calls
-    are part of the beta_bound call, and only it is recorded."""
+    Lanczos iteration applies the operator through that kernel too; those
+    calls are part of the beta_bound call, and only it is recorded."""
     calls, inside = [], []
 
     def record(*args, _f, _n, **kwargs):

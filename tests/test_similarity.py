@@ -11,6 +11,7 @@ from conftest import (
     SIGNED_EXAMPLE,
     SLOW_CG,
     kron_rho,
+    lanczos_rho,
     random_digraph,
     sin_max_angle,
 )
@@ -120,27 +121,6 @@ def test_beta_bound_matches_kronecker_oracle_random():
         assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-12)
 
 
-def dense_beta_bound(A) -> float:
-    """The dense power iteration beta_bound ran before its factored regime,
-    on the quotient until the estimate settles, from the unit I_c / sqrt(c)
-    that beta_bound's dense regime starts from.  It is also the loop of
-    that regime before it applied G through _gamma_into, written as that
-    loop was."""
-    quotient = A.quotient
-    M = quotient.entries
-    X = np.eye(quotient.c) / np.sqrt(quotient.c)
-    estimate = 0.0
-    for _ in range(10000):
-        Y = M @ X @ M.T + M.T @ X @ M
-        Y = (Y + Y.T) / 2
-        norm = float(np.linalg.norm(Y))
-        if estimate > 0.0 and abs(norm - estimate) <= 1e-10 * estimate:
-            return norm
-        X = Y / norm
-        estimate = norm
-    raise AssertionError("the dense power iteration did not settle")
-
-
 def _signs(n, seed):
     return np.where(np.random.default_rng(seed).random(n) < 0.5, -1.0, 1.0)
 
@@ -176,21 +156,32 @@ def _hard_graph(name):
                                   "bipartite", "checkerboard_signed",
                                   "rank_one_weighted", "c17", "c18", "c24"])
 def test_beta_bound_agrees_with_the_dense_iteration(name):
+    # each graph against an oracle with a stop that bounds its error, not
+    # one that stops where an estimate settles: the Kronecker sum on at
+    # most 30 classes, 2 d^2 on the regular directed cycle (in- and
+    # out-degree 1, so G[1 1^T] = 2 (1 1^T)), and else the reorthogonalized
+    # Lanczos of conftest, a dense iteration on c x c matrices.  er_p05 is
+    # settled by the factored regime, whose stop (a relative change of at
+    # most 1e-10 in one step) leaves it 2.5e-12 low; the others reach Lanczos
     A = Adjacency.from_matrix(_hard_graph(name))
-    assert beta_bound(A) == pytest.approx(dense_beta_bound(A), rel=1e-10)
+    if name == "directed_cycle":
+        rho = 2.0
+    else:
+        rho = kron_rho(A.quotient.entries) if A.quotient.c <= 30 else lanczos_rho(A)
+    assert beta_bound(A) == pytest.approx(rho, rel=1e-10 if name == "er_p05" else 1e-12)
 
 
-def test_beta_bound_exact_regime_is_the_old_loop_bit_for_bit(monkeypatch):
+def test_beta_bound_lanczos_agrees_with_the_exact_regime(monkeypatch):
     # on at most 16 classes (c = 9) rho is read off the Kronecker sum, and
-    # G is never applied.  Once the factored rank doubles into the dense
-    # regime (c = 17), G goes through _gamma_into, in place, with two
-    # buffers allocated once, and the estimate is that of the old loop, bit
-    # for bit
+    # G is never applied.  Once the factored rank doubles past c / 2
+    # (c = 17), Lanczos applies G through _gamma_into, into three c x c
+    # buffers and one pair of work buffers allocated once, and agrees with
+    # the Kronecker sum
     applied = []
     original = similarity._gamma_into
 
     def spy(M, X, out, work, *rest):
-        applied.append((X.shape, out is X, work.shape))
+        applied.append((X.shape, out is X, id(out), id(work)))
         return original(M, X, out, work, *rest)
 
     monkeypatch.setattr(similarity, "_gamma_into", spy)
@@ -200,15 +191,17 @@ def test_beta_bound_exact_regime_is_the_old_loop_bit_for_bit(monkeypatch):
     assert applied == []
     A = Adjacency.from_matrix(_hard_graph("c17"))
     c = A.quotient.c
-    assert beta_bound(A) == dense_beta_bound(A)
-    assert set(applied) == {((c, c), True, (2, c, c))}
-    assert (c, len(applied)) == (17, 13)   # 2r = 16 < c at the start
+    assert beta_bound(A) == pytest.approx(kron_rho(A.quotient.entries), rel=1e-13)
+    assert {(shape, aliased) for shape, aliased, _, _ in applied} == {((c, c), False)}
+    assert len({out for _, _, out, _ in applied}) == 3
+    assert len({work for _, _, _, work in applied}) == 1
+    assert (c, len(applied)) == (17, 14)   # 2r = 16 < c at the start
 
 
 def test_beta_bound_on_a_graph_is_beta_bound_on_its_quotient_graph():
     # no regime reads n, so rho on A and on the quotient graph A_hat agree
-    # bit for bit: in the dense regime (c = 17 to 20 after the rank doubles
-    # to 16, and every signed c > 16), the factored one (c = 40, unsigned)
+    # bit for bit: in Lanczos (c = 17 to 20 after the rank doubles to 16,
+    # and every signed c > 16), the factored regime (c = 40, unsigned)
     # and the Kronecker one (c <= 16), on graphs with equivalent nodes
     # (c < n), unsigned and signed alike
     rng = np.random.default_rng(5)
@@ -223,7 +216,7 @@ def test_beta_bound_on_a_graph_is_beta_bound_on_its_quotient_graph():
             assert A.quotient.c == c < A.n
             on_quotient = beta_bound(similarity._quotient_graph(A))
             assert beta_bound(A) == on_quotient
-            assert on_quotient == pytest.approx(dense_beta_bound(A), rel=1e-9)
+            assert on_quotient == pytest.approx(lanczos_rho(A), rel=1e-9)
 
 
 def test_beta_bound_matches_kronecker_oracle_past_the_exact_switch():
@@ -232,6 +225,24 @@ def test_beta_bound_matches_kronecker_oracle_past_the_exact_switch():
         A = random_digraph(rng, n_max=30, n_min=17)
         assert A.quotient.c > 16
         assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["unsigned", "signed", "weighted"])
+def test_lanczos_matches_the_kronecker_sum_on_random_quotients(kind, monkeypatch):
+    # with no start block Lanczos runs from the first step, as it does once
+    # the factored rank has doubled past c / 2: from 1 1^T / c on A_hat >= 0,
+    # from I_c / sqrt(c) on a signed A_hat
+    monkeypatch.setattr(similarity, "_start_block", lambda *args: None)
+    rng = np.random.default_rng(29)
+    for c in (17, 24, 31, 40):
+        M = (rng.random((c, c)) < rng.uniform(0.1, 0.5)).astype(float)
+        if kind == "signed":
+            M *= np.where(rng.random((c, c)) < 0.5, -1.0, 1.0)
+        if kind == "weighted":
+            M *= rng.lognormal(0.0, 1.0, (c, c))
+        A = Adjacency.from_matrix(M)
+        assert A.quotient.c == c
+        assert beta_bound(A) == pytest.approx(kron_rho(M), rel=1e-12)
 
 
 def test_beta_bound_keeps_a_thin_factor_on_noisy_block_cycles(monkeypatch):
@@ -256,42 +267,50 @@ def test_beta_bound_keeps_a_thin_factor_on_noisy_block_cycles(monkeypatch):
     # step takes the Ritz values of a Gram matrix at most 32 wide
     assert starts == [((200, 200), True, 8)]
     assert widths and max(widths) <= 32
-    assert rho == pytest.approx(dense_beta_bound(noisy), rel=1e-10)
+    assert rho == pytest.approx(lanczos_rho(noisy), rel=1e-10)
 
 
-def test_beta_bound_on_equal_degrees_goes_dense(monkeypatch):
+def test_beta_bound_on_equal_degrees_takes_one_lanczos_step(monkeypatch):
     # every class of a directed 20-cycle has out- and in-degree 1, so the
-    # degrees grow a start block of one column: the dense regime runs from
-    # the first step, and no Gram matrix is formed
-    def forbidden(T):
-        raise AssertionError("the factored regime ran")
-
-    monkeypatch.setattr(similarity, "_ritz", forbidden)
-    A = Adjacency.from_matrix(np.roll(np.eye(20), 1, axis=1))
+    # degrees grow a start block of one column, and Lanczos runs from the
+    # first step.  Its start 1 1^T / c is an eigenvector of G, so it stops
+    # after one step: a step cap of 1 leaves none for a factored step
+    M = np.roll(np.eye(20), 1, axis=1)
+    A = Adjacency.from_matrix(M)
     assert A.quotient.c == 20
-    assert beta_bound(A) == 2.0
+    assert similarity._start_block(M, np.ones(20), 8) is None
+    monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 1)
+    assert beta_bound(A) == pytest.approx(2.0, rel=1e-15)
 
 
-def test_beta_bound_on_a_sign_swapped_graph_goes_dense(monkeypatch):
+def test_beta_bound_on_a_sign_swapped_graph_starts_from_the_identity(monkeypatch):
     # M = [[B, -I], [-I, B]] commutes with the swap of its halves, and so
     # do its degrees: a start grown from them, and every factor G takes it
     # to, stays in the swap-symmetric half, where M acts as B - I.  M is
     # D |M| D for D = diag(I, -I), so rho is that of |M| = [[B, I], [I, B]],
     # and its eigenvector lies in the other half.  From the degrees the
-    # estimate settled 40 % low; a negative entry sends beta_bound dense
-    # from I_c / sqrt(c), which overlaps every positive semi-definite
-    # eigenvector
+    # estimate settled 40 % low.  A negative entry leaves no start block,
+    # and Lanczos starts from I_c / sqrt(c), which overlaps every positive
+    # semi-definite eigenvector
     m = 40
     B = (np.random.default_rng(1).random((m, m)) < 0.2).astype(float)
     np.fill_diagonal(B, 0.0)
     M = np.block([[B, -np.eye(m)], [-np.eye(m), B]])
     A = Adjacency.from_matrix(M)
     assert A.quotient.c == 2 * m
-    rho = beta_bound(Adjacency.from_matrix(np.abs(M)))
-    assert beta_bound(A) == pytest.approx(rho, rel=1e-10)
     assert similarity._start_block(M, np.ones(2 * m), 8) is None
-    monkeypatch.setattr(similarity, "_ritz", lambda T: pytest.fail("factored regime ran"))
-    assert beta_bound(A) == dense_beta_bound(A)
+    starts = []
+    original = similarity._gamma_into
+
+    def spy(M, X, *rest):
+        if not starts:
+            starts.append(X.copy())
+        return original(M, X, *rest)
+
+    monkeypatch.setattr(similarity, "_gamma_into", spy)
+    assert beta_bound(A) == pytest.approx(lanczos_rho(Adjacency.from_matrix(np.abs(M))),
+                                          rel=1e-12)
+    assert np.array_equal(starts[0], np.eye(2 * m) / np.sqrt(2 * m))
 
 
 def test_beta_bound_keeps_a_thin_factor_on_undirected_graphs(monkeypatch):
@@ -307,8 +326,10 @@ def test_beta_bound_keeps_a_thin_factor_on_undirected_graphs(monkeypatch):
     assert V.shape == (300, 8)
     assert np.abs(V.T @ V - np.eye(8)).max() < 1e-12
     monkeypatch.setattr(similarity, "_gamma_into",
-                        lambda *args: pytest.fail("dense regime ran"))
-    assert beta_bound(A) == pytest.approx(dense_beta_bound(A), rel=1e-10)
+                        lambda *args: pytest.fail("Lanczos ran"))
+    # on a symmetric A_hat, G[X] = 2 A_hat X A_hat: rho = 2 max lambda(A_hat)^2
+    assert beta_bound(A) == pytest.approx(2 * np.abs(np.linalg.eigvalsh(M)).max() ** 2,
+                                          rel=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -329,20 +350,40 @@ def test_beta_bound_is_invariant_under_node_permutation(n, density, signed, seed
 
 def test_beta_bound_nonconvergence_history_has_one_change_per_step(monkeypatch):
     # er_p05 settles in 8 factored steps; c24 runs 8 factored steps, then
-    # restarts in the dense regime.  On at most 16 classes nothing iterates
-    for name, max_ks in (("er_p05", (2, 4, 7)), ("c24", (2, 8, 10))):
+    # Lanczos; the signed checkerboard graph runs Lanczos from the first
+    # step.  Each factored step after the first records the relative change
+    # of its estimate, and each Lanczos step its relative residual bound.
+    # On at most 16 classes nothing iterates
+    for name, max_ks, lanczos_only in (("er_p05", (2, 4, 7), False),
+                                       ("c24", (2, 8, 10), False),
+                                       ("checkerboard_signed", (1, 5), True)):
         A = Adjacency.from_matrix(_hard_graph(name))
-        rho = dense_beta_bound(A)
+        rho = lanczos_rho(A)
         for max_k in max_ks:
             monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
             with pytest.raises(NonConvergenceError) as info:
                 beta_bound(A)
             history = info.value.history
-            # every step after the first compares its estimate with the last one
-            assert len(history) == max_k - 1
+            assert len(history) == max_k - (not lanczos_only)
             assert all(h > 1e-10 for h in history)
             # every estimate is a lower bound on rho
             assert 0 < info.value.state <= rho * (1 + 1e-12)
+
+
+def test_beta_bound_is_scale_free():
+    # Lanczos runs on A_hat scaled by a power of two, and the factored
+    # regime and the start block take norms of values so scaled, so no
+    # square overflows or underflows (and pytest turns a RuntimeWarning into
+    # an error): this digraph, which leaves the factored regime for
+    # Lanczos, gives s^2 rho at every scale inside the double range
+    rng = np.random.default_rng(5)
+    M = (rng.random((40, 40)) < 0.2) * rng.lognormal(0.0, 1.0, (40, 40))
+    np.fill_diagonal(M, 0.0)
+    rho = beta_bound(Adjacency.from_matrix(M))
+    assert rho == pytest.approx(lanczos_rho(Adjacency.from_matrix(M)), rel=1e-13)
+    for s in (1e-150, 1e-120, 1e77, 1e100, 1e150):
+        scaled = beta_bound(Adjacency.from_matrix(s * M))
+        assert scaled / s**2 == pytest.approx(rho, rel=1e-13)
 
 
 def test_beta_bound_rejects_zero_graph():
