@@ -13,11 +13,11 @@ where ``G[X] = A X A^T + A^T X A``.  The recurrence converges if and only if
 ``beta^2`` is strictly below ``1 / rho(A (x) A + A^T (x) A^T)``; the operator
 spectral radius is exposed as :func:`beta_bound`.  ``G`` maps positive
 semi-definite matrices to positive semi-definite ones, so the radius is its
-largest eigenvalue.  On at most 16 classes it is read off the Kronecker sum
-directly; otherwise it is found by a power iteration on ``G`` as a thin
-factor ``V V^T`` of rank r at O(n^2 r) a step, and where that iteration
-gives out, by a Lanczos iteration on n x n matrices at O(n^3) a step,
-stopped on its Ritz residual bound.  The factor starts from
+largest eigenvalue.  On more than 16 classes it is found by a power
+iteration on ``G`` as a thin factor ``V V^T`` of rank r at O(n^2 r) a
+step, and where that iteration gives out, or cannot run (on at most 16
+classes, among others), by a Lanczos iteration on n x n matrices at
+O(n^3) a step, stopped on its Ritz residual bound.  The factor starts from
 :func:`_start_block` grown from the class degrees, as the thin similarity's
 start is, and Lanczos from ``1 1^T / n`` or ``I / sqrt(n)``, so no node
 order enters.
@@ -91,11 +91,10 @@ class NonConvergenceError(RuntimeError):
     basis as an accepted one is (symmetrized, and on a graph with no
     negative entry projected onto ``S >= 0``), and the history the
     relative residual after each CG iteration.  :func:`beta_bound`'s
-    iterations, which run only on more than 16 classes: the state is the
-    last estimate of rho, and the history has one entry per step, the
-    relative change of the estimate at each factored step after the first,
-    then the relative residual bound ``beta_j |s_j| / theta`` of each
-    Lanczos step.
+    iterations, on every graph: the state is the last estimate of rho, and
+    the history has one entry per step, the relative change of the
+    estimate at each factored step after the first, then the relative
+    residual bound ``beta_j |s_j| / theta`` of each Lanczos step.
     """
 
     def __init__(self, message: str, state=None, history=()):
@@ -230,16 +229,14 @@ def beta_bound(A) -> float:
     matrices to positive semi-definite ones, so rho is its largest
     eigenvalue, and it has a positive semi-definite eigenvector.
 
-    On at most 16 classes (``c <= 2r`` for the start rank r = 8 below) rho
-    is the largest eigenvalue of the c^2 x c^2 symmetric matrix
-    ``A_hat (x) A_hat + A_hat^T (x) A_hat^T``, by ``eigvalsh``, with no
-    iteration.  On more classes two iterations run, one after the other:
+    Two iterations run, one after the other:
 
-    - Factored, while 2r < c for a rank r that starts at 8: a deterministic
-      power iteration on a thin factor ``X = V V^T`` of unit Frobenius
-      norm.  Since ``G[V V^T] = F F^T`` for ``F = [A_hat V, A_hat^T V]``, a
-      step costs O(c^2 r): form F, take the eigenvalues of ``F F^T`` and
-      its eigenvectors ``F W`` from the 2r x 2r Gram matrix
+    - Factored, while 2r < c for a rank r that starts at 8, so only on
+      more than 16 classes: a deterministic power iteration on a thin
+      factor ``X = V V^T`` of unit Frobenius norm.  Since
+      ``G[V V^T] = F F^T`` for ``F = [A_hat V, A_hat^T V]``, a step costs
+      O(c^2 r): form F, take the eigenvalues of ``F F^T`` and its
+      eigenvectors ``F W`` from the 2r x 2r Gram matrix
       ``F^T F = W diag(w) W^T`` (:func:`_ritz`), and keep the top r.  Its
       estimate is ``||G[X]||_F``, a lower bound on rho, and it stops once
       the estimate settles: its relative change from the step before is at
@@ -254,15 +251,16 @@ def beta_bound(A) -> float:
       (:func:`_norm`), so no square overflows or underflows, and no c x c
       array is formed.
     - Lanczos, once r has doubled to 2r >= c, or from the first step where
-      there is no start block (A_hat has a negative entry, or all degrees
-      are equal): the symmetric Lanczos iteration on G in the Frobenius
-      inner product, values only, on ``2^-e A_hat`` for
-      ``||A_hat||_F = m 2^e`` (``1/2 <= m < 1``), a scaling by a power of
-      two and so exact, whose rho is ``4^-e`` times A's.  Its start is
-      ``1 1^T / c`` where A_hat >= 0: G keeps non-negative matrices
-      non-negative, so rho has a non-negative eigenvector X* and
-      ``1^T X* 1 > 0``, and on a graph whose in- and out-degrees all equal d,
-      ``G[1 1^T] = 2 d^2 1 1^T`` and one step finds rho.  On a signed A_hat
+      there is no start block (c <= 16, where none is grown, A_hat has a
+      negative entry, or all degrees are equal): the symmetric Lanczos
+      iteration on G in the Frobenius inner product, values only, on
+      ``2^-e A_hat`` for ``||A_hat||_F = m 2^e`` (``1/2 <= m < 1``), a
+      scaling by a power of two and so exact, whose rho is ``4^-e`` times
+      A's.  Its start is ``1 1^T / c`` where A_hat >= 0: G keeps
+      non-negative matrices non-negative, so rho has a non-negative
+      eigenvector X* and ``1^T X* 1 > 0``, and on a graph whose in- and
+      out-degrees all equal d, ``G[1 1^T] = 2 d^2 1 1^T`` and one step
+      finds rho.  On a signed A_hat
       it is ``I_c / sqrt(c)``, which overlaps every positive semi-definite
       eigenvector.  Step j applies G once, through :func:`_gamma_into`,
       at O(c^3), into three c x c arrays and one pair of buffers allocated
@@ -306,10 +304,8 @@ def beta_bound(A) -> float:
         raise ValueError(f"edge weights out of range: 2 ||A_hat||_F^2 = {top:g} on "
                          f"{quotient.c} classes does not bound rho within the normal doubles")
     rank = _START_RANK
-    if quotient.c <= 2 * rank:
-        return float(np.linalg.eigvalsh(np.kron(M, M) + np.kron(M.T, M.T))[-1])
     history, estimate, steps, last_discarded = [], 0.0, 0, np.inf
-    V = _start_block(M, np.ones(quotient.c), rank)   # None: Lanczos from the start
+    V = _start_block(M, np.ones(quotient.c), rank) if 2 * rank < quotient.c else None
     if V is not None:
         V /= rank ** 0.25   # V V^T of unit Frobenius norm
     while V is not None and 2 * rank < quotient.c and steps < DEFAULT_MAX_K:

@@ -52,6 +52,23 @@ SLOW_CG = np.array([
     [0, 1, 1, 0, 0, 0],
 ], dtype=float)
 
+# a 12-node digraph, the sum of three disjoint permutation matrices with
+# zero diagonal, no two of its nodes equivalent: every in- and out-degree
+# is 3, so G[1 1^T] = 18 (1 1^T), and beta_bound's Lanczos iteration stops
+# after one step at rho = 18, while CG needs 14 iterations at DEFAULT_TOL
+# and the default beta^2 (15 at 0.9 / rho, 14 at 0.99 / rho)
+THREE_PERMUTATIONS = sum(np.eye(12)[list(p)] for p in (
+    (3, 8, 11, 7, 1, 4, 2, 0, 5, 6, 9, 10),
+    (1, 6, 7, 10, 5, 0, 3, 9, 2, 4, 11, 8),
+    (11, 9, 5, 2, 10, 8, 7, 1, 6, 3, 4, 0),
+))
+
+# THREE_PERMUTATIONS with every node doubled: 24 nodes in 12 classes of 2,
+# whose quotient has one value wherever THREE_PERMUTATIONS has a 1 (about
+# 2: sqrt(2) 1 sqrt(2) rounded), so it is as regular, and Lanczos again
+# stops after one step
+DOUBLED_PERMUTATIONS = np.kron(THREE_PERMUTATIONS, np.ones((2, 2)))
+
 
 def random_digraph(rng: np.random.Generator, n_max: int = 20,
                    n_min: int = 2) -> Adjacency:

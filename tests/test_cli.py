@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SIGNED_EXAMPLE, SLOW_CG, canonicalize
+from conftest import SIGNED_EXAMPLE, THREE_PERMUTATIONS, canonicalize
 from rolekit import (Adjacency, Assignment, NonConvergenceError, PerturbationModel,
                      apply_rank_one_weights, extract_roles, fixed_point,
                      generate_structure, graphcore, iterate, lowrank_iterate, perturb,
@@ -170,23 +170,24 @@ def test_extract_perturbed_block_cycle_defaults(tmp_path, capsys):
 
 def test_extract_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "slow.tsv"
-    write_edge_list(graph, Adjacency.from_matrix(SLOW_CG))
-    # at the default beta^2 = 0.81 / rho, CG needs 16 iterations to reach
-    # the default tolerance on this graph, so a cap of 3 cannot be met; on
-    # its 6 classes beta_bound does not iterate
+    write_edge_list(graph, Adjacency.from_matrix(THREE_PERMUTATIONS))
+    # at the default beta^2 = 0.81 / rho, CG needs 14 iterations to reach
+    # the default tolerance on this graph, so a cap of 3 cannot be met;
+    # beta_bound's Lanczos stops after one step
     monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     code, out, err = run(capsys, "extract", str(graph), "--fixed-point")
     assert code == 2
     assert out == ""
-    assert "converge" in err
+    assert err == ("rolekit: did not converge: "
+                   "similarity solve did not converge within 3 iterations\n")
 
 
 def test_beta_bound_nonconvergence_passes_through_the_fixed_point(tmp_path, capsys,
                                                                  monkeypatch):
-    # on more than 16 classes beta_bound iterates, and it cannot settle in
-    # one step.  Every fixed-point entry point resolves beta^2 through it
-    # (on the quotient graph, which keeps A's classes, or on the binary
-    # base of a weighted one), and its error reaches the caller as
+    # beta_bound cannot settle in one step on this graph.  Every
+    # fixed-point entry point resolves beta^2 through it (on the quotient
+    # graph, which keeps A's classes, or on the binary base of a weighted
+    # one), and its error reaches the caller as
     # beta_bound raised it: the state is the float estimate of rho, not a
     # similarity state to lift, and the commands exit 2
     A, _, _ = generate_structure("block_cycle", (20, 10, 10, 20))
@@ -235,13 +236,19 @@ def test_beta_bound_settles_on_small_quotients_with_near_tied_eigenvalues(n, c, 
                                                                           capsys):
     # a power iteration gains only a factor lambda_2 / lambda_1 = 0.99999 a
     # step on these graphs, too little to settle within DEFAULT_MAX_K steps;
-    # on at most 16 classes rho is read off the Kronecker sum, so every
-    # command finishes
+    # Lanczos, whose stop bounds its error, settles them in at most 100
+    # steps (21 at n = 19), so every command finishes
     from conftest import kron_rho
     A, path = _near_tie_graph(n, tmp_path, capsys)
     assert (A.n, A.quotient.c) == (n, c)
-    rho = similarity.beta_bound(A)
-    assert rho == pytest.approx(kron_rho(A), rel=1e-12)
+    steps = []
+    original = similarity._gamma_into
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "_gamma_into",
+                      lambda *args: steps.append(1) or original(*args))
+        rho = similarity.beta_bound(A)
+    assert rho == pytest.approx(kron_rho(A), rel=1e-13)
+    assert len(steps) <= 100
     for argv in (("extract",), ("extract", "--fixed-point"), ("spectrum",), ("betabound",)):
         code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert (code, err) == (0, ""), argv

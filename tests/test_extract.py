@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DOUBLED_PERMUTATIONS,
     RANK_DEFICIENT,
     SIGNED_EXAMPLE,
     canonicalize,
@@ -15,6 +16,7 @@ from rolekit import (
     NonConvergenceError,
     PerturbationModel,
     RoleMatrix,
+    SimilarityState,
     build_ideal,
     checkerboard_signature,
     cluster_rows,
@@ -762,14 +764,13 @@ def test_the_fixed_point_extraction_groups_on_meets_the_one_tolerance(monkeypatc
 
 
 def test_nonconvergence_carries_the_last_iterate_on_the_nodes(monkeypatch):
-    # two flipped edges leave 8 classes of 12 nodes; the solve runs on the
-    # quotient and needs 16 iterations, and the state is lifted back.  On 8
-    # classes beta_bound does not iterate, so only the solve meets the cap
-    A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
-    M = A.entries.copy()
-    M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
-    A = Adjacency.from_matrix(M)
-    assert A.quotient.c == 8
+    # 12 classes of 24 nodes; the solve runs on the quotient and needs 14
+    # iterations, and the state is lifted back.  beta_bound's Lanczos stops
+    # after one step, so only the solve meets the cap.  At weight 2 the
+    # binary role model of the classes is not exact, so extraction does not
+    # keep them before it computes the similarity
+    A = Adjacency.from_matrix(2.0 * DOUBLED_PERMUTATIONS)
+    assert (A.n, A.quotient.c) == (24, 12)
     beta2 = default_beta2(A)
     monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     with pytest.raises(NonConvergenceError) as info:
@@ -777,6 +778,7 @@ def test_nonconvergence_carries_the_last_iterate_on_the_nodes(monkeypatch):
     with pytest.raises(NonConvergenceError) as dense:
         fixed_point(A, beta2)
     state, want = info.value.state, dense.value.state
+    assert isinstance(state, SimilarityState) and isinstance(want, SimilarityState)
     assert state.S.shape == (A.n, A.n)
     assert (state.k, state.beta2, state.converged) == (3, beta2, False)
     assert np.linalg.norm(state.S - want.S) <= 1e-12 * np.linalg.norm(want.S)
@@ -876,8 +878,8 @@ def test_ideal_extraction_calls_no_eigensolver(monkeypatch):
     # on ideal graphs the class partition is kept before any similarity is
     # computed: no factor, no recurrence on the quotient, no thin route and
     # no fixed-point solve, at a finite depth, k = 1 and the fixed point
-    # alike.  beta_bound, which reads rho off the Kronecker sum of a small
-    # quotient, is the one eigensolver call
+    # alike.  beta_bound, whose Lanczos iteration reads its Ritz values off
+    # a small tridiagonal matrix by eigh, is the one eigensolver call
     inside = []
 
     def forbidding(f):

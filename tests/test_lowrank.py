@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import RANK_DEFICIENT, random_digraph, sin_max_angle
+from conftest import (
+    DOUBLED_PERMUTATIONS,
+    RANK_DEFICIENT,
+    THREE_PERMUTATIONS,
+    random_digraph,
+    sin_max_angle,
+)
 from rolekit import (
     Adjacency,
     NonConvergenceError,
@@ -216,16 +222,16 @@ def test_estimate_rank_rejects_empty_input():
 
 
 def test_lowrank_nonconvergence_history_has_one_residual_per_iteration(monkeypatch):
-    # CG needs 14 iterations on this graph at the default tolerance; on its
-    # 12 classes beta_bound does not iterate
-    rng = np.random.default_rng(8)
-    A = Adjacency.from_matrix((rng.random((12, 12)) < 0.4).astype(float))
+    # CG needs 14 iterations on this graph at the default tolerance, and
+    # beta_bound's Lanczos one, so each cap is the solve's
+    A = Adjacency.from_matrix(THREE_PERMUTATIONS)
     beta2 = default_beta2(A)
     for max_k in (2, 3, 6):
         monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
         with pytest.raises(NonConvergenceError) as info:
             lowrank_iterate(A, beta2, k=None)
         state, history = info.value.state, info.value.history
+        assert isinstance(state, SimilarityState)
         assert state.k == max_k
         # the fixed point is a CG solve: one relative residual per iteration
         assert len(history) == max_k
@@ -235,24 +241,20 @@ def test_lowrank_nonconvergence_history_has_one_residual_per_iteration(monkeypat
 def test_lowrank_nonconvergence_carries_the_fixed_point_state(monkeypatch):
     # past the cap the error is the similarity solve's, as from fixed_point:
     # the n x n state of the last CG iterate and its residual history, on a
-    # graph with no equivalent nodes and on one with 8 classes of 12 nodes,
-    # where CG needs 18 iterations
-    rng_graph = Adjacency.from_matrix(
-        (np.random.default_rng(4).random((8, 8)) < 0.4).astype(float))
-    A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
-    M = A.entries.copy()
-    M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
-    classes = Adjacency.from_matrix(M)
-    assert (rng_graph.quotient.c, classes.quotient.c) == (8, 8)
+    # graph with no equivalent nodes and on one with 12 classes of 24
+    # nodes, where CG needs 14 iterations and beta_bound's Lanczos one
+    graph = Adjacency.from_matrix(THREE_PERMUTATIONS)
+    classes = Adjacency.from_matrix(DOUBLED_PERMUTATIONS)
+    assert (graph.quotient.c, classes.quotient.c, classes.n) == (12, 12, 24)
     monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 2)
-    for A in (rng_graph, classes):
+    for A in (graph, classes):
         beta2 = 0.99 / beta_bound(A)
         with pytest.raises(NonConvergenceError) as dense:
             fixed_point(A, beta2)
         with pytest.raises(NonConvergenceError) as info:
             lowrank_iterate(A, beta2, k=None)
         state, want = info.value.state, dense.value.state
-        assert isinstance(state, SimilarityState)
+        assert isinstance(state, SimilarityState) and isinstance(want, SimilarityState)
         assert (state.k, state.beta2, state.converged) == (2, beta2, False)
         assert state.S.shape == (A.n, A.n)
         assert np.linalg.norm(state.S - want.S) <= 1e-12 * np.linalg.norm(want.S)

@@ -10,6 +10,7 @@ from conftest import (
     RANK_DEFICIENT_S1,
     SIGNED_EXAMPLE,
     SLOW_CG,
+    THREE_PERMUTATIONS,
     kron_rho,
     lanczos_rho,
     random_digraph,
@@ -36,7 +37,13 @@ from rolekit import (
     similarity,
     spectrum_report,
 )
-from rolekit.similarity import DEFAULT_MAX_K, DEFAULT_TOL, _fixed_point, resolve_beta2
+from rolekit.similarity import (
+    DEFAULT_MAX_K,
+    DEFAULT_TOL,
+    SimilarityState,
+    _fixed_point,
+    resolve_beta2,
+)
 
 def kron_fixed_point(A, beta2):
     """Dense oracle: solve (I - beta^2 (A(x)A + A^T(x)A^T)) vec S = vec G[I]."""
@@ -114,7 +121,7 @@ def test_beta_bound_matches_kronecker_oracle_on_reference():
 
 
 def test_beta_bound_matches_kronecker_oracle_random():
-    # at most 16 classes: rho is read off the Kronecker sum itself
+    # at most 12 classes, so Lanczos runs from the first step
     rng = np.random.default_rng(42)
     for _ in range(12):
         A = random_digraph(rng, n_max=12, n_min=3)
@@ -146,7 +153,7 @@ def _hard_graph(name):
     if name == "rank_one_weighted":   # c = n = 220, rank-4 eigenvector
         A, _, _ = generate_structure("block_cycle", (60, 50, 70, 40))
         return apply_rank_one_weights(A, rng.uniform(0.5, 2.0, A.n)).entries
-    if name.startswith("c"):       # c just above the exact switch at 2r = 16
+    if name.startswith("c"):       # c just above 2r = 16, where the factored regime runs
         c = int(name[1:])
         return (np.random.default_rng(c).random((c, c)) < 0.3).astype(float)
     raise KeyError(name)
@@ -157,9 +164,9 @@ def _hard_graph(name):
                                   "rank_one_weighted", "c17", "c18", "c24"])
 def test_beta_bound_agrees_with_the_dense_iteration(name):
     # each graph against an oracle with a stop that bounds its error, not
-    # one that stops where an estimate settles: the Kronecker sum on at
-    # most 30 classes, 2 d^2 on the regular directed cycle (in- and
-    # out-degree 1, so G[1 1^T] = 2 (1 1^T)), and else the reorthogonalized
+    # one that stops where an estimate settles: kron_rho on at most 30
+    # classes, 2 d^2 on the regular directed cycle (in- and out-degree 1,
+    # so G[1 1^T] = 2 (1 1^T)), and else the reorthogonalized
     # Lanczos of conftest, a dense iteration on c x c matrices.  er_p05 is
     # settled by the factored regime, whose stop (a relative change of at
     # most 1e-10 in one step) leaves it 2.5e-12 low; the others reach Lanczos
@@ -171,38 +178,43 @@ def test_beta_bound_agrees_with_the_dense_iteration(name):
     assert beta_bound(A) == pytest.approx(rho, rel=1e-10 if name == "er_p05" else 1e-12)
 
 
-def test_beta_bound_lanczos_agrees_with_the_exact_regime(monkeypatch):
-    # on at most 16 classes (c = 9) rho is read off the Kronecker sum, and
-    # G is never applied.  Once the factored rank doubles past c / 2
-    # (c = 17), Lanczos applies G through _gamma_into, into three c x c
-    # buffers and one pair of work buffers allocated once, and agrees with
-    # the Kronecker sum
-    applied = []
-    original = similarity._gamma_into
+def test_beta_bound_lanczos_applies_g_into_buffers_allocated_once(monkeypatch):
+    # Lanczos applies G through _gamma_into, into three c x c buffers and
+    # one pair of work buffers allocated once, and agrees with the
+    # Kronecker sum: from the first step on at most 16 classes (c = 9),
+    # where no start block is grown, and once the factored rank doubles
+    # past c / 2 (c = 17)
+    applied, starts = [], []
+    original_gamma, original_start = similarity._gamma_into, similarity._start_block
 
-    def spy(M, X, out, work, *rest):
+    def gamma_spy(M, X, out, work, *rest):
         applied.append((X.shape, out is X, id(out), id(work)))
-        return original(M, X, out, work, *rest)
+        return original_gamma(M, X, out, work, *rest)
 
-    monkeypatch.setattr(similarity, "_gamma_into", spy)
+    def start_spy(M, v, width):
+        starts.append(M.shape[0])
+        return original_start(M, v, width)
+
+    monkeypatch.setattr(similarity, "_gamma_into", gamma_spy)
+    monkeypatch.setattr(similarity, "_start_block", start_spy)
     small = generate_structure("block_cycle", (3, 4, 2, 5, 3, 4, 2, 6, 3))[0]
-    assert small.quotient.c == 9
-    assert beta_bound(small) == pytest.approx(kron_rho(small.quotient.entries), rel=1e-12)
-    assert applied == []
     A = Adjacency.from_matrix(_hard_graph("c17"))
-    c = A.quotient.c
-    assert beta_bound(A) == pytest.approx(kron_rho(A.quotient.entries), rel=1e-13)
-    assert {(shape, aliased) for shape, aliased, _, _ in applied} == {((c, c), False)}
-    assert len({out for _, _, out, _ in applied}) == 3
-    assert len({work for _, _, _, work in applied}) == 1
-    assert (c, len(applied)) == (17, 14)   # 2r = 16 < c at the start
+    for graph, c in ((small, 9), (A, 17)):
+        applied.clear()
+        assert graph.quotient.c == c
+        assert beta_bound(graph) == pytest.approx(kron_rho(graph.quotient.entries), rel=1e-13)
+        assert {(shape, aliased) for shape, aliased, _, _ in applied} == {((c, c), False)}
+        assert len({out for _, _, out, _ in applied}) == 3
+        assert len({work for _, _, _, work in applied}) == 1
+    assert starts == [17]
+    assert len(applied) == 14   # 2r = 16 < c = 17 at the start
 
 
 def test_beta_bound_on_a_graph_is_beta_bound_on_its_quotient_graph():
     # no regime reads n, so rho on A and on the quotient graph A_hat agree
-    # bit for bit: in Lanczos (c = 17 to 20 after the rank doubles to 16,
-    # and every signed c > 16), the factored regime (c = 40, unsigned)
-    # and the Kronecker one (c <= 16), on graphs with equivalent nodes
+    # bit for bit: in Lanczos (from the first step at c = 9 and on every
+    # signed graph, at c = 17 to 20 after the rank doubles to 16) and in the
+    # factored regime (c = 40, unsigned), on graphs with equivalent nodes
     # (c < n), unsigned and signed alike
     rng = np.random.default_rng(5)
     for c in (9, 17, 18, 20, 40):
@@ -219,7 +231,7 @@ def test_beta_bound_on_a_graph_is_beta_bound_on_its_quotient_graph():
             assert on_quotient == pytest.approx(lanczos_rho(A), rel=1e-9)
 
 
-def test_beta_bound_matches_kronecker_oracle_past_the_exact_switch():
+def test_beta_bound_matches_kronecker_oracle_on_17_to_30_nodes():
     rng = np.random.default_rng(17)
     for _ in range(6):
         A = random_digraph(rng, n_max=30, n_min=17)
@@ -227,22 +239,39 @@ def test_beta_bound_matches_kronecker_oracle_past_the_exact_switch():
         assert beta_bound(A) == pytest.approx(kron_rho(A), rel=1e-9)
 
 
-@pytest.mark.parametrize("kind", ["unsigned", "signed", "weighted"])
-def test_lanczos_matches_the_kronecker_sum_on_random_quotients(kind, monkeypatch):
-    # with no start block Lanczos runs from the first step, as it does once
-    # the factored rank has doubled past c / 2: from 1 1^T / c on A_hat >= 0,
-    # from I_c / sqrt(c) on a signed A_hat
-    monkeypatch.setattr(similarity, "_start_block", lambda *args: None)
-    rng = np.random.default_rng(29)
-    for c in (17, 24, 31, 40):
+def _random_quotient(rng, c, kind):
+    """A random c-node graph of the kind, redrawn until it has an edge and
+    no two equivalent nodes."""
+    while True:
         M = (rng.random((c, c)) < rng.uniform(0.1, 0.5)).astype(float)
         if kind == "signed":
             M *= np.where(rng.random((c, c)) < 0.5, -1.0, 1.0)
         if kind == "weighted":
             M *= rng.lognormal(0.0, 1.0, (c, c))
-        A = Adjacency.from_matrix(M)
-        assert A.quotient.c == c
-        assert beta_bound(A) == pytest.approx(kron_rho(M), rel=1e-12)
+        if kind == "undirected":
+            M = np.triu(M)
+            M += M.T
+        if M.any() and Adjacency.from_matrix(M).quotient.c == c:
+            return M
+
+
+@pytest.mark.parametrize("kind", ["unsigned", "signed", "weighted", "undirected"])
+def test_lanczos_matches_the_kronecker_sum_on_random_quotients(kind, monkeypatch):
+    # with no start block Lanczos runs from the first step, as it does on
+    # at most 16 classes and once the factored rank has doubled past c / 2:
+    # from 1 1^T / c on A_hat >= 0, from I_c / sqrt(c) on a signed A_hat.
+    # On at most 16 classes it takes at most 100 steps
+    monkeypatch.setattr(similarity, "_start_block", lambda *args: None)
+    steps = []
+    original = similarity._gamma_into
+    monkeypatch.setattr(similarity, "_gamma_into",
+                        lambda *args: steps.append(1) or original(*args))
+    rng = np.random.default_rng(29)
+    for c in (17, 24, 31, 40, 1, 2, 9, 16):
+        M = _random_quotient(rng, c, kind)
+        steps.clear()
+        assert beta_bound(Adjacency.from_matrix(M)) == pytest.approx(kron_rho(M), rel=1e-13)
+        assert c > 16 or len(steps) <= 100
 
 
 def test_beta_bound_keeps_a_thin_factor_on_noisy_block_cycles(monkeypatch):
@@ -353,7 +382,6 @@ def test_beta_bound_nonconvergence_history_has_one_change_per_step(monkeypatch):
     # Lanczos; the signed checkerboard graph runs Lanczos from the first
     # step.  Each factored step after the first records the relative change
     # of its estimate, and each Lanczos step its relative residual bound.
-    # On at most 16 classes nothing iterates
     for name, max_ks, lanczos_only in (("er_p05", (2, 4, 7), False),
                                        ("c24", (2, 8, 10), False),
                                        ("checkerboard_signed", (1, 5), True)):
@@ -396,9 +424,9 @@ def test_beta_bound_rejects_weights_past_the_double_range(monkeypatch):
     # underflow left rho 0 (0.81 / rho divided by zero) or subnormal (an
     # infinite default beta2), and squares that overflow led the power
     # iteration through NaN to its step cap.  Both ends are rejected before
-    # any regime, on 2 classes (the Kronecker sum) and on 40 (the power
-    # iteration).  Well inside the range, scaling the weights by a power of
-    # two scales rho by its square exactly
+    # any iteration, on 2 classes (Lanczos from the first step) and on 40
+    # (the factored regime first).  Well inside the range, scaling the
+    # weights by a power of two scales rho by its square exactly
     pair = np.array([[0.0, 1.0], [1.0, 0.0]])
     rng = np.random.default_rng(5)
     digraph = (rng.random((40, 40)) < 0.2) * rng.lognormal(0.0, 1.0, (40, 40))
@@ -529,24 +557,28 @@ def test_scaled_fixed_point_rejects_bad_settings_before_any_solve(monkeypatch, b
 
 
 def test_fixed_point_nonconvergence_carries_state(monkeypatch):
-    # CG needs 16 iterations on this graph at DEFAULT_TOL
-    A = Adjacency.from_matrix(SLOW_CG)
+    # CG needs 15 iterations on this graph at DEFAULT_TOL, and beta_bound's
+    # Lanczos one, so the cap is the solve's
+    A = Adjacency.from_matrix(THREE_PERMUTATIONS)
     beta2 = 0.9 / beta_bound(A)
     monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     with pytest.raises(NonConvergenceError) as info:
         fixed_point(A, beta2)
-    assert info.value.state is not None
+    assert isinstance(info.value.state, SimilarityState)
     assert info.value.state.k == 3
     assert not info.value.state.converged
 
 
 def test_fixed_point_nonconvergence_history_has_one_residual_per_iteration(monkeypatch):
-    A = Adjacency.from_matrix(SLOW_CG)
+    # beta_bound's Lanczos stops after one step here, so each cap is met by
+    # the solve, whose error carries its state
+    A = Adjacency.from_matrix(THREE_PERMUTATIONS)
     beta2 = 0.9 / beta_bound(A)
     for max_k in (1, 3, 5):
         monkeypatch.setattr(similarity, "DEFAULT_MAX_K", max_k)
         with pytest.raises(NonConvergenceError) as info:
             fixed_point(A, beta2)
+        assert isinstance(info.value.state, SimilarityState)
         history = info.value.history
         assert len(history) == max_k
         assert all(h > DEFAULT_TOL for h in history)
@@ -836,8 +868,8 @@ def test_fixed_point_is_nonnegative_on_unsigned_graphs():
 def test_fixed_point_is_scale_free(e):
     # scaling A by 2^e scales rho and S by 4^e, each exactly; the
     # solve runs on A scaled near unit norm either way.  At 2^+-300 the
-    # squared norms of an unscaled solve leave the doubles; on 12 nodes
-    # rho comes off the Kronecker sum, which does not square it
+    # squared norms of an unscaled solve leave the doubles; beta_bound's
+    # Lanczos runs on A scaled the same way
     rng = np.random.default_rng(79)
     M = (rng.random((12, 12)) < 0.3) * rng.lognormal(0.0, 1.0, (12, 12))
     want = fixed_point(Adjacency.from_matrix(M)).S
@@ -1073,7 +1105,9 @@ def test_scaled_fixed_point_matches_deep_scaled_recurrence():
 
 
 def test_scaled_fixed_point_nonconvergence_carries_weighted_state(monkeypatch):
-    A = Adjacency.from_matrix(SLOW_CG)
+    # beta2 is resolved on the binary base, where beta_bound's Lanczos stops
+    # after one step, so the cap is the solve's
+    A = Adjacency.from_matrix(THREE_PERMUTATIONS)
     d = np.linspace(0.5, 2.0, A.n)
     W = apply_rank_one_weights(A, d)
     beta2 = 0.9 / beta_bound(A)
@@ -1082,6 +1116,8 @@ def test_scaled_fixed_point_nonconvergence_carries_weighted_state(monkeypatch):
         scaled_fixed_point(W, d, beta2)
     with pytest.raises(NonConvergenceError) as plain:
         fixed_point(A, beta2)
+    assert isinstance(info.value.state, SimilarityState)
+    assert isinstance(plain.value.state, SimilarityState)
     assert info.value.state.k == 3
     assert len(info.value.history) == 3
     assert np.allclose(info.value.state.S,

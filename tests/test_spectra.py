@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import orth_basis
+from conftest import DOUBLED_PERMUTATIONS, orth_basis
 from rolekit import (
     Adjacency,
     NonConvergenceError,
     PerturbationModel,
     RoleMatrix,
+    SimilarityState,
     default_beta2,
     expected_adjacency,
     fixed_point,
@@ -275,14 +276,11 @@ def test_spectrum_report_applies_the_operator_on_the_quotient_only(monkeypatch, 
 
 
 def test_spectrum_report_nonconvergence_carries_the_last_iterate_on_the_nodes(monkeypatch):
-    # two flipped edges leave 8 classes of 12 nodes; the solve runs on the
-    # quotient, and its last iterate is lifted to the nodes.  On 8 classes
-    # beta_bound does not iterate, so only the solve meets the cap
-    A, _, _ = generate_structure("block_cycle", (3, 2, 4, 3))
-    M = A.entries.copy()
-    M[0, 5], M[7, 1] = 1.0 - M[0, 5], 1.0 - M[7, 1]
-    A = Adjacency.from_matrix(M)
-    assert A.quotient.c == 8
+    # 12 classes of 24 nodes; the solve runs on the quotient, and its last
+    # iterate is lifted to the nodes.  beta_bound's Lanczos stops after one
+    # step, so only the solve meets the cap
+    A = Adjacency.from_matrix(DOUBLED_PERMUTATIONS)
+    assert (A.n, A.quotient.c) == (24, 12)
     beta2 = default_beta2(A)
     monkeypatch.setattr(similarity, "DEFAULT_MAX_K", 3)
     for got in (None, beta2):
@@ -291,6 +289,7 @@ def test_spectrum_report_nonconvergence_carries_the_last_iterate_on_the_nodes(mo
         with pytest.raises(NonConvergenceError) as dense:
             fixed_point(A, beta2)
         state, want = info.value.state, dense.value.state
+        assert isinstance(state, SimilarityState) and isinstance(want, SimilarityState)
         assert state.S.shape == (A.n, A.n)
         # a default beta2 is resolved on the quotient graph, to A's
         assert (state.k, state.beta2, state.converged) == (3, beta2, False)
