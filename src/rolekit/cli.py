@@ -1,7 +1,9 @@
 """Command-line surface: generate graphs, extract roles, report spectra.
 
 Exit codes: 0 success, 1 input or output error (an unreadable or malformed
-graph file, or a standard output its reader closed before it was written),
+graph file, an output that cannot be written, as a file in a missing
+directory or a standard output on a full disk, or a standard output its
+reader closed before it was written),
 2 numerical non-convergence (a solve past ``DEFAULT_MAX_K`` steps: every
 command stops by the one rule of :mod:`rolekit.similarity`, which no flag
 sets), 3 invalid configuration (``--beta2``, ``--k``, ``--trunc-tol`` and
@@ -36,6 +38,19 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_CONFIG = 3
+
+
+class _InputError(Exception):
+    """The graph file could not be read."""
+
+
+def _read_graph(path):
+    """:func:`rolekit.graphcore.read_edge_list`, with an OS error raised as
+    an input error: any other OS error a command meets is one of output."""
+    try:
+        return read_edge_list(path)
+    except OSError as exc:
+        raise _InputError(exc) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +125,7 @@ def cmd_generate(args) -> int:
 def cmd_extract(args) -> int:
     beta2, k = _resolve_beta2(args.beta2), _depth(args)
     _check_request(beta2, k, args.trunc_tol)
-    result = extract_roles(read_edge_list(args.graph), beta2=beta2, k=k,
+    result = extract_roles(_read_graph(args.graph), beta2=beta2, k=k,
                            trunc_tol=args.trunc_tol)
     text = json.dumps(_round_floats(result.to_json_dict()), sort_keys=True) + "\n"
     if args.out:
@@ -125,7 +140,7 @@ def cmd_spectrum(args) -> int:
     _check_request(beta2, k)
     if args.top < 1:
         raise ValueError("--top must be at least 1")
-    report = spectrum_report(read_edge_list(args.graph), beta2=beta2, k=k, top_m=args.top)
+    report = spectrum_report(_read_graph(args.graph), beta2=beta2, k=k, top_m=args.top)
     text = report.to_csv_text()
     if args.out:
         Path(args.out).write_text(text)
@@ -137,7 +152,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_betabound(args) -> int:
-    A = read_edge_list(args.graph)
+    A = _read_graph(args.graph)
     rho = beta_bound(A)
     print(f"rho_hat\t{_fmt(rho)}")
     print(f"beta2_max\t{_fmt(1.0 / rho)}")
@@ -284,11 +299,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
-    except EdgeListFormatError as exc:
+    except (EdgeListFormatError, _InputError) as exc:
         print(f"rolekit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"rolekit: input error: {exc}", file=sys.stderr)
+    except OSError as exc:   # a file or standard output that cannot be written
+        print(f"rolekit: output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NonConvergenceError as exc:
         print(f"rolekit: did not converge: {exc}", file=sys.stderr)

@@ -272,45 +272,54 @@ def split_signed_roles(assignment: Assignment, B: RoleMatrix) -> SignedRoleSplit
                            assignment=Assignment(sigma_hat))
 
 
-def _spherical_kmeans(R: np.ndarray, weights: np.ndarray, q: int, start: int,
+def _farthest_first(R: np.ndarray, start: int, q: int) -> list[int]:
+    """q seeds among the unit rows of R, chosen farthest-first from row
+    ``start``: each next seed is the row whose largest cosine to the seeds
+    so far is least, the lowest index among equals.  A choice never reads
+    q, so the seeds for a smaller count are a prefix of these."""
+    seeds = [start]
+    near = R @ R[start]
+    while len(seeds) < min(q, R.shape[0]):
+        far = int(np.argmin(near))
+        seeds.append(far)
+        np.maximum(near, R @ R[far], out=near)
+    return seeds
+
+
+def _spherical_kmeans(R: np.ndarray, weights: np.ndarray, seeds: list[int],
                       max_iter: int = 100) -> np.ndarray:
-    """Deterministic spherical k-means of the unit rows of R.
+    """Deterministic spherical k-means of the unit rows of R, one cluster
+    per seed row (from :func:`_farthest_first`).
 
     Row a counts ``weights[a]`` times.  A center is the normalized weighted
     sum of its members, so the cosines to the centers are ``R C^T / |C|``
     for the weighted sums ``C = Z^T R`` (Z the weighted membership matrix),
-    at O(m r q) a step for m rows of length r.  Seeds are chosen
-    farthest-first from row ``start``; Lloyd updates follow, a cluster
-    left empty is reseeded with the row its center serves worst, and the
-    loop stops when the labels repeat.  Every tie goes to the lowest index:
-    among equally far rows when seeding, among equally close centers
-    (numbered in seed order), and among equally badly served rows when
-    reseeding.  Returns one label per row, the number of its center.
+    at O(m r q) a step for m rows of length r.  Lloyd updates follow from
+    the seeds, a cluster left empty is reseeded with the row its center
+    serves worst, and the loop returns as soon as the labels repeat,
+    before a center update that nothing would read.  Every tie goes to the
+    lowest index: among equally close centers (numbered in seed order) and
+    among equally badly served rows when reseeding.  Returns one label per
+    row, the number of its center.
     """
-    m = R.shape[0]
-    q = min(q, m)
-    seeds = [start]
-    near = R @ R[start]
-    while len(seeds) < q:
-        far = int(np.argmin(near))
-        seeds.append(far)
-        np.maximum(near, R @ R[far], out=near)
+    m, q = R.shape[0], len(seeds)
     sims = R @ R[seeds].T
     rows = np.arange(m)
     labels = np.zeros(m, dtype=int)
     for _ in range(max_iter):
         new = np.argmax(sims, axis=1)
-        for label in range(q):
-            if not (new == label).any():
-                new[int(np.argmin(sims[rows, new]))] = label
+        if np.bincount(new, minlength=q).min() == 0:
+            for label in range(q):
+                if not (new == label).any():
+                    new[int(np.argmin(sims[rows, new]))] = label
+        if np.array_equal(new, labels):
+            break
+        labels = new
         Z = np.zeros((m, q))
         Z[rows, new] = weights
         C = Z.T @ R
         norms = np.linalg.norm(C, axis=1)
         sims = (R @ C.T) / np.where(norms > 0.0, norms, 1.0)
-        if np.array_equal(new, labels):
-            break
-        labels = new
     return labels
 
 
@@ -382,10 +391,14 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
     point, solved as :func:`rolekit.similarity.fixed_point` solves it,
     whose :class:`rolekit.similarity.NonConvergenceError` carries the last
     iterate as an n x n similarity state.  The sweep runs spherical
-    k-means for role counts within 2 of the spectral-gap estimate, each
-    count seeded farthest-first from each of the four classes with the
-    largest diagonal entries ``|X_a|^2`` of S_k and scored by its cheapest
-    model, keeping the smallest count within 5% of the least cost.
+    k-means (:func:`_spherical_kmeans`) for role counts within 2 of the
+    spectral-gap estimate, from each of the four classes with the largest
+    diagonal entries ``|X_a|^2`` of S_k.  Each start's seeds are grown
+    farthest-first once, for the largest count, and each count takes a
+    prefix of them.  A partition is scored once, however many trials reach
+    it under whatever labels; each count keeps its cheapest model (the
+    first start on a tie), and the sweep the smallest count within 5% of
+    the least cost.
     ``params`` records which of the two gave the result (``method``:
     ``greedy`` for the classes, ``sweep``) and the two constants
     ``angle_tol`` (the default tolerance of :func:`cluster_rows`) and
@@ -445,14 +458,21 @@ def extract_roles(A, beta2: float | None = None, k: int | None = DEFAULT_DEPTH,
         order = np.argsort(-np.einsum("ij,ij->i", X[act], X[act]), kind="stable")
         rows_ranked = _normalized_rows(X[act])[0][order]
         weights = quotient.sizes[act][order].astype(float)
+        counts = range(max(1, q_guess - 2), min(act.size, q_guess + 2) + 1)
+        seeds = [_farthest_first(rows_ranked, start, counts[-1])
+                 for start in range(min(_SWEEP_STARTS, act.size))]
         labels = np.empty(act.size, dtype=int)
+        scored = {}   # each distinct partition is scored once
         candidates = []
-        for q in range(max(1, q_guess - 2), min(act.size, q_guess + 2) + 1):
+        for q in counts:
             best = None
-            for start in range(min(_SWEEP_STARTS, act.size)):   # the first wins ties
-                labels[order] = _spherical_kmeans(rows_ranked, weights, q, start)
+            for grown in seeds:   # the first start wins ties
+                labels[order] = _spherical_kmeans(rows_ranked, weights, grown[:q])
                 trial = roles(labels)
-                B, cost = _role_model(base, norm2, quotient.sizes, trial)
+                key = trial.tobytes()
+                if key not in scored:
+                    scored[key] = _role_model(base, norm2, quotient.sizes, trial)
+                B, cost = scored[key]
                 if best is None or cost < best[2]:
                     best = (trial, B, cost)
             candidates.append(best)

@@ -33,7 +33,8 @@ Role extraction at a finite depth on more than 32 classes uses the thin
 similarity instead (:func:`_thin_similarity`): the recurrence itself runs
 on a factor of fixed rank r, ``S_k ~= X X^T``, by subspace iteration at
 O(c^2 (r + 8)) a product, so no c x c iterate is formed.  It starts from
-:func:`rolekit.similarity._start_block`, the start of ``beta_bound`` too.
+the block :func:`rolekit.similarity._start_block` grows from
+``A_hat sqrt(s)`` (``beta_bound`` grows its own from ``A_hat 1``).
 On noisy graphs only the dominant eigenspace of S_k carries the roles, and
 the rank follows the gap estimate (see :func:`rolekit.extract.extract_roles`).
 """
@@ -191,18 +192,21 @@ def _thin_similarity(M: np.ndarray, sizes: np.ndarray, beta2: float, k: int,
     without another product with M: the Ritz pairs, the next
     ``F = [(M V) W_r sqrt(theta_r), (M^T V) W_r sqrt(theta_r)]``, and the
     next depth's block, ``Y`` itself, a power step already taken.  So a
-    depth costs two block products, eight products with M.  Depth 1 starts
-    from :func:`_start_block`.  The part of each iterate past the kept rank
-    is dropped before the next depth, so X is the fixed-rank similarity,
-    not a truncation of the exact one.
+    depth costs two block products, eight products with M.  Each product
+    of M^T with a block B is formed as ``(B^T M)^T``, which streams M by
+    rows: at c = 500 on 8 to 32 columns it took 0.67 to 0.79 of the time
+    of ``M.T @ B`` (OpenBLAS 0.3.31, 2 Xeon cores).  Depth 1 starts from
+    the block :func:`_start_block` grows from ``M sqrt(sizes)``.  The part
+    of each iterate past the kept rank is dropped before the next depth,
+    so X is the fixed-rank similarity, not a truncation of the exact one.
     """
     Y = _start_block(M, np.sqrt(sizes), rank + _OVERSAMPLE)
     if Y is None:
         return None
 
     def apply(V):   # S_j V, with F from the last factor, and M V and M^T V
-        MV, MtV = M @ V, M.T @ V
-        return M @ MtV + M.T @ MV + beta2 * (F @ (F.T @ V)), MV, MtV
+        MV, MtV = M @ V, (V.T @ M).T
+        return M @ MtV + (MV.T @ M).T + beta2 * (F @ (F.T @ V)), MV, MtV
 
     F = np.zeros((M.shape[0], 0))   # S_0 = 0, so S_1 = G[I]
     for _ in range(k):

@@ -18,9 +18,9 @@ iteration on ``G`` as a thin factor ``V V^T`` of rank r at O(n^2 r) a
 step, and where that iteration gives out, or cannot run (on at most 16
 classes, among others), by a Lanczos iteration on n x n matrices at
 O(n^3) a step, stopped on its Ritz residual bound.  The factor starts from
-:func:`_start_block` grown from the class degrees, as the thin similarity's
-start is, and Lanczos from ``1 1^T / n`` or ``I / sqrt(n)``, so no node
-order enters.
+:func:`_start_block` grown from ``A_hat 1`` and ``A_hat^T 1`` (the thin
+similarity grows its start from ``A_hat sqrt(s)``), and Lanczos from
+``1 1^T / n`` or ``I / sqrt(n)``, so no node order enters.
 
 Finite depths (:func:`iterate`, :func:`pattern_counts`) run the recurrence.
 The limit (:func:`fixed_point`) is found instead by solving the linear system
@@ -195,9 +195,20 @@ def _start_block(M: np.ndarray, v: np.ndarray, width: int) -> np.ndarray | None:
     twice), as ``M^T v`` is on a symmetric M.  None when the space has
     fewer dimensions (one when all degrees are equal) or M has a negative
     entry: only on M >= 0 does the block reach G's top eigenvector
-    (Perron-Frobenius); a sign-flipping symmetry can hide it.  With v = 1
-    (:func:`beta_bound`) or the square roots of the class sizes (the thin
-    similarity), ``M v`` and ``M^T v`` are degrees: no node order enters."""
+    (Perron-Frobenius); a sign-flipping symmetry can hide it.  No node
+    order enters.
+
+    On the quotient ``M_ab = sqrt(s_a s_b) A[f_a, f_b]``, for the class
+    sizes s and the first node f_a of class a.  The thin similarity grows
+    from v = sqrt(s): ``(M sqrt(s))_a`` is ``sqrt(s_a)`` times the
+    out-degree of a node of class a, and ``M^T sqrt(s)`` likewise with
+    in-degrees.  :func:`beta_bound` grows from v = 1, where
+    ``(M 1)_a = sqrt(s_a) sum_b sqrt(s_b) A[f_a, f_b]`` is a degree only
+    when every class has one node.  So the two blocks coincide, and an
+    extraction grows the same block twice, only when no two nodes are
+    equivalent, as on noisy graphs.  Starting ``beta_bound`` from
+    ``M sqrt(s)`` too would share it, but would change rho's last bits,
+    and so the default damping, on graphs with equivalent nodes."""
     if (M < 0).any():
         return None
     basis = np.empty((M.shape[0], width))
@@ -241,8 +252,11 @@ def beta_bound(A) -> float:
       estimate is ``||G[X]||_F``, a lower bound on rho, and it stops once
       the estimate settles: its relative change from the step before is at
       most 1e-10.  It starts from the unit projector ``V V^T / sqrt(8)``
-      onto the c x 8 block V of :func:`_start_block` grown from the class
-      degrees ``[A_hat 1, A_hat^T 1]``, as the thin similarity does.  The
+      onto the c x 8 block V of :func:`_start_block` grown from
+      ``[A_hat 1, A_hat^T 1]``, which are the degrees only when every
+      class has one node (see there).
+      ``A_hat^T V`` is formed as ``(V^T A_hat)^T``, which streams A_hat by
+      rows, as the thin similarity forms its products with A_hat^T.  The
       part of ``G[X]`` a step discards, relative in Frobenius norm, is the
       floor the truncation puts under the residual ``||G[X] - rho_hat X||``;
       it moves the estimate by about its square over the relative spectral
@@ -310,7 +324,7 @@ def beta_bound(A) -> float:
         V /= rank ** 0.25   # V V^T of unit Frobenius norm
     while V is not None and 2 * rank < quotient.c and steps < DEFAULT_MAX_K:
         steps += 1
-        F = np.hstack([M @ V, M.T @ V])   # G[V V^T] = F F^T
+        F = np.hstack([M @ V, (V.T @ M).T])   # G[V V^T] = F F^T
         power, W = _ritz(F.T @ F)
         norm = _norm(power)
         if estimate > 0.0:

@@ -1,4 +1,6 @@
+import errno
 import functools
+import io
 import json
 import os
 import subprocess
@@ -117,6 +119,50 @@ def test_extract_missing_and_empty_files(tmp_path, capsys):
     empty.write_text("")
     code, _, err = run(capsys, "extract", str(empty))
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["extract", "spectrum", "betabound"])
+def test_a_graph_path_under_a_regular_file_is_an_input_error(tmp_path, capsys, command):
+    graph = tmp_path / "c20.tsv"
+    run(capsys, "generate", "--kind", "block_cycle", "--sizes", "5,5,5,5",
+        "--out", str(graph))
+    code, out, err = run(capsys, command, str(graph / "x.tsv"))
+    assert (code, out) == (1, "")
+    assert err.startswith("rolekit: input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--kind", "block_cycle", "--sizes", "5,5", "--out", "{dir}/g.tsv"),
+    ("extract", "{graph}", "--out", "{dir}/r.json"),
+    ("spectrum", "{graph}", "--out", "{dir}/s.csv"),
+    ("spectrum", "{graph}", "--svg", "{dir}/s.svg"),
+], ids=["generate-out", "extract-out", "spectrum-out", "spectrum-svg"])
+@pytest.mark.parametrize("parent", ["under-a-file", "missing"])
+def test_an_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, parent):
+    graph = tmp_path / "c20.tsv"
+    run(capsys, "generate", "--kind", "block_cycle", "--sizes", "5,5,5,5",
+        "--out", str(graph))
+    where = graph if parent == "under-a-file" else tmp_path / "missing"
+    code, out, err = run(capsys, *(a.format(dir=where, graph=graph) for a in argv))
+    assert code == 1
+    assert err.startswith("rolekit: output error:") and "Traceback" not in err
+    # the CSV of --svg went to stdout before the SVG was written
+    assert out.startswith("index,sigma_A,") if argv[-2] == "--svg" else out == ""
+
+
+@pytest.mark.parametrize("command", ["extract", "spectrum", "betabound"])
+def test_a_full_standard_output_is_an_output_error(tmp_path, capsys, monkeypatch, command):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    graph = tmp_path / "c20.tsv"
+    run(capsys, "generate", "--kind", "block_cycle", "--sizes", "5,5,5,5",
+        "--out", str(graph))
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    assert main([command, str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rolekit: output error:") and "Traceback" not in err
 
 
 def test_extract_malformed_line_reports_number(tmp_path, capsys):

@@ -36,6 +36,7 @@ from rolekit import (
 )
 from rolekit.extract import (
     _ZERO_ROW_RTOL,
+    _farthest_first,
     _gap_estimate,
     _normalized_rows,
     _spherical_kmeans,
@@ -570,9 +571,32 @@ def test_spherical_kmeans_reseeds_an_empty_cluster():
     # rows in 2 directions at q = 3: the third seed repeats the first, its
     # cluster is left empty and is reseeded, so every cluster keeps a row
     R = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 2)
-    labels = _spherical_kmeans(R, np.ones(5), 3, 0)
+    labels = _spherical_kmeans(R, np.ones(5), _farthest_first(R, 0, 3))
     assert sorted(set(labels.tolist())) == [0, 1, 2]
     assert len(set(labels[:3].tolist()) & set(labels[3:].tolist())) == 0
+
+
+def test_the_sweep_seeds_once_per_start_and_scores_each_partition_once(monkeypatch):
+    # 40 classes take the thin route; the sweep runs 5 role counts from 4
+    # starts, 20 trials, of which only 11 give distinct partitions
+    A, _, _ = generate_structure("block_cycle", (10,) * 4,
+                                 perm=np.random.default_rng(1).permutation(40))
+    noisy = perturb(A, PerturbationModel(0.1, 0.1, seed=1))
+    assert noisy.quotient.c == 40
+    calls = {"_farthest_first": [], "_spherical_kmeans": [], "_role_model": []}
+    for name, log in calls.items():
+        def logged(*args, f=getattr(extract, name), log=log):
+            log.append((args, f(*args)))
+            return log[-1][1]
+        monkeypatch.setattr(extract, name, logged)
+    assert extract_roles(noisy, trunc_tol=1e-3).params["method"] == "sweep"
+    trials = calls["_spherical_kmeans"]
+    counts = sorted({len(seeds) for (_, _, seeds), _ in trials})
+    assert len(trials) == 4 * len(counts) == 20
+    assert [args[1:] for args, _ in calls["_farthest_first"]] == [
+        (start, counts[-1]) for start in range(4)]
+    partitions = {tuple(canonicalize(Assignment(labels))[0]) for _, labels in trials}
+    assert len(calls["_role_model"]) == len(partitions) < len(trials)
 
 
 def _noisy_graphs():
@@ -596,8 +620,8 @@ def test_the_kernel_sweep_equals_spherical_kmeans_on_any_factor():
         Q = np.linalg.qr(rng.standard_normal((A.n, A.n)))[0]   # a random rotation
         rows = _normalized_rows(U @ Q)[0]
         for q in range(1, 7):
-            got = canonicalize(Assignment(
-                _spherical_kmeans(rows, np.ones(A.n), q, int(np.argmax(np.diag(S))))))[0]
+            seeds = _farthest_first(rows, int(np.argmax(np.diag(S))), q)
+            got = canonicalize(Assignment(_spherical_kmeans(rows, np.ones(A.n), seeds)))[0]
             assert np.array_equal(got, _spherical_kmeans_on_rows(U, q))
             assert np.array_equal(got, _spherical_kmeans_on_rows(U @ Q, q))
 
